@@ -23,12 +23,10 @@ from .identities import (IdentityRecord, ParamSpec, VerificationReport,
 from .legendre import (kernel_expansion_partial_sum, generating_function_check,
                        legendre_p, orthogonality_gram)
 from .precision import PrecisionContext, const_pi
-from .quadrature import (INF, MAX_LEVEL, IntegralSpec, QuadResult, integrate,
-                         integrate_complex_kernel)
+from .quadrature import INF, MAX_LEVEL, IntegralSpec, QuadResult, integrate
 from .selftest import CheckResult, run_selftest
-from .series import (BridgeCoefficients, SeriesId, SeriesSpec, clausen_sum,
-                     clausen_sum_da, legendre_sum, linear_bridge,
-                     ramanujan_sum, ramanujan_target)
+from .series import (BridgeCoefficients, SeriesId, clausen_sum, clausen_sum_da,
+                     legendre_sum, linear_bridge, ramanujan_sum, ramanujan_target)
 from .singular import lambda_star, rhs_constant, singular_value_residual
 
 __version__ = "0.1.0"
@@ -38,11 +36,11 @@ __all__ = [
     "gamma", "pochhammer",
     "EllipticParameter", "agm", "ellipk", "ellipk_series",
     "ellipk_complementary", "generating_integral_closed_form",
-    "IntegralSpec", "QuadResult", "integrate", "integrate_complex_kernel",
+    "IntegralSpec", "QuadResult", "integrate",
     "INF", "MAX_LEVEL",
     "legendre_p", "generating_function_check", "orthogonality_gram",
     "kernel_expansion_partial_sum",
-    "SeriesId", "SeriesSpec", "BridgeCoefficients", "clausen_sum",
+    "SeriesId", "BridgeCoefficients", "clausen_sum",
     "clausen_sum_da", "legendre_sum", "ramanujan_sum", "ramanujan_target",
     "linear_bridge",
     "lambda_star", "singular_value_residual", "rhs_constant",

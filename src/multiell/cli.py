@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+import mpmath
+
 from .errors import DomainError, IntegrandFailureError, NonConvergenceError
 from .identities import export, get_identity, list_identities, sweep, verify
 from .precision import PrecisionContext
@@ -19,6 +21,15 @@ from .quadrature import MAX_LEVEL
 from .selftest import run_selftest
 
 CONFIG_ENV = "MULTIELL_CONFIG"
+
+
+def _tolerance(text):
+    mpmath.mpf(text)  # raises unless PrecisionContext can read it; kept as text
+    return text
+
+
+# setting -> (parser of its config value, default)
+_SETTINGS = {"digits": (int, 50), "tol": (_tolerance, None), "level_cap": (int, MAX_LEVEL)}
 
 
 def _load_config():
@@ -34,25 +45,24 @@ def _load_config():
             if "=" not in line:
                 raise DomainError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in ("digits", "tol", "level_cap"):
+            if key not in _SETTINGS:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-            config[key] = value
+            try:
+                config[key] = _SETTINGS[key][0](value)
+            except ValueError:
+                raise DomainError(f"{path}:{lineno}: malformed {key} value {value!r}") from None
     return config
 
 
+def _setting(args, config, key):
+    """The command-line flag if given, else the config file's value, else the default."""
+    value = getattr(args, key)
+    return config.get(key, _SETTINGS[key][1]) if value is None else value
+
+
 def _context(args, config):
-    digits = args.digits if args.digits is not None else int(config.get("digits", 50))
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        tol = config.get("tol")
-    return PrecisionContext(digits, pass_tol=tol)
-
-
-def _level_cap(args, config):
-    cap = getattr(args, "level_cap", None)
-    if cap is None:
-        cap = int(config.get("level_cap", MAX_LEVEL))
-    return cap
+    return PrecisionContext(_setting(args, config, "digits"),
+                            pass_tol=_setting(args, config, "tol"))
 
 
 def _parse_pairs(pairs, what):
@@ -66,9 +76,7 @@ def _parse_pairs(pairs, what):
 
 
 def _emit(reports, args, ctx):
-    fmt = getattr(args, "format", "text") or "text"
-    out_path = getattr(args, "out", None)
-    if fmt == "text":
+    if args.format == "text":
         lines = []
         for r in reports:
             params = ", ".join(f"{k}={ctx.mp.nstr(v, 8) if not isinstance(v, int) else v}"
@@ -81,9 +89,9 @@ def _emit(reports, args, ctx):
             lines.append(f"  {'PASSED' if r.passed else 'FAILED'}")
         payload = ("\n".join(lines) + "\n").encode()
     else:
-        payload = export(reports, fmt)
-    if out_path:
-        with open(out_path, "wb") as fh:
+        payload = export(reports, args.format)
+    if args.out:
+        with open(args.out, "wb") as fh:
             fh.write(payload)
     else:
         sys.stdout.buffer.write(payload)
@@ -99,7 +107,7 @@ def _cmd_list(args, config):
 def _cmd_verify(args, config):
     ctx = _context(args, config)
     params = _parse_pairs(args.param, "--param")
-    report = verify(args.identity, params, ctx, max_level=_level_cap(args, config))
+    report = verify(args.identity, params, ctx, max_level=_setting(args, config, "level_cap"))
     _emit([report], args, ctx)
     return 0 if report.passed else 2
 
@@ -113,14 +121,13 @@ def _cmd_sweep(args, config):
         raise DomainError(f"--range must be lo:hi:steps, got {args.range!r}")
     fixed = _parse_pairs(args.fixed, "--fixed")
     reports = sweep(args.identity, args.param, lo, hi, steps, ctx,
-                    fixed=fixed, max_level=_level_cap(args, config))
+                    fixed=fixed, max_level=_setting(args, config, "level_cap"))
     _emit(reports, args, ctx)
     return 0 if all(r.passed for r in reports) else 2
 
 
 def _cmd_selftest(args, config):
-    digits = args.digits if args.digits is not None else int(config.get("digits", 50))
-    results = run_selftest(digits=digits, quick=args.quick)
+    results = run_selftest(digits=_setting(args, config, "digits"), quick=args.quick)
     return 0 if all(r.passed for r in results) else 2
 
 
@@ -132,27 +139,25 @@ def build_parser():
 
     sub.add_parser("list", help="print the identity catalog")
 
-    p_verify = sub.add_parser("verify", help="verify one identity")
+    # flags shared by verify and sweep
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--digits", type=int, default=None)
+    common.add_argument("--tol", default=None, help="override the pass tolerance")
+    common.add_argument("--level-cap", dest="level_cap", type=int, default=None)
+    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    common.add_argument("--out", default=None, help="write output to a file")
+
+    p_verify = sub.add_parser("verify", parents=[common], help="verify one identity")
     p_verify.add_argument("identity", help="catalog id, e.g. I8 or I1")
     p_verify.add_argument("--param", action="append", metavar="NAME=VALUE",
                           help="identity parameter (repeatable)")
-    p_verify.add_argument("--digits", type=int, default=None)
-    p_verify.add_argument("--tol", default=None, help="override the pass tolerance")
-    p_verify.add_argument("--level-cap", dest="level_cap", type=int, default=None)
-    p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_verify.add_argument("--out", default=None, help="write output to a file")
 
-    p_sweep = sub.add_parser("sweep", help="verify along a parameter grid")
+    p_sweep = sub.add_parser("sweep", parents=[common], help="verify along a parameter grid")
     p_sweep.add_argument("identity")
     p_sweep.add_argument("--param", required=True, help="parameter to sweep")
     p_sweep.add_argument("--range", required=True, metavar="LO:HI:STEPS")
     p_sweep.add_argument("--fixed", action="append", metavar="NAME=VALUE",
                          help="fix another parameter (repeatable)")
-    p_sweep.add_argument("--digits", type=int, default=None)
-    p_sweep.add_argument("--tol", default=None)
-    p_sweep.add_argument("--level-cap", dest="level_cap", type=int, default=None)
-    p_sweep.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_sweep.add_argument("--out", default=None)
 
     p_self = sub.add_parser("selftest", help="run the property suites")
     p_self.add_argument("--quick", action="store_true",

@@ -27,7 +27,7 @@ from .elliptic import generating_integral_closed_form
 from .errors import DomainError
 from .fd import richardson_derivative
 from .precision import PrecisionContext
-from .quadrature import MAX_LEVEL, IntegralSpec, integrate
+from .quadrature import MAX_LEVEL, integrate
 
 _FD_BOOST = 20
 
@@ -77,14 +77,9 @@ def ode_annihilator_residual(a, ctx: PrecisionContext, *, corrupted: bool = Fals
     a = mp.convert(a)
     if not 0 < a < 1:
         raise DomainError(f"operator check requires a in (0, 1), got {a}")
-    derivs = []
-    for order in range(4):
-        spec = IntegralSpec(
-            f"weighted_kernel_d{order}", (a, order), (0, 1),
-            lambda emp, av, ov: kernels.weighted_kernel(emp, av, int(ov)),
-            singular_points=(lambda emp: emp.mpf(1) / 2,),
-        )
-        derivs.append(mp.convert(integrate(spec, ctx, max_level=max_level).value))
+    derivs = [mp.convert(integrate(kernels.weighted_kernel_spec(a, order), ctx,
+                                   max_level=max_level).value)
+              for order in range(4)]
     residual, scale = _ode_combine(mp, a, derivs, 2 if corrupted else 1)
     tol = mp.mpf(10) ** (-(ctx.digits // 2)) * scale
     return OdeResidual(a, +residual, +scale, +tol, residual <= tol)
@@ -103,7 +98,7 @@ def apply_annihilator_fd(f, a, ctx: PrecisionContext, *, zeroth_factor=1):
     h = mp.mpf(10) ** (-(ctx.digits // 5))
     derivs = [mp.convert(f(a))]
     for order in (1, 2, 3):
-        derivs.append(richardson_derivative(f, a, order, h, mp))
+        derivs.append(richardson_derivative(f, a, order, h))
     return _ode_combine(mp, a, derivs, zeroth_factor)
 
 
@@ -139,9 +134,9 @@ def laplace_residual_of(func, b, c, ctx: PrecisionContext, *, corrupted: bool = 
     h = mp.mpf(10) ** (-(ctx.digits // 5))
     if not (b - 2 * h > 0 and c - 2 * h > 0):
         raise DomainError("stencil point leaves valid region")
-    f_bb = richardson_derivative(lambda t: func(t, c), b, 2, h, mp)
-    f_cc = richardson_derivative(lambda t: func(b, t), c, 2, h, mp)
-    f_c = richardson_derivative(lambda t: func(b, t), c, 1, h, mp)
+    f_bb = richardson_derivative(lambda t: func(t, c), b, 2, h)
+    f_cc = richardson_derivative(lambda t: func(b, t), c, 2, h)
+    f_c = richardson_derivative(lambda t: func(b, t), c, 1, h)
     terms = (f_bb, f_cc) if corrupted else (f_bb, f_cc, f_c / c)
     residual = abs(sum(terms))
     scale = max(abs(f_bb), abs(f_cc), abs(f_c / c))

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, NonConvergenceError, SingularityError
 from .precision import PrecisionContext
+from .series import _ratio_series
 
 _AGM_MAXITER = 1000
 
@@ -117,13 +118,7 @@ def ellipk_series(p, n_terms: int, ctx: PrecisionContext):
     m = mp.convert(_param_value(p))
     if not abs(m) < 1:
         raise DomainError(f"the Maclaurin series requires |m| < 1, got {m}")
-    term = mp.one
-    acc = mp.one
-    for n in range(n_terms):
-        r = (2 * n + 1) / mp.mpf(2 * n + 2)
-        term *= m * r * r
-        acc += term
-    return ctx.reduce(mp.pi / 2 * acc)
+    return ctx.reduce(mp.pi / 2 * _ratio_series(mp, m, n_terms, power=2))
 
 
 def ellipk_complementary(p, ctx: PrecisionContext):

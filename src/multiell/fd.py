@@ -9,7 +9,7 @@ for orders 1-2, O(h^4) for order 3).
 from __future__ import annotations
 
 
-def central_derivative(f, x, order: int, h, mp):
+def central_derivative(f, x, order: int, h):
     """d^order f / dx^order at x via a 5-point central stencil."""
     if order == 1:
         return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
@@ -21,10 +21,10 @@ def central_derivative(f, x, order: int, h, mp):
     raise ValueError(f"order must be 1, 2 or 3, got {order!r}")
 
 
-def richardson_derivative(f, x, order: int, h, mp):
+def richardson_derivative(f, x, order: int, h):
     """Richardson combination of the stencil at steps h and h/2."""
-    coarse = central_derivative(f, x, order, h, mp)
-    fine = central_derivative(f, x, order, h / 2, mp)
+    coarse = central_derivative(f, x, order, h)
+    fine = central_derivative(f, x, order, h / 2)
     if order in (1, 2):
         return (16 * fine - coarse) / 15
     return (4 * fine - coarse) / 3

@@ -23,7 +23,7 @@ from . import kernels
 from .elliptic import generating_integral_closed_form
 from .errors import DomainError, OutOfDomainError
 from .precision import PrecisionContext
-from .quadrature import INF, MAX_LEVEL, IntegralSpec, integrate, integrate_complex_kernel
+from .quadrature import MAX_LEVEL, IntegralSpec, integrate
 from .series import (SeriesId, _ramanujan_data, clausen_sum, legendre_sum,
                      ramanujan_sum, ramanujan_target)
 from .singular import rhs_constant
@@ -114,31 +114,22 @@ def _series_terms(ratio, digits: int) -> int:
     return max(60, int((digits + 12) * math.log(10) / -math.log(r)) + 10)
 
 
-def _weighted_spec(a):
-    return IntegralSpec(
-        "weighted_kernel", (a, 0), (0, 1),
-        lambda mp, av, ov: kernels.weighted_kernel(mp, av, int(ov)),
-        singular_points=(_HALF,),
-    )
-
-
-def _quad_lhs(spec_builder, complex_kind=False):
-    run = integrate_complex_kernel if complex_kind else integrate
+def _quad_lhs(spec_builder):
     def lhs(ctx, params, max_level):
-        result = run(spec_builder(ctx, params), ctx, max_level=max_level)
+        result = integrate(spec_builder(ctx, params), ctx, max_level=max_level)
         return result.value, result
     return lhs
 
 
-def _axial_spec(ctx, params):
-    b, c = params["b"], params["c"]
-    singular = ()
-    if b == 0 and c > 0:
-        singular = ((lambda mp: mp.atan(mp.convert(c))),)
-    return IntegralSpec(
-        "axial_kernel", (b, c), (0, lambda mp: mp.pi / 2),
-        kernels.axial_kernel, singular_points=singular,
-    )
+def _unit_kernel_lhs(factory):
+    """LHS of a parameter-free row: factory's K kernel integrated over (0, 1)."""
+    return _quad_lhs(lambda ctx, p: IntegralSpec(
+        factory.__name__, (), (0, 1), factory, singular_points=(_HALF,)))
+
+
+def _closed_form_rhs(value_of_mp):
+    """RHS constant value_of_mp(mp), evaluated at guard precision."""
+    return lambda ctx, p: ctx.reduce(value_of_mp(ctx.boosted(10).mp))
 
 
 def _build_catalog():
@@ -149,82 +140,59 @@ def _build_catalog():
 
     unit_a = ParamSpec("a", lo=0, hi=1)
     series_a = ParamSpec("a", lo=0, hi="0.95")
+    log_half = "kernel log-singular at x=1/2"
+    complex_root = "kernel log-singular at x=1/2; principal-branch root"
+    weighted_lhs = _quad_lhs(lambda ctx, p: kernels.weighted_kernel_spec(p["a"]))
 
     add("I1", "weighted K-kernel integral vs squared-K closed form",
-        (unit_a,), "quad", "kernel log-singular at x=1/2",
-        _quad_lhs(lambda ctx, p: _weighted_spec(p["a"])),
+        (unit_a,), "quad", log_half, weighted_lhs,
         lambda ctx, p: generating_integral_closed_form(p["a"], ctx))
 
     add("I1-ext", "weighted K-kernel integral past the critical parameter",
         (ParamSpec("a", lo=1, lo_open=True),), "quad",
         "kernel log-singular at x=1/2; no smooth continuation across a=1",
-        _quad_lhs(lambda ctx, p: _weighted_spec(p["a"])),
+        weighted_lhs,
         lambda ctx, p: generating_integral_closed_form(p["a"], ctx))
 
     add("I2", "rational-weight K integral; value pi/(4 sqrt 2)",
-        (), "quad", "kernel log-singular at x=1/2",
-        _quad_lhs(lambda ctx, p: IntegralSpec(
-            "ratio_kernel_2sqrt2", (), (0, 1),
-            lambda mp: kernels.ratio_kernel_2sqrt2(mp), singular_points=(_HALF,))),
-        lambda ctx, p: ctx.reduce(ctx.boosted(10).mp.pi / (4 * ctx.boosted(10).mp.sqrt(2))))
+        (), "quad", log_half, _unit_kernel_lhs(kernels.ratio_kernel_2sqrt2),
+        _closed_form_rhs(lambda mp: mp.pi / (4 * mp.sqrt(2))))
 
     add("I3", "r=4 singular-value K integral; value Gamma(1/4)^4/(16 sqrt2 pi)",
-        (), "quad", "kernel log-singular at x=1/2",
-        _quad_lhs(lambda ctx, p: IntegralSpec(
-            "singular_value_kernel_r4", (), (0, 1),
-            lambda mp: kernels.singular_value_kernel_r4(mp), singular_points=(_HALF,))),
+        (), "quad", log_half, _unit_kernel_lhs(kernels.singular_value_kernel_r4),
         lambda ctx, p: rhs_constant("I3", ctx))
 
     add("I4", "complex-kernel K integral for the r=3 singular value",
-        (), "quad_complex", "kernel log-singular at x=1/2; principal-branch root",
-        _quad_lhs(lambda ctx, p: IntegralSpec(
-            "complex_kernel_r3", (), (0, 1),
-            lambda mp: kernels.complex_kernel_r3(mp), singular_points=(_HALF,)),
-            complex_kind=True),
+        (), "quad_complex", complex_root, _unit_kernel_lhs(kernels.complex_kernel_r3),
         lambda ctx, p: rhs_constant("I4", ctx))
 
     add("I5", "complex-kernel K integral for the r=7 singular value",
-        (), "quad_complex", "kernel log-singular at x=1/2; principal-branch root",
-        _quad_lhs(lambda ctx, p: IntegralSpec(
-            "complex_kernel_r7", (), (0, 1),
-            lambda mp: kernels.complex_kernel_r7(mp), singular_points=(_HALF,)),
-            complex_kind=True),
+        (), "quad_complex", complex_root, _unit_kernel_lhs(kernels.complex_kernel_r7),
         lambda ctx, p: rhs_constant("I5", ctx))
 
     add("I6", "axially symmetric K integral with two tunable parameters",
         (ParamSpec("b", lo=0), ParamSpec("c", lo=0)), "quad",
         "integrand singular at theta = atan(c) when b = 0",
-        _quad_lhs(_axial_spec),
-        lambda ctx, p: _axial_rhs(ctx, p))
+        _quad_lhs(lambda ctx, p: kernels.axial_spec(p["b"], p["c"])), _axial_rhs)
 
     add("I7", "axial special case on (0,1); value pi/(2 sqrt 2)",
-        (), "quad", "kernel log-singular at x=1/2",
-        _quad_lhs(lambda ctx, p: IntegralSpec(
-            "special_case_kernel", (), (0, 1),
-            lambda mp: kernels.special_case_kernel(mp), singular_points=(_HALF,))),
-        lambda ctx, p: ctx.reduce(ctx.boosted(10).mp.pi / (2 * ctx.boosted(10).mp.sqrt(2))))
+        (), "quad", log_half, _unit_kernel_lhs(kernels.special_case_kernel),
+        _closed_form_rhs(lambda mp: mp.pi / (2 * mp.sqrt(2))))
 
     add("I8", "plain K-kernel integral; value pi^2/4",
-        (), "quad", "kernel log-singular at x=1/2",
-        _quad_lhs(lambda ctx, p: IntegralSpec(
-            "plain_kernel", (), (0, 1),
-            lambda mp: kernels.plain_kernel(mp), singular_points=(_HALF,))),
-        lambda ctx, p: ctx.reduce(ctx.boosted(10).mp.pi ** 2 / 4))
+        (), "quad", log_half, _unit_kernel_lhs(kernels.k_of_x),
+        _closed_form_rhs(lambda mp: mp.pi ** 2 / 4))
 
     add("I9", "semi-infinite Re K integral; value pi/(2 sqrt(1+c^2))",
         (ParamSpec("c", lo=0, lo_open=True),), "quad",
         "Re K switches branch formula at x=1 (log-singular there)",
-        _quad_lhs(lambda ctx, p: IntegralSpec(
-            "re_k_semi_infinite", (p["c"],), (0, INF),
-            kernels.re_k_semi_infinite_kernel, singular_points=(1,))),
-        lambda ctx, p: _semi_infinite_rhs(ctx, p))
+        _quad_lhs(lambda ctx, p: kernels.semi_infinite_spec(
+            kernels.re_k_semi_infinite_kernel, p["c"])),
+        lambda ctx, p: _axial_rhs(ctx, {"b": 0, "c": p["c"]}))
 
     add("I10", "signed rational-weight K integral; value -pi/(8 sqrt 2)",
-        (), "quad", "kernel log-singular at x=1/2",
-        _quad_lhs(lambda ctx, p: IntegralSpec(
-            "signed_kernel_4sqrt2", (), (0, 1),
-            lambda mp: kernels.signed_kernel_4sqrt2(mp), singular_points=(_HALF,))),
-        lambda ctx, p: ctx.reduce(-ctx.boosted(10).mp.pi / (8 * ctx.boosted(10).mp.sqrt(2))))
+        (), "quad", log_half, _unit_kernel_lhs(kernels.signed_kernel_4sqrt2),
+        _closed_form_rhs(lambda mp: -mp.pi / (8 * mp.sqrt(2))))
 
     add("I11", "Clausen-type series vs squared-K closed form",
         (series_a,), "series", "series converges like a^(2n)",
@@ -236,8 +204,7 @@ def _build_catalog():
         _ramanujan_lhs, _ramanujan_rhs)
 
     add("I13", "quadrature route vs Legendre-projection series route",
-        (series_a,), "quad", "kernel log-singular at x=1/2",
-        _quad_lhs(lambda ctx, p: _weighted_spec(p["a"])),
+        (series_a,), "quad", log_half, weighted_lhs,
         lambda ctx, p: legendre_sum(p["a"], _series_terms(p["a"] ** 2, ctx.digits), ctx))
 
     return {rec.id: rec for rec in records}
@@ -248,13 +215,6 @@ def _axial_rhs(ctx, p):
     mp = hi.mp
     b, c = mp.convert(p["b"]), mp.convert(p["c"])
     return ctx.reduce(mp.pi / (2 * mp.sqrt((b + 1) ** 2 + c * c)))
-
-
-def _semi_infinite_rhs(ctx, p):
-    hi = ctx.boosted(10)
-    mp = hi.mp
-    c = mp.convert(p["c"])
-    return ctx.reduce(mp.pi / (2 * mp.sqrt(1 + c * c)))
 
 
 def _variant_series(variant: int):

@@ -6,11 +6,17 @@ abscissa.  Kernels are transcribed exactly as printed in the catalog's
 closed forms -- no algebraic pre-simplification -- so that shared code
 lives below the integrand layer (K itself, square roots) and nothing can
 drift in transcription.
+
+The ``*_spec`` builders at the end pair a factory with its interval and
+singular points for the integrals that more than one module runs.  They
+look IntegralSpec up by name at call time, so an instrumented replacement
+of that name reaches every spec they build.
 """
 
 from __future__ import annotations
 
 from .elliptic import ellipk_real_mp, re_k_modulus_mp
+from .quadrature import INF, IntegralSpec
 
 
 def k_of_x(mp):
@@ -18,11 +24,6 @@ def k_of_x(mp):
     def f(x):
         return ellipk_real_mp(mp, 4 * x * (1 - x))
     return f
-
-
-def plain_kernel(mp):
-    """Integrand of the plain K-kernel integral (value pi^2/4)."""
-    return k_of_x(mp)
 
 
 def generating_weight(mp, a, order: int = 0):
@@ -149,3 +150,23 @@ def axial_integrand_of_bc(mp, theta):
         den2 = b * b + (c + tan_t) ** 2
         return ellipk_real_mp(mp, 4 * c * tan_t / den2) * sin_t / mp.sqrt(den2)
     return F
+
+
+def weighted_kernel_spec(a, order: int = 0):
+    """The weighted K-kernel integral over (0, 1), split at x = 1/2."""
+    return IntegralSpec(f"weighted_kernel_d{order}", (a, order), (0, 1), weighted_kernel,
+                        singular_points=(0.5,))
+
+
+def axial_spec(b, c):
+    """The axial integral over (0, pi/2), split at atan(c) when b = 0."""
+    singular = ()
+    if b == 0 and c > 0:
+        singular = ((lambda mp: mp.atan(mp.convert(c))),)
+    return IntegralSpec("axial_kernel", (b, c), (0, lambda mp: mp.pi / 2), axial_kernel,
+                        singular_points=singular)
+
+
+def semi_infinite_spec(factory, c):
+    """factory's integral over (0, inf), split at x = 1, where K is log-singular."""
+    return IntegralSpec(factory.__name__, (c,), (0, INF), factory, singular_points=(1,))

@@ -5,6 +5,8 @@ the elliptic kernel K(2 sqrt(x(1-x))).
 
 from __future__ import annotations
 
+from itertools import count, islice
+
 from .errors import DomainError
 from .precision import PrecisionContext
 from .quadrature import IntegralSpec, integrate
@@ -12,14 +14,18 @@ from .quadrature import IntegralSpec, integrate
 GRAM_MAX_ORDER = 20  # cost guard
 
 
+def _legendre_values(mp, x):
+    """P_0(x), P_1(x), ... by the three-term recurrence, without end."""
+    p_prev, p_cur = mp.one, x
+    yield p_prev
+    for k in count(1):
+        yield p_cur
+        p_prev, p_cur = p_cur, ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
+
+
 def legendre_p_mp(mp, n: int, x):
     """P_n(x) by the three-term recurrence inside context mp."""
-    if n == 0:
-        return mp.one
-    p_prev, p_cur = mp.one, x
-    for k in range(1, n):
-        p_prev, p_cur = p_cur, ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
-    return p_cur
+    return next(islice(_legendre_values(mp, x), n, None))
 
 
 def legendre_p(n: int, x, ctx: PrecisionContext):
@@ -45,16 +51,9 @@ def generating_function_check(a, x, n_terms: int, ctx: PrecisionContext):
     y = 2 * x - 1
     closed = 1 / mp.sqrt(1 - 2 * y * a + a * a)
     acc = mp.zero
-    p_prev, p_cur = mp.one, y
     apow = mp.one
-    for n in range(n_terms + 1):
-        if n == 0:
-            acc += apow
-        elif n == 1:
-            acc += p_cur * apow
-        else:
-            p_prev, p_cur = p_cur, ((2 * n - 1) * y * p_cur - (n - 1) * p_prev) / n
-            acc += p_cur * apow
+    for p in islice(_legendre_values(mp, y), n_terms + 1):
+        acc += p * apow
         apow *= a
     return ctx.reduce(abs(closed - acc))
 
@@ -95,15 +94,10 @@ def kernel_expansion_partial_sum(x, n_terms: int, ctx: PrecisionContext):
     mp = hi.mp
     x = mp.convert(x)
     y = 2 * x - 1
-    acc = mp.one  # n = 0 term: coefficient 1, P_0 = 1
-    q = mp.one    # (-1)^n ((1/2)_n/(1)_n)^3
-    p_prev, p_cur = mp.one, y  # (P_{k-1}, P_k) with k as below
-    k = 1
-    for n in range(1, n_terms + 1):
-        r = (2 * n - 1) / mp.mpf(2 * n)
+    acc = mp.zero
+    q = mp.one  # (-1)^n ((1/2)_n/(1)_n)^3
+    for n, p in zip(range(n_terms + 1), islice(_legendre_values(mp, y), 0, None, 2)):
+        acc += q * (4 * n + 1) * p
+        r = (2 * n + 1) / mp.mpf(2 * n + 2)
         q *= -(r * r * r)
-        while k < 2 * n:
-            p_prev, p_cur = p_cur, ((2 * k + 1) * y * p_cur - k * p_prev) / (k + 1)
-            k += 1
-        acc += q * (4 * n + 1) * p_cur
     return ctx.reduce(acc)

@@ -39,7 +39,10 @@ class PrecisionContext:
         mp.dps = digits
         self.mp = mp
         self.quad_target = mp.mpf(10) ** (-(digits - 10))
-        self.pass_tol = mp.mpf(pass_tol) if pass_tol is not None else mp.mpf(10) ** (-(digits - 15))
+        try:
+            self.pass_tol = mp.mpf(10) ** (15 - digits) if pass_tol is None else mp.mpf(pass_tol)
+        except (TypeError, ValueError):
+            raise DomainError(f"pass_tol must be a number, got {pass_tol!r}") from None
         if not self.pass_tol > self.quad_target:
             raise DomainError("pass_tol must exceed quad_target")
         self._boosted: dict[int, PrecisionContext] = {}

@@ -8,14 +8,24 @@ level cap is hit.  Intervals are split at declared interior singular points
 so that singularities sit at panel ends, where the double-exponential decay
 of the weights absorbs them.
 
+One panel driver serves both maps.  A two-entry transform table gives each
+map's nodes, the panel frame they are scaled into and one node's
+contribution; node tables are built once per (map, engine precision, level,
+cutoff) and cached.
+
 Precision bookkeeping: abscissas and integrands are evaluated in an engine
 context carrying 2*digits + 40 decimal digits, and node generation stops
 once weights fall below 10^-(digits+10).  The factor two is not luxury --
 the catalog's kernels contain (x - 1/2)^2-style terms that square a node's
 distance to the singular abscissa, so the engine needs twice the cutoff
 exponent plus guard digits for those terms to stay representable.  This
-covers logarithmic (K-kernel) singularities fully at quad_target; algebraic
-x^(-1/2) endpoint behavior still converges but with a reduced tail margin.
+covers logarithmic (K-kernel) singularities fully at quad_target.
+
+Known defect: because node generation stops on the weight alone, an
+algebraic x^(-1/2) endpoint leaves a dropped tail of about the square root
+of the cutoff, far above quad_target, so such a panel runs to the level cap
+and raises NonConvergenceError.  I1 at a = 1, where the weight becomes
+(4(1-x))^(-1/2), is inside the row's declared domain and fails this way.
 
 Semi-infinite integrands must decay at least like x^(-2); every catalog
 form decays like x^(-3).
@@ -74,44 +84,54 @@ def _resolve(v, mp):
     return v(mp) if callable(v) else mp.mpf(v)
 
 
-def _ts_level_nodes(mp, level: int, cutoff):
-    """(y, w) pairs for t = k h >= 0 at one tanh-sinh level (cached)."""
-    key = ("ts", mp.dps, level)
-    with _cache_lock:
-        nodes = _node_cache.get(key)
-    if nodes is not None:
-        return nodes
-    h = mp.mpf(2) ** (-level)
-    half_pi = mp.pi / 2
-    nodes = []
-    k = 1 if level > 0 else 0
-    step = 2 if level > 0 else 1
-    while True:
-        t = k * h
-        if t > 12:
-            raise NonConvergenceError("tanh-sinh node generation ran away")
-        u = half_pi * mp.sinh(t)
-        w = half_pi * mp.cosh(t) / mp.cosh(u) ** 2
-        if w < cutoff and t > 3:
-            break
-        nodes.append((mp.tanh(u), w))
-        k += step
-    with _cache_lock:
-        _node_cache[key] = nodes
-    return nodes
+def _ts_node(mp, half_pi, t):
+    u = half_pi * mp.sinh(t)
+    w = half_pi * mp.cosh(t) / mp.cosh(u) ** 2
+    return (mp.tanh(u), w), w
 
 
-def _es_level_nodes(mp, level: int, cutoff):
-    """(eu, coshfac) pairs for t = k h >= 0 at one exp-sinh level (cached).
+def _ts_term(f, node, ctr, rad):
+    y, w = node
+    if y == 0:
+        return w * _call(f, ctr)
+    return w * (_call(f, ctr + rad * y) + _call(f, ctr - rad * y))
 
-    The node at parameter t contributes x = a + eu with weight eu*coshfac
-    and, for t > 0, the mirror x = a + 1/eu with weight coshfac/eu.
+
+def _es_node(mp, half_pi, t):
+    eu = mp.exp(half_pi * mp.sinh(t))
+    coshfac = half_pi * mp.cosh(t)
+    return (eu, coshfac), coshfac / eu
+
+
+def _es_term(f, node, lo, _scale):
+    eu, coshfac = node  # x = lo + eu and, for t > 0, its mirror x = lo + 1/eu
+    if eu == 1:
+        return coshfac * _call(f, lo + 1)
+    return coshfac * (eu * _call(f, lo + eu) + _call(f, lo + 1 / eu) / eu)
+
+
+# kind -> (node, frame, term): node(mp, half_pi, t) is (node, weight), and
+# node generation stops once weight < cutoff (and t > 3); frame(lo, hi) is a
+# panel's (origin, scale); term(f, node, origin, scale) is a node's weighted
+# integrand plus its mirror's.  A level's sum is multiplied by h * scale.
+_TRANSFORMS = {
+    "tanh-sinh": (_ts_node, lambda lo, hi: ((lo + hi) / 2, (hi - lo) / 2), _ts_term),
+    "exp-sinh": (_es_node, lambda lo, hi: (lo, 1), _es_term),
+}
+
+
+def _level_nodes(mp, kind: str, level: int, cutoff):
+    """Nodes for t = k h >= 0 at one refinement level of one transform (cached).
+
+    Level 0 takes every k >= 0; deeper levels take only odd k, the nodes
+    the previous levels lack.
     """
-    key = ("es", mp.dps, level)
+    key = (kind, mp.dps, level, cutoff)
     with _cache_lock:
         nodes = _node_cache.get(key)
     if nodes is not None:
         return nodes
+    node_at = _TRANSFORMS[kind][0]
     h = mp.mpf(2) ** (-level)
     half_pi = mp.pi / 2
     nodes = []
@@ -120,12 +140,11 @@ def _es_level_nodes(mp, level: int, cutoff):
     while True:
         t = k * h
         if t > 12:
-            raise NonConvergenceError("exp-sinh node generation ran away")
-        eu = mp.exp(half_pi * mp.sinh(t))
-        coshfac = half_pi * mp.cosh(t)
-        if coshfac / eu < cutoff and t > 3:
+            raise NonConvergenceError(f"{kind} node generation ran away")
+        node, weight = node_at(mp, half_pi, t)
+        if weight < cutoff and t > 3:
             break
-        nodes.append((eu, coshfac))
+        nodes.append(node)
         k += step
     with _cache_lock:
         _node_cache[key] = nodes
@@ -139,43 +158,19 @@ def _call(f, x):
         raise IntegrandFailureError(f"integrand raised at x = {x}: {exc}") from exc
 
 
-def _tanh_sinh_panel(f, mp, lo, hi, cutoff, target, max_level, min_level):
-    ctr = (lo + hi) / 2
-    rad = (hi - lo) / 2
+def _panel(f, mp, kind, lo, hi, cutoff, target, max_level, min_level):
+    """Refine one panel level by level; returns (value, error estimate, level)."""
+    _, frame, term = _TRANSFORMS[kind]
+    origin, scale = frame(lo, hi)
     prev = None
     total = None
     err = None
     for level in range(max_level + 1):
         h = mp.mpf(2) ** (-level)
         s = mp.mpf(0)
-        for y, w in _ts_level_nodes(mp, level, cutoff):
-            if y == 0:
-                s += w * _call(f, ctr)
-            else:
-                s += w * (_call(f, ctr + rad * y) + _call(f, ctr - rad * y))
-        new = s * h * rad
-        total = new if level == 0 else total / 2 + new
-        if level >= 1:
-            err = abs(total - prev)
-            if level >= min_level and err <= target:
-                return total, err, level
-        prev = total
-    return total, err, max_level
-
-
-def _exp_sinh_panel(f, mp, lo, cutoff, target, max_level, min_level):
-    prev = None
-    total = None
-    err = None
-    for level in range(max_level + 1):
-        h = mp.mpf(2) ** (-level)
-        s = mp.mpf(0)
-        for eu, coshfac in _es_level_nodes(mp, level, cutoff):
-            if eu == 1:
-                s += coshfac * _call(f, lo + 1)
-            else:
-                s += coshfac * (eu * _call(f, lo + eu) + _call(f, lo + 1 / eu) / eu)
-        new = s * h
+        for node in _level_nodes(mp, kind, level, cutoff):
+            s += term(f, node, origin, scale)
+        new = s * h * scale
         total = new if level == 0 else total / 2 + new
         if level >= 1:
             err = abs(total - prev)
@@ -216,10 +211,8 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
     err_total = mp.mpf(0)
     deepest = 0
     for a, b in zip(edges, edges[1:]):
-        if mp.isinf(b):
-            v, e, lev = _exp_sinh_panel(f, mp, a, cutoff, target, max_level, min_level)
-        else:
-            v, e, lev = _tanh_sinh_panel(f, mp, a, b, cutoff, target, max_level, min_level)
+        kind = "exp-sinh" if mp.isinf(b) else "tanh-sinh"
+        v, e, lev = _panel(f, mp, kind, a, b, cutoff, target, max_level, min_level)
         if e is None or e > target:
             raise NonConvergenceError(
                 f"{spec.integrand_id}: panel ({a}, {b}) stopped at level {lev} "
@@ -238,13 +231,3 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
         levels=deepest,
     )
 
-
-def integrate_complex_kernel(spec: IntegralSpec, ctx: PrecisionContext, **kw) -> QuadResult:
-    """Integrate a complex-valued kernel (principal-branch square roots).
-
-    Same engine as ``integrate``; the result's value is an mpc.  For the
-    catalog's conjugate-symmetric kernels the imaginary part comes out at
-    the level of the error estimate rather than exactly zero -- tested, not
-    assumed.
-    """
-    return integrate(spec, ctx, **kw)

@@ -14,7 +14,7 @@ from .diffop import laplace_residual, laplace_residual_of, ode_annihilator_resid
 from .elliptic import ellipk
 from .legendre import orthogonality_gram
 from .precision import PrecisionContext
-from .quadrature import INF, IntegralSpec, integrate
+from .quadrature import integrate
 from .singular import SUPPORTED_R, singular_value_residual
 
 GRAM_ORDER = 12
@@ -135,17 +135,10 @@ def _chain_check(ctx):
     worst = mp.zero
     for c_label in CHAIN_C:
         c = mp.mpf(c_label)
-        theta_spec = IntegralSpec(
-            "axial_kernel_b0", (0, c), (0, lambda emp: emp.pi / 2),
-            kernels.axial_kernel,
-            singular_points=((lambda emp: emp.atan(emp.convert(c))),))
-        x_spec = IntegralSpec(
-            "axial_x_form", (c,), (0, INF), kernels.axial_x_form_kernel,
-            singular_points=(1,))
-        rek_spec = IntegralSpec(
-            "re_k_semi_infinite", (c,), (0, INF), kernels.re_k_semi_infinite_kernel,
-            singular_points=(1,))
-        values = [integrate(s, ctx).value for s in (theta_spec, x_spec, rek_spec)]
+        specs = (kernels.axial_spec(0, c),
+                 kernels.semi_infinite_spec(kernels.axial_x_form_kernel, c),
+                 kernels.semi_infinite_spec(kernels.re_k_semi_infinite_kernel, c))
+        values = [integrate(s, ctx).value for s in specs]
         for i in range(3):
             for j in range(i + 1, 3):
                 worst = max(worst, abs(values[i] - values[j]))

@@ -2,9 +2,11 @@
 series, and the two level-4 Ramanujan-type series with the linear
 combination bridging them back to the Clausen form.
 
-All partial sums run on ratio recurrences: one multiply per term, no
-factorials.  The common coefficient is c_n = ((1/2)_n / (1)_n)^3 with
-c_{n+1}/c_n = ((n + 1/2)/(n + 1))^3.
+Every partial sum here (and the Maclaurin series of K) is one routine,
+``_ratio_series``: sum_n ((1/2)_n / (1)_n)^p (A n + B) z^n on the ratio
+recurrence c_{n+1}/c_n = ((n + 1/2)/(n + 1))^p, one multiply per term and
+no factorials.  The series of this module use p = 3.  The public
+functions share only that routine and never call one another.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from .precision import PrecisionContext
 
 class SeriesId(str, Enum):
     CLAUSEN = "clausen"
-    CLAUSEN_DA = "clausen_da"
-    LEGENDRE_SUM = "legendre_sum"
     RAMANUJAN_2SQRT2 = "ramanujan_2sqrt2"
     RAMANUJAN_4SQRT2 = "ramanujan_4sqrt2"
 
@@ -27,63 +27,38 @@ class SeriesId(str, Enum):
         return self.value
 
 
-_A_DEPENDENT = {SeriesId.CLAUSEN, SeriesId.CLAUSEN_DA, SeriesId.LEGENDRE_SUM}
-_RAMANUJAN = {SeriesId.RAMANUJAN_2SQRT2, SeriesId.RAMANUJAN_4SQRT2}
+def _ratio_series(mp, z, n_terms: int, power: int = 3, big_a=0, big_b=1):
+    """sum_{n=0..N} ((1/2)_n / (1)_n)^power (A n + B) z^n inside context mp."""
+    base = mp.one  # ((1/2)_n / (1)_n)^power z^n
+    acc = mp.convert(big_b)  # n = 0 term
+    for n in range(1, n_terms + 1):
+        base *= z * ((2 * n - 1) / mp.mpf(2 * n)) ** power
+        acc += base * (big_a * n + big_b)
+    return acc
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """A series instance: which family, the parameter (if any), term count."""
-
-    series_id: SeriesId
-    terms: int
-    param_a: object = None
-
-    def __post_init__(self):
-        if self.terms < 1:
-            raise DomainError(f"terms must be >= 1, got {self.terms}")
-        if self.series_id in _A_DEPENDENT:
-            if self.param_a is None or not abs(self.param_a) < 1:
-                raise DomainError(f"{self.series_id} requires |a| < 1, got {self.param_a!r}")
-
-
-def _cube_ratio(mp, n):
-    r = (2 * n + 1) / mp.mpf(2 * n + 2)
-    return r * r * r
+def _clausen_arg(mp, a, name):
+    """(a, -a^2) for the a-dependent series, which require |a| < 1."""
+    a = mp.convert(a)
+    if not abs(a) < 1:
+        raise DomainError(f"{name} requires |a| < 1, got {a}")
+    return a, -a * a
 
 
 def clausen_sum(a, n_terms: int, ctx: PrecisionContext):
     """1 + sum_{n=1..N} c_n (-a^2)^n for |a| < 1."""
-    hi = ctx.boosted(10)
-    mp = hi.mp
-    a = mp.convert(a)
-    if not abs(a) < 1:
-        raise DomainError(f"clausen_sum requires |a| < 1, got {a}")
-    z = -a * a
-    term = mp.one
-    acc = mp.one
-    for n in range(n_terms):
-        term *= z * _cube_ratio(mp, n)
-        acc += term
-    return ctx.reduce(acc)
+    mp = ctx.boosted(10).mp
+    _, z = _clausen_arg(mp, a, "clausen_sum")
+    return ctx.reduce(_ratio_series(mp, z, n_terms))
 
 
 def clausen_sum_da(a, n_terms: int, ctx: PrecisionContext):
     """Termwise d/da of clausen_sum: sum_{n>=1} c_n (-1)^n 2n a^(2n-1)."""
-    hi = ctx.boosted(10)
-    mp = hi.mp
-    a = mp.convert(a)
-    if not abs(a) < 1:
-        raise DomainError(f"clausen_sum_da requires |a| < 1, got {a}")
+    mp = ctx.boosted(10).mp
+    a, z = _clausen_arg(mp, a, "clausen_sum_da")
     if a == 0:
         return ctx.reduce(mp.zero)  # every term carries a^(2n-1), n >= 1
-    z = -a * a
-    base = mp.one  # c_n (-a^2)^n, tracked by recurrence
-    acc = mp.zero
-    for n in range(1, n_terms + 1):
-        base *= z * _cube_ratio(mp, n - 1)
-        acc += base * 2 * n / a
-    return ctx.reduce(acc)
+    return ctx.reduce(2 * _ratio_series(mp, z, n_terms, big_a=1, big_b=0) / a)
 
 
 def legendre_sum(a, n_terms: int, ctx: PrecisionContext):
@@ -93,18 +68,9 @@ def legendre_sum(a, n_terms: int, ctx: PrecisionContext):
     even-index expansion of the K kernel; equal to the weighted K-kernel
     integral (identity I13).
     """
-    hi = ctx.boosted(10)
-    mp = hi.mp
-    a = mp.convert(a)
-    if not abs(a) < 1:
-        raise DomainError(f"legendre_sum requires |a| < 1, got {a}")
-    z = -a * a
-    term = mp.one
-    acc = mp.one
-    for n in range(n_terms):
-        term *= z * _cube_ratio(mp, n)
-        acc += term
-    return ctx.reduce(mp.pi ** 2 / 4 * acc)
+    mp = ctx.boosted(10).mp
+    _, z = _clausen_arg(mp, a, "legendre_sum")
+    return ctx.reduce(mp.pi ** 2 / 4 * _ratio_series(mp, z, n_terms))
 
 
 def _ramanujan_data(series_id, mp):
@@ -121,15 +87,9 @@ def _ramanujan_data(series_id, mp):
 
 def ramanujan_sum(series_id, n_terms: int, ctx: PrecisionContext):
     """Partial sum of the requested Ramanujan-type series through n = N."""
-    hi = ctx.boosted(10)
-    mp = hi.mp
+    mp = ctx.boosted(10).mp
     z, big_a, big_b, _ = _ramanujan_data(series_id, mp)
-    base = mp.one  # c_n z^n
-    acc = big_b  # n = 0 term
-    for n in range(1, n_terms + 1):
-        base *= z * _cube_ratio(mp, n - 1)
-        acc += base * (big_a * n + big_b)
-    return ctx.reduce(acc)
+    return ctx.reduce(_ratio_series(mp, z, n_terms, big_a=big_a, big_b=big_b))
 
 
 def ramanujan_target(series_id, ctx: PrecisionContext):

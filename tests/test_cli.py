@@ -110,3 +110,17 @@ def test_selftest_quick(capsys):
     assert run(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 9
+
+
+@pytest.mark.parametrize("line", ["digits = abc", "level_cap = x", "tol = abc"])
+def test_config_rejects_malformed_values(tmp_path, monkeypatch, capsys, line):
+    cfg = tmp_path / "multiell.cfg"
+    cfg.write_text(f"# settings\n{line}\n")
+    monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+    assert run(["verify", "I8"]) == 3
+    assert f"error: {cfg}:2: " in capsys.readouterr().err
+
+
+def test_malformed_tol_exits_3(capsys):
+    assert run(["verify", "I8", "--digits", "30", "--tol", "abc"]) == 3
+    assert "error: pass_tol must be a number" in capsys.readouterr().err

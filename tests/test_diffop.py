@@ -23,7 +23,7 @@ def test_weight_derivatives_match_finite_differences(ctx):
         for order in (1, 2, 3):
             direct = generating_weight(mp, a, order)(x)
             fd = richardson_derivative(
-                lambda t: generating_weight(mp, t, order - 1)(x), a, 1, h, mp)
+                lambda t: generating_weight(mp, t, order - 1)(x), a, 1, h)
             assert abs(direct - fd) <= mp.mpf(10) ** -30 * max(1, abs(direct))
 
 

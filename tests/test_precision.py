@@ -52,6 +52,8 @@ def test_pass_tol_override():
     assert ctx.pass_tol == ctx.mp.mpf(10) ** -30
     with pytest.raises(DomainError):
         PrecisionContext(50, pass_tol="1e-45")  # would undercut quad_target
+    with pytest.raises(DomainError):
+        PrecisionContext(50, pass_tol="abc")
 
 
 def test_const_pi_against_two_independent_formulas(ctx):

@@ -1,10 +1,11 @@
+import dataclasses
+
 import pytest
 
 from multiell import (DomainError, INF, IntegralSpec, IntegrandFailureError,
-                      NonConvergenceError, integrate, integrate_complex_kernel,
-                      rhs_constant)
+                      NonConvergenceError, integrate, rhs_constant)
 from multiell.kernels import (axial_kernel, complex_kernel_r3,
-                              complex_kernel_r7, plain_kernel,
+                              complex_kernel_r7, k_of_x,
                               ratio_kernel_2sqrt2, re_k_semi_infinite_kernel,
                               signed_kernel_4sqrt2, singular_value_kernel_r4,
                               special_case_kernel, weighted_kernel)
@@ -13,8 +14,7 @@ HALF = 0.5
 
 
 def plain_spec(lo=0, hi=1, singular=(HALF,)):
-    return IntegralSpec("plain_kernel", (), (lo, hi),
-                        lambda mp: plain_kernel(mp), singular_points=singular)
+    return IntegralSpec("k_of_x", (), (lo, hi), k_of_x, singular_points=singular)
 
 
 def test_constant_one(ctx):
@@ -60,7 +60,7 @@ def test_split_symmetry(ctx):
 def test_complex_kernel_r3_value(ctx):
     spec = IntegralSpec("complex_kernel_r3", (), (0, 1),
                         lambda mp: complex_kernel_r3(mp), singular_points=(HALF,))
-    r = integrate_complex_kernel(spec, ctx)
+    r = integrate(spec, ctx)
     assert abs(r.value.real - rhs_constant("I4", ctx)) <= ctx.pass_tol
     assert abs(r.value.imag) <= 10 * r.err_estimate
 
@@ -68,7 +68,7 @@ def test_complex_kernel_r3_value(ctx):
 def test_complex_kernel_r7_value(ctx):
     spec = IntegralSpec("complex_kernel_r7", (), (0, 1),
                         lambda mp: complex_kernel_r7(mp), singular_points=(HALF,))
-    r = integrate_complex_kernel(spec, ctx)
+    r = integrate(spec, ctx)
     assert abs(r.value.real - rhs_constant("I5", ctx)) <= ctx.pass_tol
     assert abs(r.value.imag) <= 10 * r.err_estimate
 
@@ -77,7 +77,6 @@ def test_degenerate_complex_part_reduces_to_real_kernel(ctx):
     # zeroing the imaginary coefficient in a complex-kernel form must
     # reproduce the real r=4 integrand exactly
     def zeroed_factory(mp):
-        from multiell.kernels import k_of_x
         k = k_of_x(mp)
         s2 = mp.sqrt(2)
         def f(x):
@@ -88,7 +87,7 @@ def test_degenerate_complex_part_reduces_to_real_kernel(ctx):
     real_spec = IntegralSpec("singular_value_kernel_r4", (), (0, 1),
                              lambda mp: singular_value_kernel_r4(mp),
                              singular_points=(HALF,))
-    rz = integrate_complex_kernel(zeroed, ctx)
+    rz = integrate(zeroed, ctx)
     rr = integrate(real_spec, ctx)
     assert rz.value.imag == 0
     assert abs(rz.value.real - rr.value) <= ctx.quad_target
@@ -101,6 +100,26 @@ def test_exp_sinh_against_closed_form(ctx):
     r = integrate(spec, ctx)
     assert abs(r.value - 1) <= 10 * r.err_estimate
     assert abs(r.value - 1) <= ctx.quad_target
+
+
+@pytest.mark.parametrize("spec, calls, levels", [
+    (plain_spec(), 578, 5),
+    (IntegralSpec("re_k_semi_infinite", (1,), (0, INF), re_k_semi_infinite_kernel,
+                  singular_points=(1,)), 912, 6),
+], ids=["tanh-sinh", "exp-sinh"])
+def test_node_sets_are_pinned(ctx, spec, calls, levels):
+    # integrand calls and depth at 50 digits fix each transform's node set
+    count = [0]
+
+    def counting(mp, *params):
+        f = spec.factory(mp, *params)
+        def g(x):
+            count[0] += 1
+            return f(x)
+        return g
+
+    r = integrate(dataclasses.replace(spec, factory=counting), ctx)
+    assert (count[0], r.levels, r.panels) == (calls, levels, 2)
 
 
 def _catalog_specs(ctx):

@@ -1,6 +1,6 @@
 import pytest
 
-from multiell import (DomainError, IntegralSpec, SeriesId, SeriesSpec,
+from multiell import (DomainError, IntegralSpec, SeriesId,
                       clausen_sum, clausen_sum_da, ellipk,
                       generating_integral_closed_form, integrate,
                       legendre_sum, linear_bridge, ramanujan_sum,
@@ -141,11 +141,3 @@ def test_bridge_requires_negative_base(ctx):
 def test_legendre_sum_reduces_to_plain_value_at_zero(ctx):
     mp = ctx.mp
     assert abs(legendre_sum(0, 5, ctx) - mp.pi ** 2 / 4) <= mp.mpf(10) ** (-ctx.digits + 2)
-
-
-def test_series_spec_validation(ctx):
-    with pytest.raises(DomainError):
-        SeriesSpec(SeriesId.CLAUSEN, 0, 0.5)
-    with pytest.raises(DomainError):
-        SeriesSpec(SeriesId.CLAUSEN, 10, 1.0)
-    SeriesSpec(SeriesId.RAMANUJAN_2SQRT2, 10)  # no parameter needed
