@@ -46,9 +46,16 @@ def agm(a, b, ctx: PrecisionContext):
     return ctx.reduce(agm_mp(hi.mp, a, b))
 
 
-def ellipk_real_mp(mp, m):
-    """K at parameter m < 1 inside context mp (real value)."""
-    return mp.pi / (2 * agm_mp(mp, mp.one, mp.sqrt(1 - m)))
+def ellipk_real_mp(mp, m, *, kc=None):
+    """K at parameter m < 1 inside context mp (real value).
+
+    kc is the complementary modulus sqrt(1 - m).  A caller that can form it
+    without cancellation passes it; K then carries full relative precision
+    as m -> 1, however small kc is.  Without kc it is sqrt(1 - m).
+    """
+    if kc is None:
+        kc = mp.sqrt(1 - m)
+    return mp.pi / (2 * agm_mp(mp, mp.one, kc))
 
 
 def ellipk_mp(mp, m):
@@ -61,13 +68,20 @@ def ellipk_mp(mp, m):
     return mp.mpc(ellipk_real_mp(mp, 1 / m), -ellipk_real_mp(mp, 1 - 1 / m)) / rs
 
 
-def re_k_modulus_mp(mp, x):
-    """Re K at modulus x > 0; for x > 1 this is K(1/x)/x (a smooth expression)."""
-    if x < 1:
-        return ellipk_real_mp(mp, x * x)
-    if x == 1:
+def re_k_modulus_mp(mp, x, one_minus_x):
+    """Re K at modulus x > 0; for x > 1 this is K(1/x)/x (a smooth expression).
+
+    one_minus_x is 1 - x, passed separately because a caller may know it
+    more exactly than x itself (a quadrature node's distance to a panel end
+    at 1).  The complementary modulus is formed from the factors 1 - x and
+    1 + x, so K keeps full relative precision as x -> 1.
+    """
+    d = one_minus_x
+    if d > 0:
+        return ellipk_real_mp(mp, x * x, kc=mp.sqrt(d * (1 + x)))
+    if d == 0:
         raise SingularityError("K has a non-removable singularity at modulus 1")
-    return ellipk_real_mp(mp, 1 / (x * x)) / x
+    return ellipk_real_mp(mp, 1 / (x * x), kc=mp.sqrt(-d * (1 + x)) / x) / x
 
 
 NEGATIVE = "negative"

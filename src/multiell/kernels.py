@@ -1,11 +1,22 @@
 """Integrand factories for the identity catalog and the operator checks.
 
 Each factory takes the quadrature engine's mpmath context plus the
-identity's parameters and returns the integrand as a function of the
-abscissa.  Kernels are transcribed exactly as printed in the catalog's
-closed forms -- no algebraic pre-simplification -- so that shared code
-lives below the integrand layer (K itself, square roots) and nothing can
-drift in transcription.
+identity's parameters and returns the integrand f(x, xc) of the abscissa x
+and its signed distance xc to the nearer panel end (see quadrature).
+Kernels are transcribed as printed in the catalog's closed forms, so that
+shared code lives below the integrand layer (K itself, square roots) and
+nothing can drift in transcription, with two rewrites that keep the engine
+at digits + GUARD:
+
+* K receives its complementary modulus kc = sqrt(1 - m) in a form without
+  cancellation: 2|1/2 - x| for K(2 sqrt(x(1-x))); sqrt((1-x)(1+x)) and
+  sqrt((x-1)(x+1))/x for Re K at modulus x; sqrt((b^2+(c-tan th)^2)/den2)
+  for the axial kernel, with c - tan th = tan(atan c - th)(1 + c tan th);
+  |1-x|/(1+x) for K(2 sqrt(x)/(1+x)).
+* Next to a panel end at a kernel's singular abscissa, the distance to it
+  (1/2 - x, 1 - x, atan c - th) is read from xc through quadrature.offset,
+  exact where the rounded x is not; the generating weight is formed as
+  (1-a)^2 + 4a(1-x), which equals 1 - 2(2x-1)a + a^2.
 
 The ``*_spec`` builders at the end pair a factory with its interval and
 singular points for the integrals that more than one module runs.  They
@@ -16,13 +27,14 @@ of that name reaches every spec they build.
 from __future__ import annotations
 
 from .elliptic import ellipk_real_mp, re_k_modulus_mp
-from .quadrature import INF, IntegralSpec
+from .quadrature import INF, IntegralSpec, offset
 
 
 def k_of_x(mp):
     """K(2 sqrt(x(1-x))) as a function on (0,1); singular at x = 1/2."""
-    def f(x):
-        return ellipk_real_mp(mp, 4 * x * (1 - x))
+    to_half = offset(mp, mp.mpf(0.5))
+    def f(x, xc):
+        return ellipk_real_mp(mp, 4 * x * (1 - x), kc=2 * abs(to_half(x, xc)))
     return f
 
 
@@ -34,9 +46,10 @@ def generating_weight(mp, a, order: int = 0):
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be 0..3, got {order}")
+    to_one = offset(mp, 1)
 
-    def f(x):
-        u = 1 - 2 * (2 * x - 1) * a + a * a
+    def f(x, xc):
+        u = (1 - a) ** 2 + 4 * a * to_one(x, xc)  # 1 - 2(2x-1)a + a^2
         if order == 0:
             return 1 / mp.sqrt(u)
         ua = 2 * (a - (2 * x - 1))
@@ -53,8 +66,8 @@ def weighted_kernel(mp, a, order: int = 0):
     """K(2 sqrt(x(1-x))) times the generating weight (or its a-derivative)."""
     k = k_of_x(mp)
     g = generating_weight(mp, a, order)
-    def f(x):
-        return k(x) * g(x)
+    def f(x, xc):
+        return k(x, xc) * g(x, xc)
     return f
 
 
@@ -62,8 +75,8 @@ def ratio_kernel_2sqrt2(mp):
     """K(2 sqrt(x(1-x))) (4x + 3 sqrt2 - 2) / (4 sqrt2 + 9 - 8 sqrt2 x)^(3/2)."""
     k = k_of_x(mp)
     s2 = mp.sqrt(2)
-    def f(x):
-        return k(x) * (4 * x + 3 * s2 - 2) / (4 * s2 + 9 - 8 * s2 * x) ** mp.mpf("1.5")
+    def f(x, xc):
+        return k(x, xc) * (4 * x + 3 * s2 - 2) / (4 * s2 + 9 - 8 * s2 * x) ** mp.mpf("1.5")
     return f
 
 
@@ -72,57 +85,63 @@ def singular_value_kernel_r4(mp):
     k = k_of_x(mp)
     s2 = mp.sqrt(2)
     nine_eighth = mp.mpf(9) / 8
-    def f(x):
-        return k(x) / mp.sqrt(nine_eighth + (1 - 2 * x) / s2)
+    def f(x, xc):
+        return k(x, xc) / mp.sqrt(nine_eighth + (1 - 2 * x) / s2)
     return f
 
 
 def complex_kernel_r3(mp):
     """K(2 sqrt(x(1-x))) / sqrt(3 + 4i(1-2x)), principal branch."""
     k = k_of_x(mp)
-    def f(x):
-        return k(x) / mp.sqrt(mp.mpc(3, 4 * (1 - 2 * x)))
+    def f(x, xc):
+        return k(x, xc) / mp.sqrt(mp.mpc(3, 4 * (1 - 2 * x)))
     return f
 
 
 def complex_kernel_r7(mp):
     """K(2 sqrt(x(1-x))) / sqrt(63 + 16i(1-2x)), principal branch."""
     k = k_of_x(mp)
-    def f(x):
-        return k(x) / mp.sqrt(mp.mpc(63, 16 * (1 - 2 * x)))
+    def f(x, xc):
+        return k(x, xc) / mp.sqrt(mp.mpc(63, 16 * (1 - 2 * x)))
     return f
 
 
 def axial_kernel(mp, b, c):
     """K(sqrt(4c tan th / (b^2+(c+tan th)^2))) sin th / sqrt(b^2+(c+tan th)^2)."""
-    def f(theta):
+    to_peak = offset(mp, mp.atan(c))
+    def f(theta, xc):
         tt = mp.tan(theta)
         den2 = b * b + (c + tt) ** 2
-        return ellipk_real_mp(mp, 4 * c * tt / den2) * mp.sin(theta) / mp.sqrt(den2)
+        gap = (1 + c * tt) * mp.tan(to_peak(theta, xc))  # c - tan th
+        kc = mp.sqrt((b * b + gap * gap) / den2)
+        return ellipk_real_mp(mp, 4 * c * tt / den2, kc=kc) * mp.sin(theta) / mp.sqrt(den2)
     return f
 
 
 def special_case_kernel(mp):
     """K(2 sqrt(x(1-x))) x(1-x) / (1 - 2x(1-x))^(3/2)."""
     k = k_of_x(mp)
-    def f(x):
+    def f(x, xc):
         p = x * (1 - x)
-        return k(x) * p / (1 - 2 * p) ** mp.mpf("1.5")
+        return k(x, xc) * p / (1 - 2 * p) ** mp.mpf("1.5")
     return f
 
 
 def re_k_semi_infinite_kernel(mp, c):
     """Re[K(x)] c x / (1 + c^2 x^2)^(3/2) on (0, inf); modulus convention."""
-    def f(x):
-        return re_k_modulus_mp(mp, x) * c * x / (1 + c * c * x * x) ** mp.mpf("1.5")
+    to_one = offset(mp, 1)
+    def f(x, xc):
+        re_k = re_k_modulus_mp(mp, x, to_one(x, xc))
+        return re_k * c * x / (1 + c * c * x * x) ** mp.mpf("1.5")
     return f
 
 
 def axial_x_form_kernel(mp, c):
     """K(2 sqrt(x)/(1+x)) c x / ((1+x)(1+c^2 x^2)^(3/2)) on (0, inf)."""
-    def f(x):
+    to_one = offset(mp, 1)
+    def f(x, xc):
         mu = 2 * mp.sqrt(x) / (1 + x)
-        return (ellipk_real_mp(mp, mu * mu) * c * x
+        return (ellipk_real_mp(mp, mu * mu, kc=abs(to_one(x, xc)) / (1 + x)) * c * x
                 / ((1 + x) * (1 + c * c * x * x) ** mp.mpf("1.5")))
     return f
 
@@ -132,10 +151,10 @@ def signed_kernel_4sqrt2(mp):
     k = k_of_x(mp)
     s2 = mp.sqrt(2)
     s3 = mp.sqrt(3)
-    def f(x):
+    def f(x, xc):
         num = 24 - 18 * s3 + s2 * (6 * s3 - 11) * (2 * x - 1)
         den = 42 - 15 * s3 - 4 * s2 * (3 * s3 - 5) * (2 * x - 1)
-        return k(x) * num / den ** mp.mpf("1.5")
+        return k(x, xc) * num / den ** mp.mpf("1.5")
     return f
 
 
@@ -159,9 +178,12 @@ def weighted_kernel_spec(a, order: int = 0):
 
 
 def axial_spec(b, c):
-    """The axial integral over (0, pi/2), split at atan(c) when b = 0."""
+    """The axial integral over (0, pi/2), split at atan(c) when c > 0.
+
+    K is log-singular there when b = 0 and sharply peaked when b is small.
+    """
     singular = ()
-    if b == 0 and c > 0:
+    if c > 0:
         singular = ((lambda mp: mp.atan(mp.convert(c))),)
     return IntegralSpec("axial_kernel", (b, c), (0, lambda mp: mp.pi / 2), axial_kernel,
                         singular_points=singular)

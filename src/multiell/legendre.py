@@ -59,7 +59,7 @@ def generating_function_check(a, x, n_terms: int, ctx: PrecisionContext):
 
 
 def _pair_factory(mp, n: int, m: int):
-    def f(x):
+    def f(x, _):
         y = 2 * x - 1
         return legendre_p_mp(mp, n, y) * legendre_p_mp(mp, m, y)
     return f

@@ -9,23 +9,28 @@ so that singularities sit at panel ends, where the double-exponential decay
 of the weights absorbs them.
 
 One panel driver serves both maps.  A two-entry transform table gives each
-map's nodes, the panel frame they are scaled into and one node's
-contribution; node tables are built once per (map, engine precision, level,
-cutoff) and cached.
+map's nodes, the panel's length scale and one node's weighted terms; node
+tables are built once per (map, engine precision, level, cutoff) and cached.
+
+Endpoint complements (Bailey, Jeyabalan and Li, Exp. Math. 14, 2005; Boost's
+tanh_sinh): every integrand is called as f(x, xc), where xc = e - x is the
+signed distance from x to e, the panel end nearer to x, so that x + xc = e.
+tanh-sinh tables store s = 1 - tanh(u) = 2e^(-2u)/(1 + e^(-2u)), never
+formed by subtraction; a node pair is x = lo + r s and x = hi - r s, with
+xc = -r s and r s.  exp-sinh passes xc relative to the finite end.  xc is
+exact where x, rounded to engine precision, no longer resolves its distance
+to the end; integrands take 1/2 - x, 1 - x and the like from xc there,
+through `offset`.  An integrand that returns inf or nan raises
+IntegrandFailureError, like one that raises.
 
 Precision bookkeeping: abscissas and integrands are evaluated in an engine
-context carrying 2*digits + 40 decimal digits, and node generation stops
-once weights fall below 10^-(digits+10).  The factor two is not luxury --
-the catalog's kernels contain (x - 1/2)^2-style terms that square a node's
-distance to the singular abscissa, so the engine needs twice the cutoff
-exponent plus guard digits for those terms to stay representable.  This
-covers logarithmic (K-kernel) singularities fully at quad_target.
-
-Known defect: because node generation stops on the weight alone, an
-algebraic x^(-1/2) endpoint leaves a dropped tail of about the square root
-of the cutoff, far above quad_target, so such a panel runs to the level cap
-and raises NonConvergenceError.  I1 at a = 1, where the weight becomes
-(4(1-x))^(-1/2), is inside the row's declared domain and fails this way.
+context carrying digits + GUARD decimal digits.  Node tables reach down to
+weights of 10^-2(digits+10), so that an x^(-1/2) endpoint, whose terms w f
+decay like sqrt(w), still finds nodes where they are negligible.  Each
+level's node loop stops at the first node with t > 3 at which both of its
+terms contribute below 10^-(digits+10) to the panel.  This resolves
+logarithmic (K-kernel) and x^(-1/2) endpoint singularities to quad_target;
+I1 at a = 1, where the weight becomes (4(1-x))^(-1/2), converges.
 
 Semi-infinite integrands must decay at least like x^(-2); every catalog
 form decays like x^(-3).
@@ -38,10 +43,13 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
+import mpmath
+
 from .errors import DomainError, IntegrandFailureError, NonConvergenceError
 from .precision import PrecisionContext
 
 MAX_LEVEL = 12
+GUARD = 20  # decimal digits the engine carries beyond the working precision
 INF = math.inf  # spell the upper endpoint of semi-infinite intervals
 
 _node_cache: dict = {}
@@ -55,7 +63,11 @@ class IntegralSpec:
     interval entries and singular_points may be numbers or callables taking
     the engine's mpmath context (so that values like pi/2 or atan(c) are
     produced at engine precision).  ``factory(mp, *params)`` must return the
-    integrand as a function of the abscissa, evaluated inside context mp.
+    integrand f(x, xc), evaluated inside context mp: x is the abscissa and
+    xc = e - x its exact signed distance to e, the nearer end of its panel
+    (so x + xc = e).  Integrands singular at a panel end take their distance
+    to that end from xc, through ``offset(mp, end)``, rather than subtracting
+    the rounded x: nodes lie so close to the ends that x can round onto one.
     """
 
     integrand_id: str
@@ -85,38 +97,41 @@ def _resolve(v, mp):
 
 
 def _ts_node(mp, half_pi, t):
-    u = half_pi * mp.sinh(t)
-    w = half_pi * mp.cosh(t) / mp.cosh(u) ** 2
-    return (mp.tanh(u), w), w
+    e = mp.exp(-2 * half_pi * mp.sinh(t))  # e^(-2u), u = (pi/2) sinh t
+    d = 1 + e
+    w = 4 * half_pi * mp.cosh(t) * e / (d * d)  # (pi/2) cosh t / cosh(u)^2
+    return (2 * e / d, w), w  # 1 - tanh u, formed without cancellation
 
 
-def _ts_term(f, node, ctr, rad):
-    y, w = node
-    if y == 0:
-        return w * _call(f, ctr)
-    return w * (_call(f, ctr + rad * y) + _call(f, ctr - rad * y))
+def _ts_terms(f, node, lo, hi, rad):
+    c, w = node  # x = lo + rad c and, for t > 0, its mirror x = hi - rad c
+    xc = rad * c
+    if c == 1:
+        return (w * _call(f, lo + xc, -xc),)
+    return (w * _call(f, lo + xc, -xc), w * _call(f, hi - xc, xc))
 
 
 def _es_node(mp, half_pi, t):
     eu = mp.exp(half_pi * mp.sinh(t))
     coshfac = half_pi * mp.cosh(t)
-    return (eu, coshfac), coshfac / eu
+    return (eu, 1 / eu, coshfac), coshfac / eu
 
 
-def _es_term(f, node, lo, _scale):
-    eu, coshfac = node  # x = lo + eu and, for t > 0, its mirror x = lo + 1/eu
+def _es_terms(f, node, lo, _hi, _scale):
+    eu, ieu, coshfac = node  # x = lo + eu and, for t > 0, its mirror x = lo + 1/eu
     if eu == 1:
-        return coshfac * _call(f, lo + 1)
-    return coshfac * (eu * _call(f, lo + eu) + _call(f, lo + 1 / eu) / eu)
+        return (coshfac * _call(f, lo + 1, -1),)
+    return (coshfac * eu * _call(f, lo + eu, -eu), coshfac * ieu * _call(f, lo + ieu, -ieu))
 
 
-# kind -> (node, frame, term): node(mp, half_pi, t) is (node, weight), and
-# node generation stops once weight < cutoff (and t > 3); frame(lo, hi) is a
-# panel's (origin, scale); term(f, node, origin, scale) is a node's weighted
-# integrand plus its mirror's.  A level's sum is multiplied by h * scale.
+# kind -> (node, scale, terms): node(mp, half_pi, t) is (node, weight), and a
+# table ends once weight < its cutoff (and t > 3); scale(lo, hi) is the
+# panel's length scale; terms(f, node, lo, hi, scale) are a node's weighted
+# integrand values, its mirror's included.  A level's sum is multiplied by
+# h * scale.
 _TRANSFORMS = {
-    "tanh-sinh": (_ts_node, lambda lo, hi: ((lo + hi) / 2, (hi - lo) / 2), _ts_term),
-    "exp-sinh": (_es_node, lambda lo, hi: (lo, 1), _es_term),
+    "tanh-sinh": (_ts_node, lambda lo, hi: (hi - lo) / 2, _ts_terms),
+    "exp-sinh": (_es_node, lambda lo, hi: 1, _es_terms),
 }
 
 
@@ -124,17 +139,19 @@ def _level_nodes(mp, kind: str, level: int, cutoff):
     """Nodes for t = k h >= 0 at one refinement level of one transform (cached).
 
     Level 0 takes every k >= 0; deeper levels take only odd k, the nodes
-    the previous levels lack.
+    the previous levels lack.  Returns (nodes, tail): nodes from index tail
+    on have t > 3.
     """
     key = (kind, mp.dps, level, cutoff)
     with _cache_lock:
-        nodes = _node_cache.get(key)
-    if nodes is not None:
-        return nodes
+        table = _node_cache.get(key)
+    if table is not None:
+        return table
     node_at = _TRANSFORMS[kind][0]
     h = mp.mpf(2) ** (-level)
     half_pi = mp.pi / 2
     nodes = []
+    tail = None
     k = 1 if level > 0 else 0
     step = 2 if level > 0 else 1
     while True:
@@ -142,34 +159,69 @@ def _level_nodes(mp, kind: str, level: int, cutoff):
         if t > 12:
             raise NonConvergenceError(f"{kind} node generation ran away")
         node, weight = node_at(mp, half_pi, t)
+        if t > 3 and tail is None:
+            tail = len(nodes)
         if weight < cutoff and t > 3:
             break
         nodes.append(node)
         k += step
+    table = (nodes, tail)
     with _cache_lock:
-        _node_cache[key] = nodes
-    return nodes
+        _node_cache[key] = table
+    return table
 
 
-def _call(f, x):
+def offset(mp, end):
+    """(x, xc) -> end - x, read from xc when end is x's nearer panel end.
+
+    xc is exact where x itself has been rounded, so near that end xc is the
+    better value of end - x; elsewhere end - x is subtracted.  xc stands for
+    end - x when the two agree to a few units in the last place.
+    """
+    end = mp.convert(end)
+    slack = 8 * mp.eps * max(1, abs(end))
+
+    def to_end(x, xc):
+        d = end - x
+        return xc if abs(d - xc) <= slack else d
+    return to_end
+
+
+def _call(f, x, xc):
     try:
-        return f(x)
+        v = f(x, xc)
     except (ArithmeticError, ValueError, ZeroDivisionError) as exc:
-        raise IntegrandFailureError(f"integrand raised at x = {x}: {exc}") from exc
+        raise IntegrandFailureError(f"integrand raised at x = {x}{_at_end(x, xc)}: {exc}") from exc
+    if not mpmath.isfinite(v):
+        raise IntegrandFailureError(f"integrand returned {v} at x = {x}{_at_end(x, xc)}")
+    return v
 
 
-def _panel(f, mp, kind, lo, hi, cutoff, target, max_level, min_level):
+def _at_end(x, xc):
+    if xc and x + xc == x:  # x has rounded onto its panel end
+        return (", which rounds onto its panel end; an integrand singular there"
+                " must take its distance to the end from xc")
+    return ""
+
+
+def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level):
     """Refine one panel level by level; returns (value, error estimate, level)."""
-    _, frame, term = _TRANSFORMS[kind]
-    origin, scale = frame(lo, hi)
+    _, scale_of, terms = _TRANSFORMS[kind]
+    scale = scale_of(lo, hi)
+    negligible = negligible / scale  # a term w f is negligible once scale |w f| is
     prev = None
     total = None
     err = None
     for level in range(max_level + 1):
         h = mp.mpf(2) ** (-level)
         s = mp.mpf(0)
-        for node in _level_nodes(mp, kind, level, cutoff):
-            s += term(f, node, origin, scale)
+        nodes, tail = _level_nodes(mp, kind, level, cutoff)
+        for i, node in enumerate(nodes):
+            values = terms(f, node, lo, hi, scale)
+            for v in values:
+                s += v
+            if i >= tail and all(abs(v) < negligible for v in values):
+                break
         new = s * h * scale
         total = new if level == 0 else total / 2 + new
         if level >= 1:
@@ -186,11 +238,11 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
 
     Raises NonConvergenceError if any panel hits the level cap with its
     error estimate above target, and IntegrandFailureError if the integrand
-    raises at a point not declared singular.
+    raises or returns a non-finite value.
     """
-    engine = ctx.boosted(ctx.digits + 40)
-    mp = engine.mp
-    cutoff = mp.mpf(10) ** (-(ctx.digits + 10))
+    mp = ctx.boosted(GUARD).mp
+    negligible = mp.mpf(10) ** (-(ctx.digits + 10))
+    cutoff = negligible ** 2
 
     lo = _resolve(spec.interval[0], mp)
     hi = _resolve(spec.interval[1], mp)
@@ -212,7 +264,7 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
     deepest = 0
     for a, b in zip(edges, edges[1:]):
         kind = "exp-sinh" if mp.isinf(b) else "tanh-sinh"
-        v, e, lev = _panel(f, mp, kind, a, b, cutoff, target, max_level, min_level)
+        v, e, lev = _panel(f, mp, kind, a, b, cutoff, negligible, target, max_level, min_level)
         if e is None or e > target:
             raise NonConvergenceError(
                 f"{spec.integrand_id}: panel ({a}, {b}) stopped at level {lev} "

@@ -4,6 +4,7 @@ from multiell import (DomainError, EllipticParameter, IntegralSpec,
                       SingularityError, agm, ellipk, ellipk_complementary,
                       ellipk_series, generating_integral_closed_form,
                       integrate)
+from multiell.quadrature import offset
 
 
 def test_parameter_regime_tags(ctx):
@@ -22,16 +23,32 @@ def test_ellipk_accepts_parameter_objects(ctx):
     assert ellipk(p, ctx) == ellipk(mp.mpf("0.25"), ctx)
 
 
+def defining_factory(mp, m):
+    """1 / sqrt(1 - m sin^2 t), principal branch.
+
+    For m > 1 the radicand vanishes at t0 = asin(1/sqrt(m)) and is formed as
+    m sin(t0 - t) sin(t0 + t), with t0 - t read from the driver's tc when t
+    lies next to a panel end at t0, so that no node lands on the zero.
+    """
+    if m <= 1:
+        return lambda t, tc: 1 / mp.sqrt(1 - m * mp.sin(t) ** 2)
+    t0 = mp.asin(1 / mp.sqrt(m))
+
+    to_peak = offset(mp, t0)
+
+    def f(t, tc):
+        return 1 / mp.sqrt(m * mp.sin(to_peak(t, tc)) * mp.sin(t0 + t))
+    return f
+
+
 def defining_integral(m_str, ctx, singular=()):
     """Quadrature of the defining integral over (0, pi/2), principal branch.
 
     Independent oracle for the AGM route (and for the m > 1 continuation,
     where the integrand's square root turns negative past asin(1/sqrt(m))).
     """
-    spec = IntegralSpec(
-        "k_defining", (ctx.mp.mpf(m_str),), (0, lambda mp: mp.pi / 2),
-        lambda mp, m: (lambda t: 1 / mp.sqrt(1 - m * mp.sin(t) ** 2)),
-        singular_points=singular)
+    spec = IntegralSpec("k_defining", (ctx.mp.mpf(m_str),), (0, lambda mp: mp.pi / 2),
+                        defining_factory, singular_points=singular)
     return integrate(spec, ctx)
 
 
@@ -95,9 +112,8 @@ def test_super_unit_real_part(ctx):
 def test_super_unit_regime_against_quadrature(ctx30):
     # Full complex value against the principal-branch defining integral,
     # split where the root changes sign (asin(1/2) = pi/6).  The integrand
-    # has an algebraic (inverse square root) singularity there, which the
-    # engine only resolves to a reduced tail margin, so the oracle runs at
-    # 30 digits -- far beyond what a branch-convention check needs.
+    # has an algebraic (inverse square root) singularity there; 30 digits
+    # are far beyond what a branch-convention check needs.
     quad = defining_integral("4", ctx30, singular=((lambda mp_: mp_.pi / 6),))
     val = ellipk(4, ctx30)
     assert abs(val - quad.value) <= 10 * quad.err_estimate + ctx30.pass_tol

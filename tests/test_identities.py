@@ -200,3 +200,23 @@ def test_cross_route_agreement(ctx, a_str):
     assert quad_route.passed and closed_route.passed
     series_value = legendre_sum(a, 700, ctx)
     assert abs(series_value - closed_route.rhs_value) <= ctx.pass_tol
+
+
+ENDPOINTS = [("I1", {"a": "0"}), ("I1", {"a": "1"}),
+             ("I6", {"b": "0", "c": "0"}), ("I6", {"b": "0", "c": "1"}),
+             ("I6", {"b": "0", "c": "2"}), ("I6", {"b": "1", "c": "0"}),
+             ("I11", {"a": "0"}), ("I11", {"a": "0.95"}),
+             ("I13", {"a": "0"}), ("I13", {"a": "0.95"}),
+             ("I12", {"variant": 0}), ("I12", {"variant": 1}),
+             # the near-singular band of I6: K sharply peaked at theta = atan(c)
+             ("I6", {"b": "0.01", "c": "1"}), ("I6", {"b": "0.01", "c": "2"})]
+
+
+@pytest.mark.parametrize("rid, params", ENDPOINTS,
+                         ids=[f"{r}-" + "-".join(map(str, p.values())) for r, p in ENDPOINTS])
+def test_every_closed_endpoint_verifies(ctx, rid, params):
+    # each finite closed ParamSpec endpoint lies in its row's domain
+    report = verify(rid, params, ctx)
+    assert report.passed
+    if report.err_estimate is not None:
+        assert report.abs_err <= 10 * report.err_estimate

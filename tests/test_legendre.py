@@ -107,7 +107,7 @@ def test_kernel_expansion_at_origin(ctx):
 def test_kernel_expansion_integrates_to_one(ctx):
     # only the constant term survives integration over (0,1)
     def factory(mp, n_terms):
-        def f(x):
+        def f(x, xc):
             y = 2 * x - 1
             acc = mp.one
             q = mp.one
@@ -132,8 +132,8 @@ def test_odd_index_projections_vanish(ctx, n):
     # x <-> 1-x symmetry kills every odd-index coefficient of the K kernel
     def factory(mp, degree):
         k = k_of_x(mp)
-        def f(x):
-            return legendre_p_mp(mp, degree, 2 * x - 1) * k(x)
+        def f(x, xc):
+            return legendre_p_mp(mp, degree, 2 * x - 1) * k(x, xc)
         return f
     spec = IntegralSpec(f"odd_projection_{n}", (2 * n + 1,), (0, 1), factory,
                         singular_points=(0.5,))

@@ -1,8 +1,11 @@
-"""The series and recurrence routines against mpmath's own implementations.
+"""The series, recurrence and K routines against mpmath's own implementations.
 
-Each library value at 30 digits is compared with an independent mpmath
-function evaluated 10 digits higher.  Partial sums take enough terms that
-their truncated tail sits below the tolerance.
+Each series or recurrence value at 30 digits is compared with an
+independent mpmath function evaluated 10 digits higher.  Partial sums take
+enough terms that their truncated tail sits below the tolerance.  K near
+its logarithmic singularity is evaluated at the quadrature engine's
+precision for 50 working digits and compared with mpmath's ellipk at 200
+digits.
 """
 
 import math
@@ -13,6 +16,9 @@ from hypothesis import strategies as st
 
 from multiell import (DomainError, PrecisionContext, clausen_sum,
                       clausen_sum_da, ellipk_series, legendre_p, legendre_sum)
+from multiell.elliptic import ellipk_real_mp, re_k_modulus_mp
+from multiell.kernels import k_of_x
+from multiell.quadrature import GUARD
 
 CTX = PrecisionContext(30)
 REF = CTX.boosted(10).mp
@@ -74,3 +80,45 @@ def test_legendre_p_against_legendre(n, x):
 def test_a_dependent_series_reject_unit_and_beyond(series, a):
     with pytest.raises(DomainError):
         series(a, 10, CTX)
+
+
+# K from its complementary modulus: 50 working digits, so the engine
+# carries 50 + GUARD and every value must hold 10^-(50 + 10) relative.
+WORKING = 50
+ENGINE = PrecisionContext(WORKING).boosted(GUARD).mp
+EXACT = PrecisionContext(200).mp
+K_TOL = EXACT.mpf(10) ** (-(WORKING + 10))
+sign = st.sampled_from((-1, 1))
+near_singular = st.integers(min_value=1, max_value=60)
+
+
+def k_close(value, ref):
+    return abs(EXACT.convert(value) - ref) <= K_TOL * abs(ref)
+
+
+@oracle_settings
+@given(st.floats(min_value=0, max_value=70))
+def test_ellipk_from_complementary_modulus(e):
+    kc = ENGINE.mpf(10) ** -ENGINE.mpf(e)
+    ref = EXACT.ellipk(1 - EXACT.convert(kc) ** 2)
+    assert k_close(ellipk_real_mp(ENGINE, 1 - kc * kc, kc=kc), ref)
+
+
+@oracle_settings
+@given(near_singular, sign)
+def test_k_of_x_next_to_its_singular_abscissa(k, s):
+    # a quadrature node at distance d from the panel end 1/2: x is rounded,
+    # the driver's xc = 1/2 - x = d is exact
+    d = s * ENGINE.mpf(10) ** -k
+    x = ENGINE.mpf(0.5) - d
+    ref = EXACT.ellipk(1 - 4 * EXACT.convert(d) ** 2)
+    assert k_close(k_of_x(ENGINE)(x, d), ref)
+
+
+@oracle_settings
+@given(near_singular, sign)
+def test_re_k_modulus_next_to_modulus_one(k, s):
+    x = 1 + s * ENGINE.mpf(10) ** -k
+    xe = EXACT.convert(x)
+    ref = EXACT.ellipk(xe * xe) if x < 1 else EXACT.ellipk(1 / (xe * xe)) / xe
+    assert k_close(re_k_modulus_mp(ENGINE, x, 1 - x), ref)  # 1 - x is exact here

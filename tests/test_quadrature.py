@@ -18,7 +18,7 @@ def plain_spec(lo=0, hi=1, singular=(HALF,)):
 
 
 def test_constant_one(ctx):
-    spec = IntegralSpec("one", (), (0, 1), lambda mp: (lambda x: mp.one))
+    spec = IntegralSpec("one", (), (0, 1), lambda mp: (lambda x, xc: mp.one))
     r = integrate(spec, ctx)
     assert abs(r.value - 1) <= ctx.mp.mpf(10) ** (-ctx.digits + 5)
     assert r.err_estimate < ctx.mp.mpf(10) ** (-ctx.digits + 5)
@@ -79,8 +79,8 @@ def test_degenerate_complex_part_reduces_to_real_kernel(ctx):
     def zeroed_factory(mp):
         k = k_of_x(mp)
         s2 = mp.sqrt(2)
-        def f(x):
-            return k(x) / mp.sqrt(mp.mpc(mp.mpf(9) / 8 + (1 - 2 * x) / s2, 0))
+        def f(x, xc):
+            return k(x, xc) / mp.sqrt(mp.mpc(mp.mpf(9) / 8 + (1 - 2 * x) / s2, 0))
         return f
     zeroed = IntegralSpec("r4_zero_imag", (), (0, 1), zeroed_factory,
                           singular_points=(HALF,))
@@ -96,16 +96,16 @@ def test_degenerate_complex_part_reduces_to_real_kernel(ctx):
 def test_exp_sinh_against_closed_form(ctx):
     # integral of (1+x^2)^(-3/2) over (0, inf) is exactly 1
     spec = IntegralSpec("algebraic_decay", (), (0, INF),
-                        lambda mp: (lambda x: (1 + x * x) ** mp.mpf("-1.5")))
+                        lambda mp: (lambda x, xc: (1 + x * x) ** mp.mpf("-1.5")))
     r = integrate(spec, ctx)
     assert abs(r.value - 1) <= 10 * r.err_estimate
     assert abs(r.value - 1) <= ctx.quad_target
 
 
 @pytest.mark.parametrize("spec, calls, levels", [
-    (plain_spec(), 578, 5),
+    (plain_spec(), 602, 5),
     (IntegralSpec("re_k_semi_infinite", (1,), (0, INF), re_k_semi_infinite_kernel,
-                  singular_points=(1,)), 912, 6),
+                  singular_points=(1,)), 938, 6),
 ], ids=["tanh-sinh", "exp-sinh"])
 def test_node_sets_are_pinned(ctx, spec, calls, levels):
     # integrand calls and depth at 50 digits fix each transform's node set
@@ -113,9 +113,9 @@ def test_node_sets_are_pinned(ctx, spec, calls, levels):
 
     def counting(mp, *params):
         f = spec.factory(mp, *params)
-        def g(x):
+        def g(x, xc):
             count[0] += 1
-            return f(x)
+            return f(x, xc)
         return g
 
     r = integrate(dataclasses.replace(spec, factory=counting), ctx)
@@ -199,7 +199,7 @@ def test_nonconvergence_at_low_level_cap(ctx):
 
 def test_integrand_failure_is_wrapped(ctx):
     def bad_factory(mp):
-        def f(x):
+        def f(x, xc):
             if x > mp.mpf("0.7"):
                 raise ValueError("deliberate failure")
             return mp.one
@@ -209,11 +209,23 @@ def test_integrand_failure_is_wrapped(ctx):
         integrate(spec, ctx)
 
 
+@pytest.mark.parametrize("singular_at_half, message", [
+    # a node 1e-101 from 1/2 rounds onto it, and log|x - 1/2| is -inf there
+    (lambda mp: (lambda x, xc: mp.log(abs(x - mp.mpf(0.5)))), "rounds onto its panel end"),
+    # one 3e-38 from 1/2 does not, but its parameter 4x(1-x) rounds to 1
+    (lambda mp: (lambda x, xc: mp.ellipk(4 * x * (1 - x))), r"returned \+inf"),
+], ids=["log", "ellipk"])
+def test_integrand_ignoring_xc_fails_at_its_split(ctx, singular_at_half, message):
+    spec = IntegralSpec("no_xc", (), (0, 1), singular_at_half, singular_points=(HALF,))
+    with pytest.raises(IntegrandFailureError, match=message):
+        integrate(spec, ctx)
+
+
 def test_spec_validation(ctx):
     with pytest.raises(DomainError):
         integrate(plain_spec(0, 1, (1.5,)), ctx)  # singular point outside
     with pytest.raises(DomainError):
         integrate(plain_spec(1, 1, ()), ctx)  # degenerate interval
     with pytest.raises(DomainError):
-        spec = IntegralSpec("inf_lo", (), (INF, 1), lambda mp: (lambda x: mp.one))
+        spec = IntegralSpec("inf_lo", (), (INF, 1), lambda mp: (lambda x, xc: mp.one))
         integrate(spec, ctx)
