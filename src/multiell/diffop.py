@@ -5,10 +5,11 @@ Two routes, deliberately asymmetric:
 * The third-order operator in the tunable parameter,
   a^2(1+a^2) d^3/da^3 + 3a(1+2a^2) d^2/da^2 + (1+7a^2) d/da + a,
   is applied to the weighted K-kernel integral by differentiating the
-  algebraic weight analytically in a and quadrating each derivative --
-  exact derivatives, quadrature-limited accuracy.  The same operator is
-  applied to the closed form by finite differences (cheap pointwise
-  evaluations, FD-limited accuracy).
+  algebraic weight analytically in a and quadrating the weight and its
+  three derivatives as one four-component integral, which shares each K
+  value -- exact derivatives, quadrature-limited accuracy.  The same
+  operator is applied to the closed form by finite differences (cheap
+  pointwise evaluations, FD-limited accuracy).
 
 * The cylindrical Laplacian d^2/db^2 + d^2/dc^2 + (1/c) d/dc is applied
   to the axial integrand pointwise by finite differences; its analytic
@@ -68,18 +69,18 @@ def ode_annihilator_residual(a, ctx: PrecisionContext, *, corrupted: bool = Fals
                              max_level: int = MAX_LEVEL) -> OdeResidual:
     """Apply the third-order operator to the weighted K-kernel integral.
 
-    The integral and its first three a-derivatives come from quadrature of
-    the analytically differentiated weight.  With ``corrupted`` the
-    zeroth-order coefficient a is replaced by 2a (negative control: the
-    residual must then blow up by many orders of magnitude).
+    The integral and its first three a-derivatives come from one vector
+    quadrature of the analytically differentiated weight.  With
+    ``corrupted`` the zeroth-order coefficient a is replaced by 2a
+    (negative control: the residual must then blow up by many orders of
+    magnitude).
     """
     mp = ctx.mp
     a = mp.convert(a)
     if not 0 < a < 1:
         raise DomainError(f"operator check requires a in (0, 1), got {a}")
-    derivs = [mp.convert(integrate(kernels.weighted_kernel_spec(a, order), ctx,
-                                   max_level=max_level).value)
-              for order in range(4)]
+    result = integrate(kernels.weighted_kernel_spec((a,), 3), ctx, max_level=max_level)
+    derivs = [mp.convert(v) for v in result.value]
     residual, scale = _ode_combine(mp, a, derivs, 2 if corrupted else 1)
     tol = mp.mpf(10) ** (-(ctx.digits // 2)) * scale
     return OdeResidual(a, +residual, +scale, +tol, residual <= tol)

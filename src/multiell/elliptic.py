@@ -51,10 +51,13 @@ def ellipk_real_mp(mp, m, *, kc=None):
 
     kc is the complementary modulus sqrt(1 - m).  A caller that can form it
     without cancellation passes it; K then carries full relative precision
-    as m -> 1, however small kc is.  Without kc it is sqrt(1 - m).
+    as m -> 1, however small kc is.  Without kc it is sqrt(1 - m).  kc = 0
+    (m = 1) is K's singular point and raises SingularityError.
     """
     if kc is None:
         kc = mp.sqrt(1 - m)
+    if not kc:
+        raise SingularityError("K has a non-removable singularity at m = 1")
     return mp.pi / (2 * agm_mp(mp, mp.one, kc))
 
 

@@ -76,6 +76,13 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class IdentityRecord:
+    """One catalog row.
+
+    lhs(ctx, points, max_level) takes a list of validated parameter dicts
+    and returns one (value, err_estimate) pair per point (err_estimate is
+    None for series rows); rhs(ctx, params) is the closed form at one point.
+    """
+
     id: str
     description: str
     params: tuple
@@ -115,10 +122,18 @@ def _series_terms(ratio, digits: int) -> int:
 
 
 def _quad_lhs(spec_builder):
-    def lhs(ctx, params, max_level):
-        result = integrate(spec_builder(ctx, params), ctx, max_level=max_level)
-        return result.value, result
+    """LHS integrating spec_builder(ctx, p) at each point p, one call per point."""
+    def lhs(ctx, points, max_level):
+        results = [integrate(spec_builder(ctx, p), ctx, max_level=max_level) for p in points]
+        return [(r.value, r.err_estimate) for r in results]
     return lhs
+
+
+def _weighted_lhs(ctx, points, max_level):
+    """LHS of the weighted rows: every point's a in one vector integral."""
+    spec = kernels.weighted_kernel_spec(tuple(p["a"] for p in points))
+    result = integrate(spec, ctx, max_level=max_level)
+    return list(zip(result.value, result.err_estimate))
 
 
 def _unit_kernel_lhs(factory):
@@ -142,16 +157,14 @@ def _build_catalog():
     series_a = ParamSpec("a", lo=0, hi="0.95")
     log_half = "kernel log-singular at x=1/2"
     complex_root = "kernel log-singular at x=1/2; principal-branch root"
-    weighted_lhs = _quad_lhs(lambda ctx, p: kernels.weighted_kernel_spec(p["a"]))
-
     add("I1", "weighted K-kernel integral vs squared-K closed form",
-        (unit_a,), "quad", log_half, weighted_lhs,
+        (unit_a,), "quad", log_half, _weighted_lhs,
         lambda ctx, p: generating_integral_closed_form(p["a"], ctx))
 
     add("I1-ext", "weighted K-kernel integral past the critical parameter",
         (ParamSpec("a", lo=1, lo_open=True),), "quad",
         "kernel log-singular at x=1/2; no smooth continuation across a=1",
-        weighted_lhs,
+        _weighted_lhs,
         lambda ctx, p: generating_integral_closed_form(p["a"], ctx))
 
     add("I2", "rational-weight K integral; value pi/(4 sqrt 2)",
@@ -204,7 +217,7 @@ def _build_catalog():
         _ramanujan_lhs, _ramanujan_rhs)
 
     add("I13", "quadrature route vs Legendre-projection series route",
-        (series_a,), "quad", log_half, weighted_lhs,
+        (series_a,), "quad", log_half, _weighted_lhs,
         lambda ctx, p: legendre_sum(p["a"], _series_terms(p["a"] ** 2, ctx.digits), ctx))
 
     return {rec.id: rec for rec in records}
@@ -221,9 +234,9 @@ def _variant_series(variant: int):
     return SeriesId.RAMANUJAN_2SQRT2 if variant == 0 else SeriesId.RAMANUJAN_4SQRT2
 
 
-def _clausen_lhs(ctx, p, max_level):
-    a = p["a"]
-    return clausen_sum(a, _series_terms(a * a, ctx.digits), ctx), None
+def _clausen_lhs(ctx, points, max_level):
+    return [(clausen_sum(p["a"], _series_terms(p["a"] ** 2, ctx.digits), ctx), None)
+            for p in points]
 
 
 def _clausen_rhs(ctx, p):
@@ -232,10 +245,13 @@ def _clausen_rhs(ctx, p):
     return ctx.reduce(4 / hi.mp.pi ** 2 * value)
 
 
-def _ramanujan_lhs(ctx, p, max_level):
-    sid = _variant_series(p["variant"])
-    z = _ramanujan_data(sid, ctx.boosted(10).mp)[0]
-    return ramanujan_sum(sid, _series_terms(z, ctx.digits), ctx), None
+def _ramanujan_lhs(ctx, points, max_level):
+    out = []
+    for p in points:
+        sid = _variant_series(p["variant"])
+        z = _ramanujan_data(sid, ctx.boosted(10).mp)[0]
+        out.append((ramanujan_sum(sid, _series_terms(z, ctx.digits), ctx), None))
+    return out
 
 
 def _ramanujan_rhs(ctx, p):
@@ -258,6 +274,46 @@ def get_identity(identity_id: str) -> IdentityRecord:
     return rec
 
 
+def _validated(rec: IdentityRecord, params, ctx: PrecisionContext):
+    """params checked against rec's declared parameters and domains."""
+    params = dict(params or {})
+    unknown = set(params) - set(rec.param_names())
+    if unknown:
+        raise OutOfDomainError(f"{rec.id} does not take parameters {sorted(unknown)}")
+    missing = set(rec.param_names()) - set(params)
+    if missing:
+        raise OutOfDomainError(f"{rec.id} requires parameters {sorted(missing)}")
+    return {p.name: p.validate(params[p.name], ctx.mp) for p in rec.params}
+
+
+def _verify_points(rec: IdentityRecord, points, ctx: PrecisionContext, max_level: int):
+    """One report per validated parameter dict, from one batched LHS call.
+
+    Each report's wall_time is its even share of the LHS time plus the
+    time of its own RHS.
+    """
+    t0 = time.perf_counter()
+    lhs = rec.lhs(ctx, points, max_level)
+    lhs_share = (time.perf_counter() - t0) / len(points)
+    mp = ctx.mp
+    reports = []
+    for validated, (lhs_value, err_estimate) in zip(points, lhs):
+        t0 = time.perf_counter()
+        rhs_value = rec.rhs(ctx, validated)
+        wall = lhs_share + time.perf_counter() - t0
+        abs_err = +abs(mp.convert(lhs_value) - mp.convert(rhs_value))
+        rel_err = +(abs_err / abs(mp.convert(rhs_value)))
+        passed = abs_err <= ctx.pass_tol * max(mp.one, abs(mp.convert(rhs_value)))
+        if rec.kind == "quad_complex":
+            imag = abs(mp.convert(lhs_value).imag)
+            passed = bool(passed and imag <= 10 * err_estimate)
+        reports.append(VerificationReport(
+            id=rec.id, params=validated, lhs_value=lhs_value, rhs_value=rhs_value,
+            abs_err=abs_err, rel_err=rel_err, passed=bool(passed),
+            digits_used=ctx.digits, wall_time=wall, err_estimate=err_estimate))
+    return reports
+
+
 def verify(identity_id: str, params, ctx: PrecisionContext, *,
            max_level: int = MAX_LEVEL) -> VerificationReport:
     """Evaluate both sides of one identity and compare.
@@ -267,37 +323,16 @@ def verify(identity_id: str, params, ctx: PrecisionContext, *,
     (modulo wall_time).
     """
     rec = get_identity(identity_id)
-    params = dict(params or {})
-    unknown = set(params) - set(rec.param_names())
-    if unknown:
-        raise OutOfDomainError(f"{identity_id} does not take parameters {sorted(unknown)}")
-    missing = set(rec.param_names()) - set(params)
-    if missing:
-        raise OutOfDomainError(f"{identity_id} requires parameters {sorted(missing)}")
-    validated = {p.name: p.validate(params[p.name], ctx.mp) for p in rec.params}
-
-    t0 = time.perf_counter()
-    lhs_value, quad = rec.lhs(ctx, validated, max_level)
-    rhs_value = rec.rhs(ctx, validated)
-    wall = time.perf_counter() - t0
-
-    mp = ctx.mp
-    abs_err = +abs(mp.convert(lhs_value) - mp.convert(rhs_value))
-    rel_err = +(abs_err / abs(mp.convert(rhs_value)))
-    passed = abs_err <= ctx.pass_tol * max(mp.one, abs(mp.convert(rhs_value)))
-    err_estimate = quad.err_estimate if quad is not None else None
-    if rec.kind == "quad_complex":
-        imag = abs(mp.convert(lhs_value).imag)
-        passed = bool(passed and imag <= 10 * err_estimate)
-    return VerificationReport(
-        id=identity_id, params=validated, lhs_value=lhs_value, rhs_value=rhs_value,
-        abs_err=abs_err, rel_err=rel_err, passed=bool(passed),
-        digits_used=ctx.digits, wall_time=wall, err_estimate=err_estimate)
+    return _verify_points(rec, [_validated(rec, params, ctx)], ctx, max_level)[0]
 
 
 def sweep(identity_id: str, param_name: str, lo, hi, steps: int,
           ctx: PrecisionContext, *, fixed=None, max_level: int = MAX_LEVEL):
-    """Verify along a uniform inclusive grid of one parameter."""
+    """Verify along a uniform inclusive grid of one parameter.
+
+    The grid's left-hand sides are evaluated together: on I1, I1-ext and
+    I13 as one vector integral that shares its K values across the grid.
+    """
     rec = get_identity(identity_id)
     if param_name not in rec.param_names():
         raise OutOfDomainError(f"{identity_id} has no parameter {param_name!r}")
@@ -309,13 +344,12 @@ def sweep(identity_id: str, param_name: str, lo, hi, steps: int,
     hi_v = pspec.validate(hi, mp)
     if not lo_v < hi_v:
         raise DomainError(f"degenerate sweep range [{lo_v}, {hi_v}]")
-    reports = []
+    points = []
     for k in range(steps):
-        value = lo_v + (hi_v - lo_v) * k / (steps - 1)
         params = dict(fixed or {})
-        params[param_name] = value
-        reports.append(verify(identity_id, params, ctx, max_level=max_level))
-    return reports
+        params[param_name] = lo_v + (hi_v - lo_v) * k / (steps - 1)
+        points.append(_validated(rec, params, ctx))
+    return _verify_points(rec, points, ctx, max_level)
 
 
 def _decimal(value, digits: int) -> str:

@@ -18,6 +18,13 @@ at digits + GUARD:
   exact where the rounded x is not; the generating weight is formed as
   (1-a)^2 + 4a(1-x), which equals 1 - 2(2x-1)a + a^2.
 
+``weighted_kernel`` is a vector integrand (see quadrature): it evaluates K
+once per node and returns K times the generating weight's a-derivatives
+0..order at each of several a, so that an ODE check (four derivatives at
+one a) or a sweep over a (one weight at each a) is one integral.  Powers
+u^(k/2) are formed from sqrt(u), and constants are hoisted out of the
+integrands into their factories.
+
 The ``*_spec`` builders at the end pair a factory with its interval and
 singular points for the integrals that more than one module runs.  They
 look IntegralSpec up by name at call time, so an instrumented replacement
@@ -39,35 +46,51 @@ def k_of_x(mp):
 
 
 def generating_weight(mp, a, order: int = 0):
-    """d^order/da^order of (1 - 2(2x-1)a + a^2)^(-1/2), order in 0..3.
+    """(g, dg/da, ..., d^order g/da^order) of g = (1 - 2(2x-1)a + a^2)^(-1/2).
 
-    Closed-form algebraic derivatives in a; cross-checked against finite
-    differences of the order-0 weight in the test suite before use.
+    order is 0..3.  The closed-form algebraic derivatives share u, du/da
+    and sqrt(u); they are cross-checked against finite differences of g in
+    the test suite before use.
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be 0..3, got {order}")
     to_one = offset(mp, 1)
+    shift = (1 - a) ** 2
+    four_a = 4 * a
+    fifteen_eighths = mp.mpf(15) / 8
+    nine_halves = mp.mpf(9) / 2
 
     def f(x, xc):
-        u = (1 - a) ** 2 + 4 * a * to_one(x, xc)  # 1 - 2(2x-1)a + a^2
+        u = shift + four_a * to_one(x, xc)  # 1 - 2(2x-1)a + a^2
+        g = 1 / mp.sqrt(u)
         if order == 0:
-            return 1 / mp.sqrt(u)
-        ua = 2 * (a - (2 * x - 1))
+            return (g,)
+        ua = 2 * (a - (2 * x - 1))  # du/da
+        g3 = g / u  # u^(-3/2)
+        d1 = -ua * g3 / 2
         if order == 1:
-            return -ua / (2 * u ** mp.mpf("1.5"))
+            return (g, d1)
+        g5 = g3 / u  # u^(-5/2)
+        d2 = 3 * ua * ua * g5 / 4 - g3
         if order == 2:
-            return 3 * ua * ua / (4 * u ** mp.mpf("2.5")) - u ** mp.mpf("-1.5")
-        return (-mp.mpf(15) / 8 * ua ** 3 / u ** mp.mpf("3.5")
-                + mp.mpf(9) / 2 * ua / u ** mp.mpf("2.5"))
+            return (g, d1, d2)
+        d3 = (nine_halves - fifteen_eighths * ua * ua / u) * ua * g5
+        return (g, d1, d2, d3)
     return f
 
 
-def weighted_kernel(mp, a, order: int = 0):
-    """K(2 sqrt(x(1-x))) times the generating weight (or its a-derivative)."""
+def weighted_kernel(mp, order: int, *a_values):
+    """K(2 sqrt(x(1-x))) times the generating weight's a-derivatives 0..order.
+
+    One component per (a, derivative) pair, a-major: params (order, a1, ...,
+    an) give n (order + 1) components, all sharing one K value per node.
+    """
     k = k_of_x(mp)
-    g = generating_weight(mp, a, order)
+    weights = [generating_weight(mp, a, order) for a in a_values]
+
     def f(x, xc):
-        return k(x, xc) * g(x, xc)
+        kx = k(x, xc)
+        return tuple(kx * w for g in weights for w in g(x, xc))
     return f
 
 
@@ -75,8 +98,12 @@ def ratio_kernel_2sqrt2(mp):
     """K(2 sqrt(x(1-x))) (4x + 3 sqrt2 - 2) / (4 sqrt2 + 9 - 8 sqrt2 x)^(3/2)."""
     k = k_of_x(mp)
     s2 = mp.sqrt(2)
+    shift = 3 * s2 - 2
+    base = 4 * s2 + 9
+    slope = 8 * s2
     def f(x, xc):
-        return k(x, xc) * (4 * x + 3 * s2 - 2) / (4 * s2 + 9 - 8 * s2 * x) ** mp.mpf("1.5")
+        d = base - slope * x
+        return k(x, xc) * (4 * x + shift) / (d * mp.sqrt(d))
     return f
 
 
@@ -123,26 +150,31 @@ def special_case_kernel(mp):
     k = k_of_x(mp)
     def f(x, xc):
         p = x * (1 - x)
-        return k(x, xc) * p / (1 - 2 * p) ** mp.mpf("1.5")
+        q = 1 - 2 * p
+        return k(x, xc) * p / (q * mp.sqrt(q))
     return f
 
 
 def re_k_semi_infinite_kernel(mp, c):
     """Re[K(x)] c x / (1 + c^2 x^2)^(3/2) on (0, inf); modulus convention."""
     to_one = offset(mp, 1)
+    c2 = c * c
     def f(x, xc):
         re_k = re_k_modulus_mp(mp, x, to_one(x, xc))
-        return re_k * c * x / (1 + c * c * x * x) ** mp.mpf("1.5")
+        q = 1 + c2 * x * x
+        return re_k * c * x / (q * mp.sqrt(q))
     return f
 
 
 def axial_x_form_kernel(mp, c):
     """K(2 sqrt(x)/(1+x)) c x / ((1+x)(1+c^2 x^2)^(3/2)) on (0, inf)."""
     to_one = offset(mp, 1)
+    c2 = c * c
     def f(x, xc):
         mu = 2 * mp.sqrt(x) / (1 + x)
+        q = 1 + c2 * x * x
         return (ellipk_real_mp(mp, mu * mu, kc=abs(to_one(x, xc)) / (1 + x)) * c * x
-                / ((1 + x) * (1 + c * c * x * x) ** mp.mpf("1.5")))
+                / ((1 + x) * q * mp.sqrt(q)))
     return f
 
 
@@ -151,10 +183,13 @@ def signed_kernel_4sqrt2(mp):
     k = k_of_x(mp)
     s2 = mp.sqrt(2)
     s3 = mp.sqrt(3)
+    num0, num1 = 24 - 18 * s3, s2 * (6 * s3 - 11)
+    den0, den1 = 42 - 15 * s3, 4 * s2 * (3 * s3 - 5)
     def f(x, xc):
-        num = 24 - 18 * s3 + s2 * (6 * s3 - 11) * (2 * x - 1)
-        den = 42 - 15 * s3 - 4 * s2 * (3 * s3 - 5) * (2 * x - 1)
-        return k(x, xc) * num / den ** mp.mpf("1.5")
+        y = 2 * x - 1
+        num = num0 + num1 * y
+        den = den0 - den1 * y
+        return k(x, xc) * num / (den * mp.sqrt(den))
     return f
 
 
@@ -171,10 +206,14 @@ def axial_integrand_of_bc(mp, theta):
     return F
 
 
-def weighted_kernel_spec(a, order: int = 0):
-    """The weighted K-kernel integral over (0, 1), split at x = 1/2."""
-    return IntegralSpec(f"weighted_kernel_d{order}", (a, order), (0, 1), weighted_kernel,
-                        singular_points=(0.5,))
+def weighted_kernel_spec(a_values, order: int = 0):
+    """The weighted K-kernel integrals over (0, 1) at each a in a_values.
+
+    One vector integral, split at x = 1/2, with the a-derivatives 0..order
+    at each a as its components (see weighted_kernel).
+    """
+    return IntegralSpec(f"weighted_kernel_d{order}", (order, *a_values), (0, 1),
+                        weighted_kernel, singular_points=(0.5,))
 
 
 def axial_spec(b, c):

@@ -58,10 +58,12 @@ def generating_function_check(a, x, n_terms: int, ctx: PrecisionContext):
     return ctx.reduce(abs(closed - acc))
 
 
-def _pair_factory(mp, n: int, m: int):
+def _gram_factory(mp, order: int):
+    """P_n(2x-1) P_m(2x-1) for order >= n >= m >= 0, row by row, as one vector."""
+    pairs = [(n, m) for n in range(order + 1) for m in range(n + 1)]
     def f(x, _):
-        y = 2 * x - 1
-        return legendre_p_mp(mp, n, y) * legendre_p_mp(mp, m, y)
+        p = list(islice(_legendre_values(mp, 2 * x - 1), order + 1))
+        return tuple(p[n] * p[m] for n, m in pairs)
     return f
 
 
@@ -69,17 +71,18 @@ def orthogonality_gram(order: int, ctx: PrecisionContext):
     """(order+1) x (order+1) matrix of integrals of P_n(2x-1) P_m(2x-1) on (0,1).
 
     Computed with the same double-exponential engine as every other
-    integral in the package; exact values are delta_nm / (2n+1).
+    integral in the package, as one vector integral whose components are
+    the n >= m products, so that P_0..P_order are evaluated once per node;
+    exact values are delta_nm / (2n+1).
     """
     if not isinstance(order, int) or order < 0 or order > GRAM_MAX_ORDER:
         raise DomainError(f"order must be an integer in [0, {GRAM_MAX_ORDER}], got {order!r}")
+    spec = IntegralSpec(f"legendre_gram_{order}", (order,), (0, 1), _gram_factory)
+    values = iter(integrate(spec, ctx).value)
     gram = [[None] * (order + 1) for _ in range(order + 1)]
     for n in range(order + 1):
         for m in range(n + 1):
-            spec = IntegralSpec(f"legendre_pair_{n}_{m}", (n, m), (0, 1), _pair_factory)
-            value = integrate(spec, ctx).value
-            gram[n][m] = value
-            gram[m][n] = value
+            gram[n][m] = gram[m][n] = next(values)
     return gram
 
 

@@ -9,8 +9,20 @@ so that singularities sit at panel ends, where the double-exponential decay
 of the weights absorbs them.
 
 One panel driver serves both maps.  A two-entry transform table gives each
-map's nodes, the panel's length scale and one node's weighted terms; node
-tables are built once per (map, engine precision, level, cutoff) and cached.
+map's nodes, the panel's length scale and one node's abscissas and weights;
+node tables are built once per (map, engine precision, level, cutoff) and
+cached.
+
+Vector integrands (the fdim integrands of Johnson's cubature, SciPy's
+quad_vec): an integrand may return a tuple of mpf/mpc values, so that
+integrals sharing costly work at each node -- K(2 sqrt(x(1-x))) under
+several weights, P_0..P_n(2x-1) under every product -- make one pass over
+one node set.  The driver sums every component; a scalar integrand is the
+one-component case.  A level has converged once every component's
+level-to-level change is within target, and the node loop's tail stop
+needs every component of both terms of a node to be negligible, so the
+node set is the one the hardest component needs alone.  The result then
+holds one value and one error estimate per component.
 
 Endpoint complements (Bailey, Jeyabalan and Li, Exp. Math. 14, 2005; Boost's
 tanh_sinh): every integrand is called as f(x, xc), where xc = e - x is the
@@ -20,17 +32,18 @@ formed by subtraction; a node pair is x = lo + r s and x = hi - r s, with
 xc = -r s and r s.  exp-sinh passes xc relative to the finite end.  xc is
 exact where x, rounded to engine precision, no longer resolves its distance
 to the end; integrands take 1/2 - x, 1 - x and the like from xc there,
-through `offset`.  An integrand that returns inf or nan raises
-IntegrandFailureError, like one that raises.
+through `offset`.  An integrand that returns inf or nan, in any component,
+raises IntegrandFailureError, like one that raises.
 
 Precision bookkeeping: abscissas and integrands are evaluated in an engine
 context carrying digits + GUARD decimal digits.  Node tables reach down to
 weights of 10^-2(digits+10), so that an x^(-1/2) endpoint, whose terms w f
 decay like sqrt(w), still finds nodes where they are negligible.  Each
 level's node loop stops at the first node with t > 3 at which both of its
-terms contribute below 10^-(digits+10) to the panel.  This resolves
-logarithmic (K-kernel) and x^(-1/2) endpoint singularities to quad_target;
-I1 at a = 1, where the weight becomes (4(1-x))^(-1/2), converges.
+terms contribute below 10^-(digits+10) to the panel, in every component.
+This resolves logarithmic (K-kernel) and x^(-1/2) endpoint singularities
+to quad_target; I1 at a = 1, where the weight becomes (4(1-x))^(-1/2),
+converges.
 
 Semi-infinite integrands must decay at least like x^(-2); every catalog
 form decays like x^(-3).
@@ -68,6 +81,8 @@ class IntegralSpec:
     (so x + xc = e).  Integrands singular at a panel end take their distance
     to that end from xc, through ``offset(mp, end)``, rather than subtracting
     the rounded x: nodes lie so close to the ends that x can round onto one.
+    f returns one mpf/mpc value or a tuple of them; a tuple's length is the
+    integral's number of components and must not change between calls.
     """
 
     integrand_id: str
@@ -82,14 +97,18 @@ class QuadResult:
     """Quadrature value with diagnostics.
 
     err_estimate is the last level-to-level change (a deliberate
-    overestimate once converged); panels counts subintervals after
-    splitting; levels is the deepest refinement level used.
+    overestimate once converged), never below the value's representation
+    error at ctx.digits; panels counts subintervals after splitting; levels
+    is the deepest refinement level used; evaluations counts integrand calls
+    across all panels.  When the integrand returns a tuple, value and
+    err_estimate are tuples of the same length, one entry per component.
     """
 
     value: object
     err_estimate: object
     panels: int
     levels: int
+    evaluations: int
 
 
 def _resolve(v, mp):
@@ -103,12 +122,12 @@ def _ts_node(mp, half_pi, t):
     return (2 * e / d, w), w  # 1 - tanh u, formed without cancellation
 
 
-def _ts_terms(f, node, lo, hi, rad):
+def _ts_points(node, lo, hi, rad):
     c, w = node  # x = lo + rad c and, for t > 0, its mirror x = hi - rad c
     xc = rad * c
     if c == 1:
-        return (w * _call(f, lo + xc, -xc),)
-    return (w * _call(f, lo + xc, -xc), w * _call(f, hi - xc, xc))
+        return ((w, lo + xc, -xc),)
+    return ((w, lo + xc, -xc), (w, hi - xc, xc))
 
 
 def _es_node(mp, half_pi, t):
@@ -117,21 +136,21 @@ def _es_node(mp, half_pi, t):
     return (eu, 1 / eu, coshfac), coshfac / eu
 
 
-def _es_terms(f, node, lo, _hi, _scale):
+def _es_points(node, lo, _hi, _scale):
     eu, ieu, coshfac = node  # x = lo + eu and, for t > 0, its mirror x = lo + 1/eu
     if eu == 1:
-        return (coshfac * _call(f, lo + 1, -1),)
-    return (coshfac * eu * _call(f, lo + eu, -eu), coshfac * ieu * _call(f, lo + ieu, -ieu))
+        return ((coshfac, lo + 1, -1),)
+    return ((coshfac * eu, lo + eu, -eu), (coshfac * ieu, lo + ieu, -ieu))
 
 
-# kind -> (node, scale, terms): node(mp, half_pi, t) is (node, weight), and a
-# table ends once weight < its cutoff (and t > 3); scale(lo, hi) is the
-# panel's length scale; terms(f, node, lo, hi, scale) are a node's weighted
-# integrand values, its mirror's included.  A level's sum is multiplied by
-# h * scale.
+# kind -> (node, scale, points): node(mp, half_pi, t) is (node, weight), and
+# a table ends once weight < its cutoff (and t > 3); scale(lo, hi) is the
+# panel's length scale; points(node, lo, hi, scale) are the (weight, x, xc)
+# of a node and of its mirror.  A level's sum of weight * f(x, xc) is
+# multiplied by h * scale.
 _TRANSFORMS = {
-    "tanh-sinh": (_ts_node, lambda lo, hi: (hi - lo) / 2, _ts_terms),
-    "exp-sinh": (_es_node, lambda lo, hi: 1, _es_terms),
+    "tanh-sinh": (_ts_node, lambda lo, hi: (hi - lo) / 2, _ts_points),
+    "exp-sinh": (_es_node, lambda lo, hi: 1, _es_points),
 }
 
 
@@ -188,12 +207,14 @@ def offset(mp, end):
 
 
 def _call(f, x, xc):
+    """f(x, xc), checked: the value, or each component of a tuple, is finite."""
     try:
         v = f(x, xc)
     except (ArithmeticError, ValueError, ZeroDivisionError) as exc:
         raise IntegrandFailureError(f"integrand raised at x = {x}{_at_end(x, xc)}: {exc}") from exc
-    if not mpmath.isfinite(v):
-        raise IntegrandFailureError(f"integrand returned {v} at x = {x}{_at_end(x, xc)}")
+    for c in v if type(v) is tuple else (v,):
+        if not mpmath.isfinite(c):
+            raise IntegrandFailureError(f"integrand returned {c} at x = {x}{_at_end(x, xc)}")
     return v
 
 
@@ -205,38 +226,48 @@ def _at_end(x, xc):
 
 
 def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level):
-    """Refine one panel level by level; returns (value, error estimate, level)."""
-    _, scale_of, terms = _TRANSFORMS[kind]
+    """Refine one panel level by level.
+
+    Returns (values, error estimates, level, calls, vector): one value and
+    one estimate per component of f, the level reached, the integrand calls
+    made and whether f returned a tuple.
+    """
+    _, scale_of, points = _TRANSFORMS[kind]
     scale = scale_of(lo, hi)
     negligible = negligible / scale  # a term w f is negligible once scale |w f| is
-    prev = None
-    total = None
-    err = None
+    prev = total = err = None
+    calls = 0
+    vector = False
     for level in range(max_level + 1):
         h = mp.mpf(2) ** (-level)
-        s = mp.mpf(0)
+        s = None
         nodes, tail = _level_nodes(mp, kind, level, cutoff)
         for i, node in enumerate(nodes):
-            values = terms(f, node, lo, hi, scale)
-            for v in values:
-                s += v
-            if i >= tail and all(abs(v) < negligible for v in values):
+            small = i >= tail
+            for w, x, xc in points(node, lo, hi, scale):
+                v = _call(f, x, xc)
+                calls += 1
+                vector = type(v) is tuple
+                terms = [w * c for c in v] if vector else [w * v]
+                s = terms if s is None else [a + b for a, b in zip(s, terms)]
+                small = small and all(abs(c) < negligible for c in terms)
+            if small:
                 break
-        new = s * h * scale
-        total = new if level == 0 else total / 2 + new
+        new = [c * h * scale for c in s]
+        total = new if level == 0 else [t / 2 + c for t, c in zip(total, new)]
         if level >= 1:
-            err = abs(total - prev)
-            if level >= min_level and err <= target:
-                return total, err, level
+            err = [abs(t - p) for t, p in zip(total, prev)]
+            if level >= min_level and max(err) <= target:
+                return total, err, level, calls, vector
         prev = total
-    return total, err, max_level
+    return total, err, max_level, calls, vector
 
 
 def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX_LEVEL,
               min_level: int = 2) -> QuadResult:
-    """Integrate spec to ctx.quad_target absolute error.
+    """Integrate spec to ctx.quad_target absolute error in every component.
 
-    Raises NonConvergenceError if any panel hits the level cap with its
+    Raises NonConvergenceError if any panel hits the level cap with an
     error estimate above target, and IntegrandFailureError if the integrand
     raises or returns a non-finite value.
     """
@@ -259,27 +290,31 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
     npanels = len(edges) - 1
     target = mp.convert(ctx.quad_target) / npanels
 
-    value = mp.mpf(0)
-    err_total = mp.mpf(0)
-    deepest = 0
+    values = errs = None
+    deepest = evaluations = 0
     for a, b in zip(edges, edges[1:]):
         kind = "exp-sinh" if mp.isinf(b) else "tanh-sinh"
-        v, e, lev = _panel(f, mp, kind, a, b, cutoff, negligible, target, max_level, min_level)
-        if e is None or e > target:
+        v, e, lev, calls, vector = _panel(f, mp, kind, a, b, cutoff, negligible, target,
+                                          max_level, min_level)
+        if e is None or max(e) > target:
             raise NonConvergenceError(
                 f"{spec.integrand_id}: panel ({a}, {b}) stopped at level {lev} "
-                f"with estimate {mp.nstr(e, 5) if e is not None else 'n/a'} above target")
-        value = value + v
-        err_total = err_total + e
+                f"with estimate {mp.nstr(max(e), 5) if e is not None else 'n/a'} above target")
+        values = v if values is None else [x + y for x, y in zip(values, v)]
+        errs = e if errs is None else [x + y for x, y in zip(errs, e)]
         deepest = max(deepest, lev)
+        evaluations += calls
 
-    # the returned value is rounded to ctx.digits, so the estimate can
+    # each returned value is rounded to ctx.digits, so its estimate can
     # never honestly sit below that representation error
-    floor = (1 + abs(value)) * mp.mpf(10) ** (-ctx.digits)
+    unit = mp.mpf(10) ** (-ctx.digits)
+    errs = [max(e, (1 + abs(v)) * unit) for v, e in zip(values, errs)]
+    values = tuple(ctx.reduce(v) for v in values)
+    errs = tuple(ctx.reduce(e) for e in errs)
     return QuadResult(
-        value=ctx.reduce(value),
-        err_estimate=ctx.reduce(max(err_total, floor)),
+        value=values if vector else values[0],
+        err_estimate=errs if vector else errs[0],
         panels=npanels,
         levels=deepest,
+        evaluations=evaluations,
     )
-

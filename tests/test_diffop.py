@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from multiell import (DomainError, IntegralSpec, apply_annihilator_fd,
+from multiell import (DomainError, apply_annihilator_fd,
                       integrate, laplace_residual, laplace_residual_of,
                       ode_annihilator_residual,
                       ode_annihilator_residual_closed_form)
 from multiell.fd import richardson_derivative
-from multiell.kernels import generating_weight, weighted_kernel
+from multiell.kernels import generating_weight, weighted_kernel_spec
 
 
 def test_weight_derivatives_match_finite_differences(ctx):
@@ -21,9 +21,9 @@ def test_weight_derivatives_match_finite_differences(ctx):
         x = mp.mpf(rng.uniform(0.05, 0.95))
         a = mp.mpf(rng.uniform(0.05, 0.9))
         for order in (1, 2, 3):
-            direct = generating_weight(mp, a, order)(x, 1 - x)
+            direct = generating_weight(mp, a, order)(x, 1 - x)[order]
             fd = richardson_derivative(
-                lambda t: generating_weight(mp, t, order - 1)(x, 1 - x), a, 1, h)
+                lambda t: generating_weight(mp, t, order - 1)(x, 1 - x)[order - 1], a, 1, h)
             assert abs(direct - fd) <= mp.mpf(10) ** -30 * max(1, abs(direct))
 
 
@@ -46,6 +46,19 @@ def test_ode_residual_negative_control(ctx):
 def test_ode_residual_small_parameter_trend(ctx, a_str):
     res = ode_annihilator_residual(ctx.mp.mpf(a_str), ctx)
     assert res.passed
+
+
+def test_ode_residual_is_one_integral(ctx, monkeypatch):
+    # the weight and its three a-derivatives share one K value per node
+    import multiell.diffop as diffop
+    results = []
+
+    def recording(spec, ctx, **kw):
+        results.append(integrate(spec, ctx, **kw))
+        return results[-1]
+    monkeypatch.setattr(diffop, "integrate", recording)
+    assert ode_annihilator_residual(ctx.mp.mpf("0.5"), ctx).passed
+    assert [(len(r.value), r.evaluations) for r in results] == [(4, 894)]
 
 
 def test_ode_residual_domain(ctx):
@@ -116,15 +129,10 @@ def test_differentiation_under_the_integral(ctx, a_str):
     mp = ctx.mp
     a = mp.mpf(a_str)
 
-    def weighted_spec(av, order):
-        return IntegralSpec("weighted_kernel", (av, order), (0, 1),
-                            lambda emp, v, o: weighted_kernel(emp, v, int(o)),
-                            singular_points=(0.5,))
-
-    direct = integrate(weighted_spec(a, 1), ctx).value
+    direct = integrate(weighted_kernel_spec((a,), 1), ctx).value[1]
     h = mp.mpf(10) ** (-(ctx.digits // 5))
-    samples = {}
-    for k in (-2, -1, 1, 2):
-        samples[k] = integrate(weighted_spec(a + k * h, 0), ctx).value
+    steps = (-2, -1, 1, 2)
+    samples = dict(zip(steps, integrate(
+        weighted_kernel_spec(tuple(a + k * h for k in steps)), ctx).value))
     fd = (samples[-2] - 8 * samples[-1] + 8 * samples[1] - samples[2]) / (12 * h)
     assert abs(fd - direct) <= mp.mpf(10) ** (-(ctx.digits // 3)) * abs(direct)

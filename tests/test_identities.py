@@ -103,6 +103,18 @@ def test_sweep_grid(ctx30):
     assert abs(reports[1].params["a"] - mp.mpf("0.1")) <= mp.mpf(10) ** -28
 
 
+def test_batched_sweep_matches_single_verifies(ctx):
+    # the sweep integrates all nine points as one vector integral
+    reports = sweep("I1", "a", "0.1", "0.8", 9, ctx)
+    assert len(reports) == 9
+    for r in reports:
+        single = verify("I1", {"a": r.params["a"]}, ctx)
+        assert r.passed and single.passed
+        assert abs(r.lhs_value - single.lhs_value) <= ctx.pass_tol
+        assert abs(r.lhs_value - r.rhs_value) <= 10 * r.err_estimate
+        assert r.rhs_value == single.rhs_value
+
+
 def test_sweep_validation(ctx):
     with pytest.raises(DomainError):
         sweep("I1", "a", 0, 0, 2, ctx)  # degenerate range

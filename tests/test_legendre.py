@@ -86,6 +86,20 @@ def test_gram_matrix(ctx):
     assert abs(gram[4][4] - mp.one / 9) <= tol
 
 
+def test_gram_matrix_is_one_integral(ctx, monkeypatch):
+    # P_0..P_12 are evaluated once per node for all 91 products
+    import multiell.legendre as legendre
+    results = []
+
+    def recording(spec, ctx, **kw):
+        results.append(integrate(spec, ctx, **kw))
+        return results[-1]
+    monkeypatch.setattr(legendre, "integrate", recording)
+    gram = orthogonality_gram(12, ctx)
+    assert [(len(r.value), r.evaluations) for r in results] == [(91, 589)]
+    assert gram[12][3] is gram[3][12] is results[0].value[78 + 3]
+
+
 def test_gram_cost_guard(ctx):
     with pytest.raises(DomainError):
         orthogonality_gram(21, ctx)

@@ -8,7 +8,7 @@ from multiell.kernels import (axial_kernel, complex_kernel_r3,
                               complex_kernel_r7, k_of_x,
                               ratio_kernel_2sqrt2, re_k_semi_infinite_kernel,
                               signed_kernel_4sqrt2, singular_value_kernel_r4,
-                              special_case_kernel, weighted_kernel)
+                              special_case_kernel, weighted_kernel_spec)
 
 HALF = 0.5
 
@@ -43,11 +43,8 @@ def test_weighted_kernel_against_series_oracle(ctx):
         term *= -(a * a) * r3 ** 3
         acc += term
     oracle = mp.pi ** 2 / 4 * acc
-    spec = IntegralSpec("weighted_kernel", (a, 0), (0, 1),
-                        lambda emp, av, ov: weighted_kernel(emp, av, int(ov)),
-                        singular_points=(HALF,))
-    r = integrate(spec, ctx)
-    assert abs(r.value - oracle) <= ctx.pass_tol
+    (value,) = integrate(weighted_kernel_spec((a,)), ctx).value
+    assert abs(value - oracle) <= ctx.pass_tol
 
 
 def test_split_symmetry(ctx):
@@ -124,10 +121,7 @@ def test_node_sets_are_pinned(ctx, spec, calls, levels):
 
 def _catalog_specs(ctx):
     mp = ctx.mp
-    half_a = mp.mpf("0.5")
-    yield IntegralSpec("weighted_kernel", (half_a, 0), (0, 1),
-                       lambda emp, a, o: weighted_kernel(emp, a, int(o)),
-                       singular_points=(HALF,))
+    yield weighted_kernel_spec((mp.mpf("0.5"),), 3)
     yield plain_spec()
     yield IntegralSpec("ratio_kernel_2sqrt2", (), (0, 1),
                        lambda emp: ratio_kernel_2sqrt2(emp), singular_points=(HALF,))
@@ -149,11 +143,16 @@ def _catalog_specs(ctx):
                        axial_kernel, singular_points=((lambda emp: emp.atan(emp.one)),))
 
 
+def _components(value):
+    return value if isinstance(value, tuple) else (value,)
+
+
 def test_level_doubling_stays_within_estimate(ctx):
     for spec in _catalog_specs(ctx):
         r1 = integrate(spec, ctx)
         r2 = integrate(spec, ctx, min_level=r1.levels + 1)
-        assert abs(r2.value - r1.value) <= r1.err_estimate, spec.integrand_id
+        for v2, v1, e1 in zip(*map(_components, (r2.value, r1.value, r1.err_estimate))):
+            assert abs(v2 - v1) <= e1, spec.integrand_id
 
 
 @pytest.mark.parametrize("c_str", ["0.5", "1", "2"])
@@ -219,6 +218,74 @@ def test_integrand_ignoring_xc_fails_at_its_split(ctx, singular_at_half, message
     spec = IntegralSpec("no_xc", (), (0, 1), singular_at_half, singular_points=(HALF,))
     with pytest.raises(IntegrandFailureError, match=message):
         integrate(spec, ctx)
+
+
+def _mixed_factory(mp):
+    # components of different difficulty: the log-singular K kernel, a
+    # smooth polynomial and K under a peaked weight
+    k = k_of_x(mp)
+    def f(x, xc):
+        kx = k(x, xc)
+        return kx, x * x, kx / (mp.mpf("0.01") + (x - mp.mpf("0.3")) ** 2)
+    return f
+
+
+def _component_spec(j):
+    def factory(mp):
+        f = _mixed_factory(mp)
+        return lambda x, xc: f(x, xc)[j]
+    return IntegralSpec(f"component_{j}", (), (0, 1), factory, singular_points=(HALF,))
+
+
+def test_vector_integral_matches_its_scalar_components(ctx):
+    vector = integrate(IntegralSpec("mixed", (), (0, 1), _mixed_factory,
+                                    singular_points=(HALF,)), ctx)
+    scalars = [integrate(_component_spec(j), ctx) for j in range(3)]
+    assert len(vector.value) == len(vector.err_estimate) == 3
+    for v, e, s in zip(vector.value, vector.err_estimate, scalars):
+        assert abs(v - s.value) <= e + s.err_estimate
+    assert vector.levels == max(s.levels for s in scalars)
+    assert vector.panels == 2
+    # one node set for all three: no more calls than the hardest component's
+    assert vector.evaluations == max(s.evaluations for s in scalars)
+
+
+def test_one_tuple_integrand_yields_one_tuples(ctx):
+    def one_tuple(mp):
+        k = k_of_x(mp)
+        return lambda x, xc: (k(x, xc),)
+    r = integrate(dataclasses.replace(plain_spec(), factory=one_tuple), ctx)
+    scalar = integrate(plain_spec(), ctx)
+    assert isinstance(r.value, tuple) and isinstance(r.err_estimate, tuple)
+    assert (r.value, r.err_estimate) == ((scalar.value,), (scalar.err_estimate,))
+    assert (r.levels, r.evaluations) == (scalar.levels, scalar.evaluations)
+
+
+def test_nan_in_one_component_is_an_integrand_failure(ctx):
+    spec = IntegralSpec("nan_component", (), (0, 1),
+                        lambda mp: (lambda x, xc: (mp.one, x if x < 0.7 else mp.nan)))
+    with pytest.raises(IntegrandFailureError, match="returned nan"):
+        integrate(spec, ctx)
+
+
+def test_evaluations_counts_integrand_calls(ctx):
+    count = [0]
+
+    def counting(mp):
+        k = k_of_x(mp)
+        def f(x, xc):
+            count[0] += 1
+            return k(x, xc)
+        return f
+    r = integrate(dataclasses.replace(plain_spec(), factory=counting), ctx)
+    assert r.evaluations == count[0] == 602
+
+
+def test_k_singular_point_is_an_integrand_failure(ctx):
+    # without the split, the centre node is x = 1/2, where K(1) is infinite:
+    # K must refuse at once rather than run the AGM to its iteration cap
+    with pytest.raises(IntegrandFailureError, match="singularity"):
+        integrate(plain_spec(singular=()), ctx)
 
 
 def test_spec_validation(ctx):

@@ -1,11 +1,11 @@
 import pytest
 
-from multiell import (DomainError, IntegralSpec, SeriesId,
+from multiell import (DomainError, SeriesId,
                       clausen_sum, clausen_sum_da, ellipk,
                       generating_integral_closed_form, integrate,
                       legendre_sum, linear_bridge, ramanujan_sum,
                       ramanujan_target)
-from multiell.kernels import weighted_kernel
+from multiell.kernels import weighted_kernel_spec
 from multiell.series import bridge_from_data
 
 
@@ -28,11 +28,8 @@ def test_clausen_matches_squared_k_closed_form(ctx):
 def test_clausen_matches_quadrature(ctx):
     mp = ctx.mp
     a = mp.mpf("0.5")
-    spec = IntegralSpec("weighted_kernel", (a, 0), (0, 1),
-                        lambda emp, av, ov: weighted_kernel(emp, av, int(ov)),
-                        singular_points=(0.5,))
-    quad = integrate(spec, ctx)
-    assert abs(clausen_sum(a, 300, ctx) - 4 / mp.pi ** 2 * quad.value) <= ctx.pass_tol
+    (value,) = integrate(weighted_kernel_spec((a,)), ctx).value
+    assert abs(clausen_sum(a, 300, ctx) - 4 / mp.pi ** 2 * value) <= ctx.pass_tol
 
 
 def test_clausen_domain(ctx):

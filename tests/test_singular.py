@@ -1,10 +1,10 @@
 import pytest
 
-from multiell import (DomainError, IntegralSpec, PrecisionContext, ellipk,
+from multiell import (DomainError, PrecisionContext, ellipk,
                       ellipk_complementary, gamma,
                       generating_integral_closed_form, integrate, lambda_star,
                       rhs_constant, singular_value_residual)
-from multiell.kernels import weighted_kernel
+from multiell.kernels import weighted_kernel_spec
 
 # frozen from the reflection/multiplication-verified library gamma at 70 digits
 FROZEN = {
@@ -76,10 +76,8 @@ def test_closed_form_bridge_r4(ctx):
 def test_quadrature_bridge_r4(ctx):
     mp = ctx.mp
     a = 1 / mp.sqrt(8)
-    spec = IntegralSpec("weighted_kernel", (a, 0), (0, 1),
-                        lambda emp, av, ov: weighted_kernel(emp, av, int(ov)),
-                        singular_points=(0.5,))
-    assert abs(integrate(spec, ctx).value - rhs_constant("I3", ctx)) <= ctx.pass_tol
+    (value,) = integrate(weighted_kernel_spec((a,)), ctx).value
+    assert abs(value - rhs_constant("I3", ctx)) <= ctx.pass_tol
 
 
 def test_squared_k_bridge_r3(ctx):
