@@ -65,6 +65,31 @@ def _ode_combine(mp, a, derivs, zeroth_factor):
     return residual, scale
 
 
+def weighted_derivatives(a_values, ctx: PrecisionContext, *, max_level: int = MAX_LEVEL):
+    """The weighted K-kernel integral and its first three a-derivatives at each a.
+
+    One vector quadrature of the analytically differentiated weight over
+    all of a_values, sharing each K value; returns one list of the four
+    values per a, in the order of a_values.
+    """
+    mp = ctx.mp
+    result = integrate(kernels.weighted_kernel_spec(a_values, 3), ctx, max_level=max_level)
+    values = [mp.convert(v) for v in result.value]
+    return [values[4 * i:4 * i + 4] for i in range(len(a_values))]
+
+
+def ode_residual_of(a, derivs, ctx: PrecisionContext, *, corrupted: bool = False) -> OdeResidual:
+    """The third-order operator's residual at a, from the integral's four derivatives.
+
+    The tolerance is quadrature-limited, 10^(-digits/2) relative to scale.
+    With ``corrupted`` the zeroth-order coefficient a is replaced by 2a.
+    """
+    mp = ctx.mp
+    residual, scale = _ode_combine(mp, a, derivs, 2 if corrupted else 1)
+    tol = mp.mpf(10) ** (-(ctx.digits // 2)) * scale
+    return OdeResidual(a, +residual, +scale, +tol, residual <= tol)
+
+
 def ode_annihilator_residual(a, ctx: PrecisionContext, *, corrupted: bool = False,
                              max_level: int = MAX_LEVEL) -> OdeResidual:
     """Apply the third-order operator to the weighted K-kernel integral.
@@ -79,11 +104,8 @@ def ode_annihilator_residual(a, ctx: PrecisionContext, *, corrupted: bool = Fals
     a = mp.convert(a)
     if not 0 < a < 1:
         raise DomainError(f"operator check requires a in (0, 1), got {a}")
-    result = integrate(kernels.weighted_kernel_spec((a,), 3), ctx, max_level=max_level)
-    derivs = [mp.convert(v) for v in result.value]
-    residual, scale = _ode_combine(mp, a, derivs, 2 if corrupted else 1)
-    tol = mp.mpf(10) ** (-(ctx.digits // 2)) * scale
-    return OdeResidual(a, +residual, +scale, +tol, residual <= tol)
+    derivs, = weighted_derivatives((a,), ctx, max_level=max_level)
+    return ode_residual_of(a, derivs, ctx, corrupted=corrupted)
 
 
 def apply_annihilator_fd(f, a, ctx: PrecisionContext, *, zeroth_factor=1):

@@ -10,6 +10,15 @@ negative numbers.  Regimes:
   m > 1          complex value, continuous from im(m) < 0, so im(K) <= 0;
                  Re K(m) = K(1/m)/sqrt(m)
 
+Every AGM runs in one integer core, ``agm1_mp``: agm(1, kc) on Python ints
+scaled by 2^wp, with one ``math.isqrt`` per step (Brent & Zimmermann,
+*Modern Computer Arithmetic*, 4.8).  kc is converted in once and the mean
+out once, so no step pays for mpf objects.  wp is the context's precision
+plus 20 guard bits plus the binary exponent of 1/kc when kc < 1: a small kc
+scaled by 2^wp must keep all its bits, or K near m = 1 loses the digits
+that its logarithm magnifies.  Integer differences shrink strictly while
+they exceed 1, so the loop needs no iteration cap.
+
 The module-level functions take a PrecisionContext; the ``*_mp`` helpers
 operate directly inside an mpmath context and exist for integrands that
 run at the quadrature engine's internal precision.
@@ -18,22 +27,23 @@ run at the quadrature engine's internal precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
-from .errors import DomainError, NonConvergenceError, SingularityError
+from .errors import DomainError, SingularityError
 from .precision import PrecisionContext
 from .series import _ratio_series
 
-_AGM_MAXITER = 1000
 
-
-def agm_mp(mp, a, b):
-    """Common limit of the arithmetic-geometric iteration inside context mp."""
-    eps = mp.mpf(10) ** (-(mp.dps - 3))
-    for _ in range(_AGM_MAXITER):
-        if abs(a - b) <= eps * abs(a):
-            return (a + b) / 2
-        a, b = (a + b) / 2, mp.sqrt(a * b)
-    raise NonConvergenceError("AGM iteration failed to converge")
+def agm1_mp(mp, kc):
+    """agm(1, kc) for an mpf kc > 0, returned as an mpf of context mp."""
+    _, man, exp, bc = kc._mpf_
+    wp = mp.prec + 20 + max(0, -(exp + bc))
+    shift = wp + exp
+    a = 1 << wp
+    b = man << shift if shift >= 0 else man >> -shift
+    while abs(a - b) > 1:
+        a, b = (a + b) >> 1, isqrt(a * b)
+    return mp.mpf((a, -wp))
 
 
 def agm(a, b, ctx: PrecisionContext):
@@ -43,22 +53,28 @@ def agm(a, b, ctx: PrecisionContext):
     b = hi.mp.convert(b)
     if not (a > 0 and b > 0):
         raise DomainError(f"agm requires positive arguments, got {a}, {b}")
-    return ctx.reduce(agm_mp(hi.mp, a, b))
+    return ctx.reduce(a * agm1_mp(hi.mp, b / a))
 
 
 def ellipk_real_mp(mp, m, *, kc=None):
     """K at parameter m < 1 inside context mp (real value).
 
-    kc is the complementary modulus sqrt(1 - m).  A caller that can form it
-    without cancellation passes it; K then carries full relative precision
-    as m -> 1, however small kc is.  Without kc it is sqrt(1 - m).  kc = 0
-    (m = 1) is K's singular point and raises SingularityError.
+    kc is the complementary modulus sqrt(1 - m) > 0.  A caller that can
+    form it without cancellation passes it; K then carries full relative
+    precision as m -> 1, however small kc is.  Without kc it is
+    sqrt(1 - m), and m > 1 raises DomainError (ellipk_mp is the complex
+    route).  kc < 0 raises DomainError; kc = 0 (m = 1) is K's singular
+    point and raises SingularityError.
     """
     if kc is None:
+        if m > 1:
+            raise DomainError(f"ellipk_real_mp requires m <= 1, got {m}")
         kc = mp.sqrt(1 - m)
-    if not kc:
+    if kc <= 0:
+        if kc:
+            raise DomainError(f"complementary modulus must be positive, got {kc}")
         raise SingularityError("K has a non-removable singularity at m = 1")
-    return mp.pi / (2 * agm_mp(mp, mp.one, kc))
+    return mp.pi / (2 * agm1_mp(mp, kc))
 
 
 def ellipk_mp(mp, m):

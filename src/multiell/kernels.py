@@ -38,10 +38,21 @@ from .quadrature import INF, IntegralSpec, offset
 
 
 def k_of_x(mp):
-    """K(2 sqrt(x(1-x))) as a function on (0,1); singular at x = 1/2."""
+    """K(2 sqrt(x(1-x))) as a function on (0,1); singular at x = 1/2.
+
+    K is memoised on kc = 2|1/2 - x|, one memo per factory call (so per
+    integral): the panels (0, 1/2) and (1/2, 1) place mirror-image nodes,
+    and many of them share an exact kc.
+    """
     to_half = offset(mp, mp.mpf(0.5))
+    memo = {}
+
     def f(x, xc):
-        return ellipk_real_mp(mp, 4 * x * (1 - x), kc=2 * abs(to_half(x, xc)))
+        kc = 2 * abs(to_half(x, xc))
+        k = memo.get(kc)
+        if k is None:
+            k = memo[kc] = ellipk_real_mp(mp, 4 * x * (1 - x), kc=kc)
+        return k
     return f
 
 

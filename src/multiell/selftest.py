@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import kernels
-from .diffop import laplace_residual, laplace_residual_of, ode_annihilator_residual
+from .diffop import laplace_residual, laplace_residual_of, ode_residual_of, weighted_derivatives
 from .elliptic import ellipk
 from .legendre import orthogonality_gram
 from .precision import PrecisionContext
@@ -73,24 +74,40 @@ def _singular_check(ctx):
     return worst <= ctx.pass_tol, f"max residual {mp.nstr(worst, 3)} (tol {mp.nstr(ctx.pass_tol, 3)})"
 
 
+@lru_cache(maxsize=1)
+def _ode_grid(ctx):
+    """((a, derivatives 0..3 of the weighted integral at a)) over ODE_GRID.
+
+    One 36-component integral, shared by the grid check and the negative
+    control; the cache keeps only the latest run's context and grid.
+    """
+    a_values = [ctx.mp.mpf(a) for a in ODE_GRID]
+    return tuple(zip(a_values, map(tuple, weighted_derivatives(a_values, ctx))))
+
+
 def _ode_grid_check(ctx):
     mp = ctx.mp
     worst_ratio = mp.zero
-    for a in ODE_GRID:
-        res = ode_annihilator_residual(mp.mpf(a), ctx)
+    for a, derivs in _ode_grid(ctx):
+        res = ode_residual_of(a, derivs, ctx)
         if not res.passed:
             return False, f"residual {mp.nstr(res.residual, 3)} at a={a} exceeds {mp.nstr(res.tolerance, 3)}"
         worst_ratio = max(worst_ratio, res.residual / res.scale)
     return True, f"max residual/scale {mp.nstr(worst_ratio, 3)} over a in {{0.1..0.9}}"
 
 
-def _ode_control_check(ctx):
+def _control_verdict(ctx, clean, bad):
+    """The corrupted operator's residual must exceed the clean one by CONTROL_RATIO."""
     mp = ctx.mp
-    clean = ode_annihilator_residual(mp.mpf("0.5"), ctx)
-    bad = ode_annihilator_residual(mp.mpf("0.5"), ctx, corrupted=True)
-    floor = max(clean.residual, mp.mpf(10) ** (-(2 * ctx.digits)))
-    ratio = bad.residual / floor
+    ratio = bad / max(clean, mp.mpf(10) ** (-(2 * ctx.digits)))
     return ratio >= CONTROL_RATIO, f"corrupted/clean residual ratio {mp.nstr(ratio, 3)}"
+
+
+def _ode_control_check(ctx):
+    a, derivs = _ode_grid(ctx)[ODE_GRID.index("0.5")]
+    clean = ode_residual_of(a, derivs, ctx)
+    bad = ode_residual_of(a, derivs, ctx, corrupted=True)
+    return _control_verdict(ctx, clean.residual, bad.residual)
 
 
 def _laplace_grid_check(ctx):
@@ -113,9 +130,7 @@ def _laplace_control_check(ctx):
     theta = mp.pi / 4
     clean = laplace_residual(theta, mp.one, mp.one, ctx)
     bad = laplace_residual(theta, mp.one, mp.one, ctx, corrupted=True)
-    floor = max(clean.residual, mp.mpf(10) ** (-(2 * ctx.digits)))
-    ratio = bad.residual / floor
-    return ratio >= CONTROL_RATIO, f"corrupted/clean residual ratio {mp.nstr(ratio, 3)}"
+    return _control_verdict(ctx, clean.residual, bad.residual)
 
 
 def _harmonic_reference_check(ctx):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from multiell import (DomainError, apply_annihilator_fd,
+from multiell import (DomainError, PrecisionContext, apply_annihilator_fd,
                       integrate, laplace_residual, laplace_residual_of,
                       ode_annihilator_residual,
                       ode_annihilator_residual_closed_form)
@@ -59,6 +59,22 @@ def test_ode_residual_is_one_integral(ctx, monkeypatch):
     monkeypatch.setattr(diffop, "integrate", recording)
     assert ode_annihilator_residual(ctx.mp.mpf("0.5"), ctx).passed
     assert [(len(r.value), r.evaluations) for r in results] == [(4, 894)]
+
+
+def test_selftest_ode_checks_share_one_integral(monkeypatch):
+    # the grid check and its negative control integrate all nine a at once
+    import multiell.diffop as diffop
+    from multiell import selftest
+    results = []
+
+    def recording(spec, ctx, **kw):
+        results.append(integrate(spec, ctx, **kw))
+        return results[-1]
+    monkeypatch.setattr(diffop, "integrate", recording)
+    run = PrecisionContext(30)
+    assert selftest._ode_grid_check(run)[0]
+    assert selftest._ode_control_check(run)[0]
+    assert [len(r.value) for r in results] == [4 * len(selftest.ODE_GRID)]
 
 
 def test_ode_residual_domain(ctx):

@@ -4,6 +4,7 @@ from multiell import (DomainError, EllipticParameter, IntegralSpec,
                       SingularityError, agm, ellipk, ellipk_complementary,
                       ellipk_series, generating_integral_closed_form,
                       integrate)
+from multiell.elliptic import ellipk_mp, ellipk_real_mp
 from multiell.quadrature import offset
 
 
@@ -83,6 +84,22 @@ def test_agm_sqrt2_matches_quadrature_at_negative_parameter(ctx):
 def test_ellipk_at_zero(ctx):
     mp = ctx.mp
     assert abs(ellipk(0, ctx) - mp.pi / 2) <= mp.mpf(10) ** (-ctx.digits + 2)
+
+
+def test_real_route_rejects_super_unit_parameter(ctx):
+    # m > 1 has a complex K: the real route refuses it, the complex one serves it
+    mp = ctx.mp
+    with pytest.raises(DomainError):
+        ellipk_real_mp(mp, mp.mpf(2))
+    assert ellipk_mp(mp, mp.mpf(2)).imag < 0
+
+
+def test_real_route_rejects_negative_complementary_modulus(ctx):
+    mp = ctx.mp
+    with pytest.raises(DomainError):
+        ellipk_real_mp(mp, mp.mpf("0.75"), kc=-mp.mpf("0.5"))
+    with pytest.raises(SingularityError):
+        ellipk_real_mp(mp, mp.one, kc=mp.zero)
 
 
 def test_ellipk_singularity():

@@ -5,20 +5,25 @@ independent mpmath function evaluated 10 digits higher.  Partial sums take
 enough terms that their truncated tail sits below the tolerance.  K near
 its logarithmic singularity is evaluated at the quadrature engine's
 precision for 50 working digits and compared with mpmath's ellipk at 200
-digits.
+digits.  The integer AGM core behind K and the public agm is compared
+with mpmath's ellipk and agm over many decades of kc, a and b, at working
+precisions from 30 to 320 digits.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_mp import MPContext
 
-from multiell import (DomainError, PrecisionContext, clausen_sum,
-                      clausen_sum_da, ellipk_series, legendre_p, legendre_sum)
+import multiell.kernels as kernels
+from multiell import (DomainError, IntegralSpec, PrecisionContext, agm,
+                      clausen_sum, clausen_sum_da, ellipk_series, integrate,
+                      legendre_p, legendre_sum)
 from multiell.elliptic import ellipk_real_mp, re_k_modulus_mp
 from multiell.kernels import k_of_x
-from multiell.quadrature import GUARD
+from multiell.quadrature import GUARD, offset
 
 CTX = PrecisionContext(30)
 REF = CTX.boosted(10).mp
@@ -122,3 +127,71 @@ def test_re_k_modulus_next_to_modulus_one(k, s):
     xe = EXACT.convert(x)
     ref = EXACT.ellipk(xe * xe) if x < 1 else EXACT.ellipk(1 / (xe * xe)) / xe
     assert k_close(re_k_modulus_mp(ENGINE, x, 1 - x), ref)  # 1 - x is exact here
+
+
+# The integer AGM core: K from kc at `digits` working digits, against
+# mp.ellipk 40 digits higher.  The reference context also carries the
+# 2 log10(1/kc) digits that 1 - kc^2 needs to hold kc at all.
+def context(dps):
+    mp = MPContext()
+    mp.dps = dps
+    return mp
+
+
+def k_from_kc_error(e, digits):
+    """Relative error of K from kc = 10^e at `digits` digits."""
+    mp = context(digits)
+    kc = mp.mpf(10) ** mp.mpf(e)
+    ref_mp = context(digits + 40 + 2 * max(0, math.ceil(-e)))
+    ref = ref_mp.ellipk(1 - ref_mp.convert(kc) ** 2)
+    value = ellipk_real_mp(mp, 1 - kc * kc, kc=kc)
+    return abs(ref_mp.convert(value) - ref) / ref
+
+
+@oracle_settings
+@given(st.floats(min_value=-300, max_value=6), st.sampled_from((30, 70, 140, 320)))
+@example(-300, 320)
+@example(6, 320)
+@example(0.5, 30)  # kc > 1: parameter m < 0
+def test_ellipk_from_kc_across_decades(e, digits):
+    assert k_from_kc_error(e, digits) <= EXACT.mpf(10) ** -digits
+
+
+def test_ellipk_from_tiny_kc_keeps_its_digits():
+    # kc = 1e-19 scaled by 2^(prec + 20) alone keeps only 126 of its 169
+    # bits; the working precision must grow by the exponent of 1/kc
+    assert k_from_kc_error(-19, 50) <= EXACT.mpf(10) ** -50
+
+
+decades = st.floats(min_value=-50, max_value=50)
+
+
+@oracle_settings
+@given(decades, decades)
+def test_agm_against_mpmath(ea, eb):
+    a, b = REF.mpf(10) ** REF.mpf(ea), REF.mpf(10) ** REF.mpf(eb)
+    ref = REF.agm(a, b)
+    assert abs(REF.convert(agm(a, b, CTX)) - ref) <= REF.mpf(10) ** -CTX.digits * ref
+
+
+def test_k_of_x_memo_saves_k_calls(monkeypatch):
+    # mirror-image nodes of the panels (0, 1/2) and (1/2, 1) share an exact
+    # kc, and k_of_x evaluates K once per kc
+    calls = []
+
+    def counting(mp, m, **kw):
+        calls.append(kw["kc"])
+        return ellipk_real_mp(mp, m, **kw)
+    monkeypatch.setattr(kernels, "ellipk_real_mp", counting)
+    ctx = PrecisionContext(WORKING)
+    spec = IntegralSpec("k_of_x", (), (0, 1), k_of_x, singular_points=(0.5,))
+    memoised = integrate(spec, ctx)
+    assert len(calls) < memoised.evaluations
+    assert len(calls) == len(set(calls))
+
+    def unmemoised(mp):
+        to_half = offset(mp, mp.mpf(0.5))
+        return lambda x, xc: ellipk_real_mp(mp, 4 * x * (1 - x), kc=2 * abs(to_half(x, xc)))
+    plain = integrate(IntegralSpec("k_plain", (), (0, 1), unmemoised, singular_points=(0.5,)), ctx)
+    assert memoised.value == plain.value
+    assert memoised.evaluations == plain.evaluations
