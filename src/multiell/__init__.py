@@ -12,8 +12,8 @@ from .diffop import (LaplaceResidual, OdeResidual, apply_annihilator_fd,
                      laplace_residual, laplace_residual_of,
                      ode_annihilator_residual,
                      ode_annihilator_residual_closed_form)
-from .elliptic import (EllipticParameter, agm, ellipk, ellipk_complementary,
-                       ellipk_series, generating_integral_closed_form)
+from .elliptic import (agm, ellipk, ellipk_complementary, ellipk_series,
+                       generating_integral_closed_form)
 from .errors import (BridgeInconsistencyError, DomainError,
                      IntegrandFailureError, NonConvergenceError,
                      OutOfDomainError, SingularityError)
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "PrecisionContext", "const_pi",
     "gamma", "pochhammer",
-    "EllipticParameter", "agm", "ellipk", "ellipk_series",
+    "agm", "ellipk", "ellipk_series",
     "ellipk_complementary", "generating_integral_closed_form",
     "IntegralSpec", "QuadResult", "integrate",
     "INF", "MAX_LEVEL",

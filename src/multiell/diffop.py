@@ -65,6 +65,14 @@ def _ode_combine(mp, a, derivs, zeroth_factor):
     return residual, scale
 
 
+def _ode_point(a, ctx: PrecisionContext):
+    """a in ctx's precision, checked to lie in the operator checks' domain (0, 1)."""
+    a = ctx.mp.convert(a)
+    if not 0 < a < 1:
+        raise DomainError(f"operator check requires a in (0, 1), got {a}")
+    return a
+
+
 def weighted_derivatives(a_values, ctx: PrecisionContext, *, max_level: int = MAX_LEVEL):
     """The weighted K-kernel integral and its first three a-derivatives at each a.
 
@@ -100,10 +108,7 @@ def ode_annihilator_residual(a, ctx: PrecisionContext, *, corrupted: bool = Fals
     (negative control: the residual must then blow up by many orders of
     magnitude).
     """
-    mp = ctx.mp
-    a = mp.convert(a)
-    if not 0 < a < 1:
-        raise DomainError(f"operator check requires a in (0, 1), got {a}")
+    a = _ode_point(a, ctx)
     derivs, = weighted_derivatives((a,), ctx, max_level=max_level)
     return ode_residual_of(a, derivs, ctx, corrupted=corrupted)
 
@@ -131,10 +136,7 @@ def ode_annihilator_residual_closed_form(a, ctx: PrecisionContext) -> OdeResidua
     Certifies that the closed form solves the homogeneous equation; the
     tolerance is FD-truncation-limited, 10^(-digits/3) relative to scale.
     """
-    mp = ctx.mp
-    a = mp.convert(a)
-    if not 0 < a < 1:
-        raise DomainError(f"operator check requires a in (0, 1), got {a}")
+    a = _ode_point(a, ctx)
     work = ctx.boosted(_FD_BOOST)
     residual, scale = apply_annihilator_fd(
         lambda t: generating_integral_closed_form(t, work), a, ctx)

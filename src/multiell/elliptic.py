@@ -1,14 +1,16 @@
 """Complete elliptic integral of the first kind across all parameter regimes.
 
-Internally everything is a function of the parameter m = k^2 (k being the
-modulus), which dissolves any branch ambiguity from square roots of
-negative numbers.  Regimes:
+K's input is its complementary modulus kc = sqrt(1 - m) > 0, m = k^2 being
+the parameter and k the modulus: K = pi / (2 agm(1, kc)).  Each caller
+forms kc from the quantities it holds, without the cancellation that 1 - m
+suffers next to m = 1.  Among the ``*_mp`` helpers only ``ellipk_mp``
+takes m, and it serves every regime:
 
-  m < 0          real value, AGM with sqrt(1-m) > 1
-  0 <= m < 1     real value, pi / (2 agm(1, sqrt(1-m)))
-  m = 1          non-removable singularity (raises)
+  m < 0          real value, kc = sqrt(1-m) > 1
+  0 <= m < 1     real value, kc = sqrt(1-m)
+  m = 1          non-removable singularity (kc = 0 raises)
   m > 1          complex value, continuous from im(m) < 0, so im(K) <= 0;
-                 Re K(m) = K(1/m)/sqrt(m)
+                 K(m) = (K(1/m) - i K(1 - 1/m)) / sqrt(m)
 
 Every AGM runs in one integer core, ``agm1_mp``: agm(1, kc) on Python ints
 scaled by 2^wp, with one ``math.isqrt`` per step (Brent & Zimmermann,
@@ -19,14 +21,13 @@ scaled by 2^wp must keep all its bits, or K near m = 1 loses the digits
 that its logarithm magnifies.  Integer differences shrink strictly while
 they exceed 1, so the loop needs no iteration cap.
 
-The module-level functions take a PrecisionContext; the ``*_mp`` helpers
-operate directly inside an mpmath context and exist for integrands that
-run at the quadrature engine's internal precision.
+The module-level functions take a PrecisionContext and a number m; the
+``*_mp`` helpers operate directly inside an mpmath context and exist for
+integrands that run at the quadrature engine's internal precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
 
 from .errors import DomainError, SingularityError
@@ -56,20 +57,14 @@ def agm(a, b, ctx: PrecisionContext):
     return ctx.reduce(a * agm1_mp(hi.mp, b / a))
 
 
-def ellipk_real_mp(mp, m, *, kc=None):
-    """K at parameter m < 1 inside context mp (real value).
+def ellipk_real_mp(mp, kc):
+    """K = pi / (2 agm(1, kc)) at complementary modulus kc > 0, inside context mp.
 
-    kc is the complementary modulus sqrt(1 - m) > 0.  A caller that can
-    form it without cancellation passes it; K then carries full relative
-    precision as m -> 1, however small kc is.  Without kc it is
-    sqrt(1 - m), and m > 1 raises DomainError (ellipk_mp is the complex
-    route).  kc < 0 raises DomainError; kc = 0 (m = 1) is K's singular
-    point and raises SingularityError.
+    kc is sqrt(1 - m) for the parameter m < 1.  Each caller forms it
+    without cancellation, so K keeps full relative precision as m -> 1,
+    however small kc is.  kc < 0 raises DomainError; kc = 0 (m = 1) is K's
+    singular point and raises SingularityError.
     """
-    if kc is None:
-        if m > 1:
-            raise DomainError(f"ellipk_real_mp requires m <= 1, got {m}")
-        kc = mp.sqrt(1 - m)
     if kc <= 0:
         if kc:
             raise DomainError(f"complementary modulus must be positive, got {kc}")
@@ -78,13 +73,16 @@ def ellipk_real_mp(mp, m, *, kc=None):
 
 
 def ellipk_mp(mp, m):
-    """K at any real parameter m != 1 inside context mp (mpf or mpc)."""
-    if m == 1:
-        raise SingularityError("K has a non-removable singularity at m = 1")
+    """K at any real parameter m != 1 inside context mp (mpf or mpc).
+
+    The one route that takes m: for m > 1 the value is
+    (K(1/m) - i K(1 - 1/m)) / sqrt(m), whose complementary moduli are
+    sqrt(m - 1)/sqrt(m) and 1/sqrt(m).
+    """
     if m < 1:
-        return ellipk_real_mp(mp, m)
+        return ellipk_real_mp(mp, mp.sqrt(1 - m))
     rs = mp.sqrt(m)
-    return mp.mpc(ellipk_real_mp(mp, 1 / m), -ellipk_real_mp(mp, 1 - 1 / m)) / rs
+    return mp.mpc(ellipk_real_mp(mp, mp.sqrt(m - 1) / rs), -ellipk_real_mp(mp, 1 / rs)) / rs
 
 
 def re_k_modulus_mp(mp, x, one_minus_x):
@@ -93,92 +91,64 @@ def re_k_modulus_mp(mp, x, one_minus_x):
     one_minus_x is 1 - x, passed separately because a caller may know it
     more exactly than x itself (a quadrature node's distance to a panel end
     at 1).  The complementary modulus is formed from the factors 1 - x and
-    1 + x, so K keeps full relative precision as x -> 1.
+    1 + x, so K keeps full relative precision as x -> 1; at x = 1 it is 0,
+    K's singular point.
     """
     d = one_minus_x
     if d > 0:
-        return ellipk_real_mp(mp, x * x, kc=mp.sqrt(d * (1 + x)))
-    if d == 0:
-        raise SingularityError("K has a non-removable singularity at modulus 1")
-    return ellipk_real_mp(mp, 1 / (x * x), kc=mp.sqrt(-d * (1 + x)) / x) / x
+        return ellipk_real_mp(mp, mp.sqrt(d * (1 + x)))
+    return ellipk_real_mp(mp, mp.sqrt(-d * (1 + x)) / x) / x
 
 
-NEGATIVE = "negative"
-UNIT_INTERVAL = "unit_interval"
-SUPER_UNIT = "super_unit"
-
-
-@dataclass(frozen=True)
-class EllipticParameter:
-    """Parameter m = k^2 with its regime tag."""
-
-    m: object
-    regime: str = field(init=False)
-
-    def __post_init__(self):
-        if self.m == 1:
-            raise SingularityError("parameter m = 1 is singular")
-        if self.m < 0:
-            tag = NEGATIVE
-        elif self.m < 1:
-            tag = UNIT_INTERVAL
-        else:
-            tag = SUPER_UNIT
-        object.__setattr__(self, "regime", tag)
-
-
-def _param_value(p):
-    return p.m if isinstance(p, EllipticParameter) else p
-
-
-def ellipk(p, ctx: PrecisionContext):
-    """Complete elliptic integral K at parameter m (EllipticParameter or number).
+def ellipk(m, ctx: PrecisionContext):
+    """Complete elliptic integral K at parameter m.
 
     Returns an mpf for m < 1 and an mpc with im <= 0 for m > 1.
     """
     hi = ctx.boosted(10)
-    m = hi.mp.convert(_param_value(p))
-    return ctx.reduce(ellipk_mp(hi.mp, m))
+    return ctx.reduce(ellipk_mp(hi.mp, hi.mp.convert(m)))
 
 
-def ellipk_series(p, n_terms: int, ctx: PrecisionContext):
+def ellipk_series(m, n_terms: int, ctx: PrecisionContext):
     """Maclaurin partial sum of K through the m^N term, for |m| < 1.
 
     K(m) = (pi/2) [1 + sum_{n>=1} ((1/2)_n / (1)_n)^2 m^n]
     """
     hi = ctx.boosted(10)
     mp = hi.mp
-    m = mp.convert(_param_value(p))
+    m = mp.convert(m)
     if not abs(m) < 1:
         raise DomainError(f"the Maclaurin series requires |m| < 1, got {m}")
     return ctx.reduce(mp.pi / 2 * _ratio_series(mp, m, n_terms, power=2))
 
 
-def ellipk_complementary(p, ctx: PrecisionContext):
-    """K at the complementary parameter 1 - m."""
+def ellipk_complementary(m, ctx: PrecisionContext):
+    """K at the complementary parameter 1 - m, singular at m = 0.
+
+    For m > 0 its complementary modulus is sqrt(m), exact however small m
+    is; m < 0 takes the complex route at 1 - m > 1.
+    """
     hi = ctx.boosted(10)
-    m = hi.mp.convert(_param_value(p))
-    if m == 0:
-        raise SingularityError("complementary K is singular at m = 0")
-    return ctx.reduce(ellipk_mp(hi.mp, 1 - m))
+    mp = hi.mp
+    m = mp.convert(m)
+    value = ellipk_real_mp(mp, mp.sqrt(m)) if m >= 0 else ellipk_mp(mp, 1 - m)
+    return ctx.reduce(value)
 
 
 def generating_integral_closed_form(a, ctx: PrecisionContext):
     """Closed form of the K-kernel integral with generating-function weight.
 
-    For 0 <= a <= 1 this is [K(m)]^2 at m = (1 - sqrt(1+a^2))/2; past the
-    critical point a = 1 the value is (1/a) [K(m')]^2 with m' built from
-    1/a^2 (the integral does not continue smoothly across a = 1).
+    For 0 <= a <= 1 this is [K(m)]^2 at m = (1 - sqrt(1+a^2))/2, whose
+    complementary modulus is sqrt((1 + sqrt(1+a^2))/2); past the critical
+    point a = 1 the value is (1/a) [K(m')]^2 with m' built from 1/a^2 (the
+    integral does not continue smoothly across a = 1).
     """
     hi = ctx.boosted(10)
     mp = hi.mp
     a = mp.convert(a)
     if a < 0:
         raise DomainError(f"parameter must be nonnegative, got {a}")
-    if a <= 1:
-        m = (1 - mp.sqrt(1 + a * a)) / 2
-        value = ellipk_real_mp(mp, m) ** 2
-    else:
-        m = (1 - mp.sqrt(1 + 1 / (a * a))) / 2
-        value = ellipk_real_mp(mp, m) ** 2 / a
-    return ctx.reduce(value)
+    scale = max(a, mp.one)  # a/scale^2 is a up to a = 1, then 1/a
+    s = a / (scale * scale)
+    kc = mp.sqrt((1 + mp.sqrt(1 + s * s)) / 2)
+    return ctx.reduce(ellipk_real_mp(mp, kc) ** 2 / scale)

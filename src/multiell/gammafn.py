@@ -2,6 +2,9 @@
 
 Gamma is evaluated with a Spouge-class convergent series whose order is
 chosen from the context's precision; coefficients are cached per order.
+Its alternating sum cancels about 0.13 digits per unit of order, and more
+as x grows: the guard digits grow with the order, and x >= 2 is first
+shifted into [1, 2) by Gamma(x) = (x-1) Gamma(x-1).
 Only positive real arguments are supported (every closed-form constant in
 the identity catalog needs rational positive arguments only).
 """
@@ -12,8 +15,6 @@ import threading
 
 from .errors import DomainError
 from .precision import PrecisionContext
-
-_GUARD = 15  # extra digits absorbing alternating-sum cancellation
 
 _coeff_cache: dict = {}
 _cache_lock = threading.Lock()
@@ -49,19 +50,33 @@ def _gamma_zp1(mp, z, order: int):
 
 
 def gamma(x, ctx: PrecisionContext):
-    """Gamma(x) for x > 0, to roughly ctx.digits relative accuracy."""
-    hi = ctx.boosted(_GUARD)
+    """Gamma(x) for x > 0, to ctx.digits relative accuracy.
+
+    The shift into [1, 2) costs one multiplication per unit of x.
+    """
+    # relative truncation ~ (2*pi)^-(order+1/2); 1.26 ~ ln(10)/ln(2*pi)
+    order = int(1.26 * (ctx.digits + 8)) + 2
+    hi = ctx.boosted(order * 13 // 100 + 10)
     mp = hi.mp
     x = mp.convert(x)
     if not x > 0:
         raise DomainError(f"gamma requires x > 0, got {x}")
-    # relative truncation ~ (2*pi)^-(order+1/2); 1.26 ~ ln(10)/ln(2*pi)
-    order = int(1.26 * (ctx.digits + 8)) + 2
-    if x >= 1:
-        value = _gamma_zp1(mp, x - 1, order)
-    else:
-        value = _gamma_zp1(mp, x, order) / x
-    return ctx.reduce(value)
+    if x < 1:
+        return ctx.reduce(_gamma_zp1(mp, x, order) / x)
+    # Gamma(x) = (z+1)(z+2)...(z+n) Gamma(z+1) with z = x-1-n in [0, 1); the
+    # product is an int mantissa man * 2^exp, cut back to wp bits per factor,
+    # which costs less than the subtraction and product of an mpf step
+    n = int(x) - 1
+    z = x - 1 - n  # exact: z keeps x's last bit's place
+    wp = mp.prec
+    zf = z.to_fixed(wp)
+    man, exp = 1, 0
+    for k in range(1, n + 1):
+        man *= zf + (k << wp)  # (z+k) 2^wp
+        drop = man.bit_length() - wp
+        man >>= drop
+        exp += drop - wp
+    return ctx.reduce(mp.mpf((man, exp)) * _gamma_zp1(mp, z, order))
 
 
 def pochhammer(x, n: int, ctx: PrecisionContext):

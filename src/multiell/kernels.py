@@ -8,11 +8,13 @@ shared code lives below the integrand layer (K itself, square roots) and
 nothing can drift in transcription, with two rewrites that keep the engine
 at digits + GUARD:
 
-* K receives its complementary modulus kc = sqrt(1 - m) in a form without
-  cancellation: 2|1/2 - x| for K(2 sqrt(x(1-x))); sqrt((1-x)(1+x)) and
+* K's one input is its complementary modulus kc = sqrt(1 - m); each kernel
+  forms kc without cancellation and never forms the parameter m:
+  2|1/2 - x| for K(2 sqrt(x(1-x))); sqrt((1-x)(1+x)) and
   sqrt((x-1)(x+1))/x for Re K at modulus x; sqrt((b^2+(c-tan th)^2)/den2)
   for the axial kernel, with c - tan th = tan(atan c - th)(1 + c tan th);
-  |1-x|/(1+x) for K(2 sqrt(x)/(1+x)).
+  |1-x|/(1+x) for K(2 sqrt(x)/(1+x)).  The axial kernel and its (b, c)
+  form for the Laplace check share one body.
 * Next to a panel end at a kernel's singular abscissa, the distance to it
   (1/2 - x, 1 - x, atan c - th) is read from xc through quadrature.offset,
   exact where the rounded x is not; the generating weight is formed as
@@ -51,7 +53,7 @@ def k_of_x(mp):
         kc = 2 * abs(to_half(x, xc))
         k = memo.get(kc)
         if k is None:
-            k = memo[kc] = ellipk_real_mp(mp, 4 * x * (1 - x), kc=kc)
+            k = memo[kc] = ellipk_real_mp(mp, kc)
         return k
     return f
 
@@ -144,15 +146,22 @@ def complex_kernel_r7(mp):
     return f
 
 
+def _axial(mp, b, c, tan_t, sin_t, gap):
+    """K(sqrt(4c tan th / den2)) sin th / sqrt(den2), den2 = b^2 + (c + tan th)^2.
+
+    gap = c - tan th gives K's complementary modulus sqrt((b^2 + gap^2) / den2).
+    """
+    den2 = b * b + (c + tan_t) ** 2
+    return ellipk_real_mp(mp, mp.sqrt((b * b + gap * gap) / den2)) * sin_t / mp.sqrt(den2)
+
+
 def axial_kernel(mp, b, c):
     """K(sqrt(4c tan th / (b^2+(c+tan th)^2))) sin th / sqrt(b^2+(c+tan th)^2)."""
     to_peak = offset(mp, mp.atan(c))
     def f(theta, xc):
         tt = mp.tan(theta)
-        den2 = b * b + (c + tt) ** 2
         gap = (1 + c * tt) * mp.tan(to_peak(theta, xc))  # c - tan th
-        kc = mp.sqrt((b * b + gap * gap) / den2)
-        return ellipk_real_mp(mp, 4 * c * tt / den2, kc=kc) * mp.sin(theta) / mp.sqrt(den2)
+        return _axial(mp, b, c, tt, mp.sin(theta), gap)
     return f
 
 
@@ -182,10 +191,9 @@ def axial_x_form_kernel(mp, c):
     to_one = offset(mp, 1)
     c2 = c * c
     def f(x, xc):
-        mu = 2 * mp.sqrt(x) / (1 + x)
+        p = 1 + x
         q = 1 + c2 * x * x
-        return (ellipk_real_mp(mp, mu * mu, kc=abs(to_one(x, xc)) / (1 + x)) * c * x
-                / ((1 + x) * q * mp.sqrt(q)))
+        return ellipk_real_mp(mp, abs(to_one(x, xc)) / p) * c * x / (p * q * mp.sqrt(q))
     return f
 
 
@@ -207,13 +215,14 @@ def signed_kernel_4sqrt2(mp):
 def axial_integrand_of_bc(mp, theta):
     """The axial kernel at fixed theta as a function of (b, c).
 
-    This is the pointwise object the cylindrical Laplacian annihilates.
+    This is the pointwise object the cylindrical Laplacian annihilates,
+    evaluated by the same body as axial_kernel; gap = c - tan th is formed
+    directly, since b > 0 keeps K's complementary modulus away from 0.
     """
     sin_t = mp.sin(theta)
     tan_t = mp.tan(theta)
     def F(b, c):
-        den2 = b * b + (c + tan_t) ** 2
-        return ellipk_real_mp(mp, 4 * c * tan_t / den2) * sin_t / mp.sqrt(den2)
+        return _axial(mp, b, c, tan_t, sin_t, c - tan_t)
     return F
 
 

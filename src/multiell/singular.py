@@ -32,8 +32,9 @@ def singular_value_residual(r: int, ctx: PrecisionContext):
     hi = ctx.boosted(10)
     mp = hi.mp
     lam = mp.convert(lambda_star(r, ctx.boosted(10)))
-    m = lam * lam
-    ratio = ellipk_real_mp(mp, 1 - m) / ellipk_real_mp(mp, m)
+    # K' at modulus lambda has complementary modulus lambda, K the exact
+    # sqrt((1 - lambda)(1 + lambda))
+    ratio = ellipk_real_mp(mp, lam) / ellipk_real_mp(mp, mp.sqrt((1 - lam) * (1 + lam)))
     return ctx.reduce(abs(ratio - mp.sqrt(r)))
 
 

@@ -1,7 +1,10 @@
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath.ctx_mp import MPContext
 
-from multiell import DomainError, gamma, pochhammer
+from multiell import DomainError, PrecisionContext, gamma, pochhammer
 
 
 def test_gamma_one(ctx):
@@ -43,6 +46,20 @@ def test_gamma_against_library_oracle(ctx):
             assert abs(ours - theirs) <= abs(theirs) * ctx.mp.mpf(10) ** (-ctx.digits + 5)
     finally:
         ref.dps = old
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=30, max_value=300),
+       st.floats(min_value=0, max_value=100, exclude_min=True))
+@example(300, 100.0)
+@example(300, 0.25)
+@example(50, 40.0)
+def test_gamma_to_full_working_digits(digits, x):
+    ref = MPContext()
+    ref.dps = digits + 20
+    truth = ref.gamma(ref.mpf(x))
+    value = ref.convert(gamma(x, PrecisionContext(digits)))
+    assert abs(value - truth) <= ref.mpf(10) ** -digits * truth
 
 
 def test_gamma_domain(ctx):

@@ -7,7 +7,8 @@ its logarithmic singularity is evaluated at the quadrature engine's
 precision for 50 working digits and compared with mpmath's ellipk at 200
 digits.  The integer AGM core behind K and the public agm is compared
 with mpmath's ellipk and agm over many decades of kc, a and b, at working
-precisions from 30 to 320 digits.
+precisions from 30 to 320 digits, and the complementary K at parameters
+down to 1e-300 with mpmath's ellipk at the digits that 1 - m needs.
 """
 
 import math
@@ -19,10 +20,10 @@ from mpmath.ctx_mp import MPContext
 
 import multiell.kernels as kernels
 from multiell import (DomainError, IntegralSpec, PrecisionContext, agm,
-                      clausen_sum, clausen_sum_da, ellipk_series, integrate,
-                      legendre_p, legendre_sum)
+                      clausen_sum, clausen_sum_da, ellipk_complementary,
+                      ellipk_series, integrate, legendre_p, legendre_sum)
 from multiell.elliptic import ellipk_real_mp, re_k_modulus_mp
-from multiell.kernels import k_of_x
+from multiell.kernels import axial_integrand_of_bc, k_of_x
 from multiell.quadrature import GUARD, offset
 
 CTX = PrecisionContext(30)
@@ -106,7 +107,7 @@ def k_close(value, ref):
 def test_ellipk_from_complementary_modulus(e):
     kc = ENGINE.mpf(10) ** -ENGINE.mpf(e)
     ref = EXACT.ellipk(1 - EXACT.convert(kc) ** 2)
-    assert k_close(ellipk_real_mp(ENGINE, 1 - kc * kc, kc=kc), ref)
+    assert k_close(ellipk_real_mp(ENGINE, kc), ref)
 
 
 @oracle_settings
@@ -129,6 +130,17 @@ def test_re_k_modulus_next_to_modulus_one(k, s):
     assert k_close(re_k_modulus_mp(ENGINE, x, 1 - x), ref)  # 1 - x is exact here
 
 
+@oracle_settings
+@given(st.floats(min_value=0.05, max_value=3), st.floats(min_value=0.05, max_value=3),
+       st.floats(min_value=0.05, max_value=math.pi / 2 - 0.05))
+def test_axial_integrand_of_bc_against_ellipk(b, c, theta):
+    b, c, theta = ENGINE.mpf(b), ENGINE.mpf(c), ENGINE.mpf(theta)
+    be, ce, te = EXACT.convert(b), EXACT.convert(c), EXACT.convert(theta)
+    den2 = be * be + (ce + EXACT.tan(te)) ** 2
+    ref = EXACT.ellipk(4 * ce * EXACT.tan(te) / den2) * EXACT.sin(te) / EXACT.sqrt(den2)
+    assert k_close(axial_integrand_of_bc(ENGINE, theta)(b, c), ref)
+
+
 # The integer AGM core: K from kc at `digits` working digits, against
 # mp.ellipk 40 digits higher.  The reference context also carries the
 # 2 log10(1/kc) digits that 1 - kc^2 needs to hold kc at all.
@@ -144,7 +156,7 @@ def k_from_kc_error(e, digits):
     kc = mp.mpf(10) ** mp.mpf(e)
     ref_mp = context(digits + 40 + 2 * max(0, math.ceil(-e)))
     ref = ref_mp.ellipk(1 - ref_mp.convert(kc) ** 2)
-    value = ellipk_real_mp(mp, 1 - kc * kc, kc=kc)
+    value = ellipk_real_mp(mp, kc)
     return abs(ref_mp.convert(value) - ref) / ref
 
 
@@ -163,6 +175,20 @@ def test_ellipk_from_tiny_kc_keeps_its_digits():
     assert k_from_kc_error(-19, 50) <= EXACT.mpf(10) ** -50
 
 
+@oracle_settings
+@given(st.floats(min_value=1, max_value=300), st.integers(min_value=30, max_value=150))
+@example(40, 50)
+def test_ellipk_complementary_at_small_parameter(e, digits):
+    # K(1 - m) for m = 10^-e: the reference needs the e digits that 1 - m
+    # spends on holding m
+    mp = context(digits)
+    m = mp.mpf(10) ** -mp.mpf(e)
+    ref_mp = context(digits + 40 + math.ceil(e))
+    ref = ref_mp.ellipk(1 - ref_mp.convert(m))
+    value = ellipk_complementary(m, PrecisionContext(digits))
+    assert abs(ref_mp.convert(value) - ref) <= ref_mp.mpf(10) ** -digits * ref
+
+
 decades = st.floats(min_value=-50, max_value=50)
 
 
@@ -179,9 +205,9 @@ def test_k_of_x_memo_saves_k_calls(monkeypatch):
     # kc, and k_of_x evaluates K once per kc
     calls = []
 
-    def counting(mp, m, **kw):
-        calls.append(kw["kc"])
-        return ellipk_real_mp(mp, m, **kw)
+    def counting(mp, kc):
+        calls.append(kc)
+        return ellipk_real_mp(mp, kc)
     monkeypatch.setattr(kernels, "ellipk_real_mp", counting)
     ctx = PrecisionContext(WORKING)
     spec = IntegralSpec("k_of_x", (), (0, 1), k_of_x, singular_points=(0.5,))
@@ -191,7 +217,7 @@ def test_k_of_x_memo_saves_k_calls(monkeypatch):
 
     def unmemoised(mp):
         to_half = offset(mp, mp.mpf(0.5))
-        return lambda x, xc: ellipk_real_mp(mp, 4 * x * (1 - x), kc=2 * abs(to_half(x, xc)))
+        return lambda x, xc: ellipk_real_mp(mp, 2 * abs(to_half(x, xc)))
     plain = integrate(IntegralSpec("k_plain", (), (0, 1), unmemoised, singular_points=(0.5,)), ctx)
     assert memoised.value == plain.value
     assert memoised.evaluations == plain.evaluations

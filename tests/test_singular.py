@@ -51,6 +51,22 @@ def test_rhs_constants_against_frozen_oracle(ctx, identity_id):
         <= mp.mpf(10) ** (-ctx.digits + 5)
 
 
+@pytest.mark.parametrize("identity_id", ["I3", "I4", "I5"])
+def test_rhs_constants_at_300_digits(identity_id):
+    # the gamma closed forms, rebuilt from mpmath's gamma 20 digits higher
+    ctx = PrecisionContext(300)
+    mp = ctx.boosted(20).mp
+    g = mp.gamma
+    truth = {
+        "I3": g(mp.one / 4) ** 4 / (16 * mp.sqrt(2) * mp.pi),
+        "I4": mp.sqrt(3) * g(mp.one / 3) ** 6 / (2 ** (mp.mpf(17) / 3) * mp.pi ** 2),
+        "I5": (g(mp.one / 7) * g(mp.mpf(2) / 7) * g(mp.mpf(4) / 7)) ** 2
+              / (128 * mp.sqrt(7) * mp.pi ** 2),
+    }[identity_id]
+    value = mp.convert(rhs_constant(identity_id, ctx))
+    assert abs(value - truth) <= mp.mpf(10) ** -ctx.digits * truth
+
+
 def test_unknown_constant_id(ctx):
     with pytest.raises(DomainError):
         rhs_constant("I8", ctx)
