@@ -20,12 +20,27 @@ at digits + GUARD:
   exact where the rounded x is not; the generating weight is formed as
   (1-a)^2 + 4a(1-x), which equals 1 - 2(2x-1)a + a^2.
 
+K columns: the K factor of the kernels K(2 sqrt(x(1-x))), Re K(x) and
+K(2 sqrt(x)/(1+x)) depends on the node alone, not on the integral's
+parameters, and the catalog integrates each of them again and again over
+the same nodes (ten rows, the ODE grid and the sweep share the first; I9
+and the substitution chain share the other two at every c).  So each of
+the three keeps one table per engine precision, keyed on the node
+(x, xc), for the life of the process: a node's K is computed once, by
+the first integral that reaches it, and every later integral at that
+precision reads it, skipping both the kc arithmetic and the AGM.  K is a
+pure function of (x, xc) at a fixed precision, so a value read from the
+table is bit-identical to one computed afresh.  A table holds one entry
+per distinct node, at most nodes x intervals integrated at its
+precision: a few thousand entries for the catalog at 50 digits.  The
+axial kernel's K depends on (b, c) and is not tabulated.
+
 ``weighted_kernel`` is a vector integrand (see quadrature): it evaluates K
-once per node and returns K times the generating weight's a-derivatives
-0..order at each of several a, so that an ODE check (four derivatives at
-one a) or a sweep over a (one weight at each a) is one integral.  Powers
-u^(k/2) are formed from sqrt(u), and constants are hoisted out of the
-integrands into their factories.
+and 1 - x once per node and returns K times the generating weight's
+a-derivatives 0..order at each of several a, so that an ODE check (four
+derivatives at one a) or a sweep over a (one weight at each a) is one
+integral.  Powers u^(k/2) are formed from sqrt(u), and constants are
+hoisted out of the integrands into their factories.
 
 The ``*_spec`` builders at the end pair a factory with its interval and
 singular points for the integrals that more than one module runs.  They
@@ -35,46 +50,78 @@ of that name reaches every spec they build.
 
 from __future__ import annotations
 
+import threading
+
 from .elliptic import ellipk_real_mp, re_k_modulus_mp
 from .quadrature import INF, IntegralSpec, offset
+
+_k_tables: dict = {}  # (column, mp.prec) -> {node: K}
+_tables_lock = threading.Lock()
+
+
+def _k_column(mp, column: str, k_at):
+    """The node function (x, xc) -> K of one K column, read from its table.
+
+    The table is the column's at mp's precision, shared by every integrand
+    that reads that column; k_at(x, xc) computes K on a miss.  Nodes are
+    keyed on the exact values of x and xc.  Concurrent integrals may both
+    miss on a node and store the same value.
+    """
+    with _tables_lock:
+        table = _k_tables.setdefault((column, mp.prec), {})
+
+    def k(x, xc):
+        try:
+            node = (x._mpf_, xc._mpf_)
+        except AttributeError:  # a plain number, such as exp-sinh's xc = -1
+            node = (x, xc)
+        v = table.get(node)
+        if v is None:
+            v = table[node] = k_at(x, xc)
+        return v
+    return k
 
 
 def k_of_x(mp):
     """K(2 sqrt(x(1-x))) as a function on (0,1); singular at x = 1/2.
 
-    K is memoised on kc = 2|1/2 - x|, one memo per factory call (so per
-    integral): the panels (0, 1/2) and (1/2, 1) place mirror-image nodes,
-    and many of them share an exact kc.
+    Values come from the column's table at mp's precision, keyed on the
+    node (x, xc) and kept for the life of the process; it holds one entry
+    per distinct node, at most nodes x intervals integrated at that
+    precision (see the module docstring).  Misses are memoised on kc = 2|1/2 - x| for the life of
+    the returned function (so per integral): the panels (0, 1/2) and
+    (1/2, 1) place mirror-image nodes, and many of them share an exact kc.
     """
     to_half = offset(mp, mp.mpf(0.5))
     memo = {}
 
-    def f(x, xc):
+    def k_at(x, xc):
         kc = 2 * abs(to_half(x, xc))
         k = memo.get(kc)
         if k is None:
             k = memo[kc] = ellipk_real_mp(mp, kc)
         return k
-    return f
+    return _k_column(mp, "K(2 sqrt(x(1-x)))", k_at)
 
 
 def generating_weight(mp, a, order: int = 0):
     """(g, dg/da, ..., d^order g/da^order) of g = (1 - 2(2x-1)a + a^2)^(-1/2).
 
+    Returns a function of (x, 1 - x): the caller supplies 1 - x, read from
+    a node's xc through offset(mp, 1), once for every weight at that node.
     order is 0..3.  The closed-form algebraic derivatives share u, du/da
     and sqrt(u); they are cross-checked against finite differences of g in
     the test suite before use.
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be 0..3, got {order}")
-    to_one = offset(mp, 1)
     shift = (1 - a) ** 2
     four_a = 4 * a
     fifteen_eighths = mp.mpf(15) / 8
     nine_halves = mp.mpf(9) / 2
 
-    def f(x, xc):
-        u = shift + four_a * to_one(x, xc)  # 1 - 2(2x-1)a + a^2
+    def f(x, one_minus_x):
+        u = shift + four_a * one_minus_x  # 1 - 2(2x-1)a + a^2
         g = 1 / mp.sqrt(u)
         if order == 0:
             return (g,)
@@ -96,14 +143,17 @@ def weighted_kernel(mp, order: int, *a_values):
     """K(2 sqrt(x(1-x))) times the generating weight's a-derivatives 0..order.
 
     One component per (a, derivative) pair, a-major: params (order, a1, ...,
-    an) give n (order + 1) components, all sharing one K value per node.
+    an) give n (order + 1) components, all sharing one K value and one
+    1 - x per node.
     """
     k = k_of_x(mp)
+    to_one = offset(mp, 1)
     weights = [generating_weight(mp, a, order) for a in a_values]
 
     def f(x, xc):
         kx = k(x, xc)
-        return tuple(kx * w for g in weights for w in g(x, xc))
+        one_minus_x = to_one(x, xc)
+        return tuple(kx * w for g in weights for w in g(x, one_minus_x))
     return f
 
 
@@ -176,24 +226,32 @@ def special_case_kernel(mp):
 
 
 def re_k_semi_infinite_kernel(mp, c):
-    """Re[K(x)] c x / (1 + c^2 x^2)^(3/2) on (0, inf); modulus convention."""
+    """Re[K(x)] c x / (1 + c^2 x^2)^(3/2) on (0, inf); modulus convention.
+
+    Re K comes from its column's table, shared across c.
+    """
     to_one = offset(mp, 1)
+    re_k = _k_column(mp, "Re K(x)", lambda x, xc: re_k_modulus_mp(mp, x, to_one(x, xc)))
     c2 = c * c
     def f(x, xc):
-        re_k = re_k_modulus_mp(mp, x, to_one(x, xc))
         q = 1 + c2 * x * x
-        return re_k * c * x / (q * mp.sqrt(q))
+        return re_k(x, xc) * c * x / (q * mp.sqrt(q))
     return f
 
 
 def axial_x_form_kernel(mp, c):
-    """K(2 sqrt(x)/(1+x)) c x / ((1+x)(1+c^2 x^2)^(3/2)) on (0, inf)."""
+    """K(2 sqrt(x)/(1+x)) c x / ((1+x)(1+c^2 x^2)^(3/2)) on (0, inf).
+
+    K comes from its column's table, shared across c.
+    """
     to_one = offset(mp, 1)
+    k = _k_column(mp, "K(2 sqrt(x)/(1+x))",
+                  lambda x, xc: ellipk_real_mp(mp, abs(to_one(x, xc)) / (1 + x)))
     c2 = c * c
     def f(x, xc):
         p = 1 + x
         q = 1 + c2 * x * x
-        return ellipk_real_mp(mp, abs(to_one(x, xc)) / p) * c * x / (p * q * mp.sqrt(q))
+        return k(x, xc) * c * x / (p * q * mp.sqrt(q))
     return f
 
 

@@ -1,0 +1,143 @@
+"""The kernels' K tables: one per K column and engine precision, shared by
+every integral that reads the column.
+
+Each test starts from empty tables and counts calls of K's one entry point,
+``ellipk_real_mp``, as both kernels and elliptic (behind Re K) see it.
+Values read from a table must be bit-identical to values computed afresh.
+"""
+
+import sys
+import threading
+
+import mpmath
+import pytest
+
+import multiell.elliptic as elliptic
+import multiell.kernels as kernels
+from multiell import IntegralSpec, PrecisionContext, integrate
+from multiell.quadrature import offset
+
+HALF = 0.5
+
+
+@pytest.fixture
+def k_calls(monkeypatch):
+    """Empty K tables, and a list that grows by one per K evaluation."""
+    calls = []
+    plain = elliptic.ellipk_real_mp
+
+    def counting(mp, kc):
+        calls.append(kc)
+        return plain(mp, kc)
+    monkeypatch.setattr(kernels, "_k_tables", {})
+    monkeypatch.setattr(kernels, "ellipk_real_mp", counting)
+    monkeypatch.setattr(elliptic, "ellipk_real_mp", counting)
+    return calls
+
+
+def unit_spec(factory):
+    return IntegralSpec(factory.__name__, (), (0, 1), factory, singular_points=(HALF,))
+
+
+I8 = unit_spec(kernels.k_of_x)
+I2 = unit_spec(kernels.ratio_kernel_2sqrt2)
+I10 = unit_spec(kernels.signed_kernel_4sqrt2)
+
+
+def outcome(r):
+    return r.value, r.err_estimate, r.evaluations
+
+
+@pytest.mark.parametrize("spec", [I2, I10], ids=["I2", "I10"])
+def test_rows_after_i8_read_its_k_column(k_calls, spec):
+    ctx = PrecisionContext(50)
+    cold = integrate(spec, ctx)
+    assert k_calls
+    kernels._k_tables.clear()
+    integrate(I8, ctx)
+    k_calls.clear()
+    warm = integrate(spec, ctx)
+    assert not k_calls
+    assert outcome(warm) == outcome(cold)
+
+
+def test_a_table_is_read_only_at_its_own_precision(k_calls):
+    integrate(I8, PrecisionContext(50))
+    (table,) = kernels._k_tables.values()
+    for node in table:  # a 60-digit integral reading these would fail
+        table[node] = mpmath.mpf(0)
+    k_calls.clear()
+    warm = integrate(I8, PrecisionContext(60))
+    calls = len(k_calls)
+    assert len(kernels._k_tables) == 2
+    kernels._k_tables.clear()
+    k_calls.clear()
+    cold = integrate(I8, PrecisionContext(60))
+    assert outcome(warm) == outcome(cold)
+    assert calls == len(k_calls) > 0
+
+
+def re_k_unmemoised(mp, c):
+    to_one = offset(mp, 1)
+    c2 = c * c
+    def f(x, xc):
+        re_k = elliptic.re_k_modulus_mp(mp, x, to_one(x, xc))
+        q = 1 + c2 * x * x
+        return re_k * c * x / (q * mp.sqrt(q))
+    return f
+
+
+def x_form_unmemoised(mp, c):
+    to_one = offset(mp, 1)
+    c2 = c * c
+    def f(x, xc):
+        p = 1 + x
+        q = 1 + c2 * x * x
+        return elliptic.ellipk_real_mp(mp, abs(to_one(x, xc)) / p) * c * x / (p * q * mp.sqrt(q))
+    return f
+
+
+@pytest.mark.parametrize("memoised, unmemoised", [
+    (kernels.re_k_semi_infinite_kernel, re_k_unmemoised),
+    (kernels.axial_x_form_kernel, x_form_unmemoised),
+], ids=["re_k", "x_form"])
+def test_semi_infinite_columns_are_exact_and_shared_across_c(k_calls, memoised, unmemoised):
+    ctx = PrecisionContext(50)
+    misses, evaluations = [], []
+    for c in ("0.5", "1.75"):
+        plain = integrate(kernels.semi_infinite_spec(unmemoised, c), ctx)
+        k_calls.clear()
+        table = integrate(kernels.semi_infinite_spec(memoised, c), ctx)
+        assert outcome(table) == outcome(plain)
+        misses.append(len(k_calls))
+        evaluations.append(table.evaluations)
+    assert len(kernels._k_tables) == 1
+    assert misses[0] == evaluations[0]  # cold: every node is new
+    assert misses[1] < evaluations[1]  # the second c reads the first's nodes
+
+
+def test_concurrent_integrals_return_their_serial_values(k_calls):
+    # more threads than cores, switching often, all on one cold K column
+    ctx = PrecisionContext(50)
+    jobs = (("I8", I8), ("I10", I10), ("I2", I2), ("I8 again", I8))
+    serial = {}
+    for name, spec in jobs:
+        kernels._k_tables.clear()
+        serial[name] = outcome(integrate(spec, ctx))
+    kernels._k_tables.clear()
+    threaded = {}
+
+    def run(name, spec):
+        threaded[name] = outcome(integrate(spec, ctx))
+    threads = [threading.Thread(target=run, args=job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert threaded == serial
