@@ -185,8 +185,8 @@ def _build_catalog():
 
     add("I6", "axially symmetric K integral with two tunable parameters",
         (ParamSpec("b", lo=0), ParamSpec("c", lo=0)), "quad",
-        "integrand singular at theta = atan(c) when b = 0",
-        _quad_lhs(lambda ctx, p: kernels.axial_spec(p["b"], p["c"])), _axial_rhs)
+        "singular at t = c when b = 0",
+        _quad_lhs(lambda ctx, p: kernels.axial_t_spec(p["b"], p["c"])), _axial_rhs)
 
     add("I7", "axial special case on (0,1); value pi/(2 sqrt 2)",
         (), "quad", log_half, _unit_kernel_lhs(kernels.special_case_kernel),

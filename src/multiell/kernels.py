@@ -11,14 +11,20 @@ at digits + GUARD:
 * K's one input is its complementary modulus kc = sqrt(1 - m); each kernel
   forms kc without cancellation and never forms the parameter m:
   2|1/2 - x| for K(2 sqrt(x(1-x))); sqrt((1-x)(1+x)) and
-  sqrt((x-1)(x+1))/x for Re K at modulus x; sqrt((b^2+(c-tan th)^2)/den2)
-  for the axial kernel, with c - tan th = tan(atan c - th)(1 + c tan th);
-  |1-x|/(1+x) for K(2 sqrt(x)/(1+x)).  The axial kernel and its (b, c)
-  form for the Laplace check share one body.
+  sqrt((x-1)(x+1))/x for Re K at modulus x; sqrt((b^2+(c-t)^2)/den2)
+  for the axial kernel at t = tan th; |1-x|/(1+x) for K(2 sqrt(x)/(1+x)).
 * Next to a panel end at a kernel's singular abscissa, the distance to it
-  (1/2 - x, 1 - x, atan c - th) is read from xc through quadrature.offset,
-  exact where the rounded x is not; the generating weight is formed as
-  (1-a)^2 + 4a(1-x), which equals 1 - 2(2x-1)a + a^2.
+  (1/2 - x, 1 - x, c - t, atan c - th) is read from xc through
+  quadrature.offset, exact where the rounded x is not; the generating
+  weight is formed as (1-a)^2 + 4a(1-x), which equals 1 - 2(2x-1)a + a^2.
+
+The axial kernel: I6 integrates it in t = tan th over (0, inf), split at
+t = c (axial_t_kernel), where sin th = t / sqrt(1 + t^2) and the gap
+c - t need no trig at any node.  The theta form over (0, pi/2), split at
+atan c (axial_kernel, with c - tan th = tan(atan c - th)(1 + c tan th)),
+is kept as the first link of the b = 0 substitution chain; it, the t form
+and the (b, c) function that the Laplace check differentiates share one
+body, so the check certifies the integrand that I6 integrates.
 
 K columns: the K factor of the kernels K(2 sqrt(x(1-x))), Re K(x) and
 K(2 sqrt(x)/(1+x)) depends on the node alone, not on the integral's
@@ -215,6 +221,20 @@ def axial_kernel(mp, b, c):
     return f
 
 
+def axial_t_kernel(mp, b, c):
+    """The axial kernel after t = tan th, on (0, inf): axial_kernel(atan t) / (1 + t^2).
+
+    K(sqrt(4ct / (b^2+(c+t)^2))) t / ((1+t^2)^(3/2) sqrt(b^2+(c+t)^2)), with
+    no trig at any node: sin th = t / sqrt(1 + t^2), and the gap c - t is
+    read from xc next to t = c.
+    """
+    to_peak = offset(mp, c)
+    def f(t, xc):
+        q = 1 + t * t
+        return _axial(mp, b, c, t, t / mp.sqrt(q), to_peak(t, xc)) / q
+    return f
+
+
 def special_case_kernel(mp):
     """K(2 sqrt(x(1-x))) x(1-x) / (1 - 2x(1-x))^(3/2)."""
     k = k_of_x(mp)
@@ -303,6 +323,17 @@ def axial_spec(b, c):
     if c > 0:
         singular = ((lambda mp: mp.atan(mp.convert(c))),)
     return IntegralSpec("axial_kernel", (b, c), (0, lambda mp: mp.pi / 2), axial_kernel,
+                        singular_points=singular)
+
+
+def axial_t_spec(b, c):
+    """The axial integral in t = tan th over (0, inf), split at t = c when c > 0.
+
+    This is the form I6 integrates.  K is log-singular at t = c when b = 0
+    and sharply peaked there when b is small.
+    """
+    singular = (c,) if c > 0 else ()
+    return IntegralSpec("axial_t_kernel", (b, c), (0, INF), axial_t_kernel,
                         singular_points=singular)
 
 

@@ -145,18 +145,19 @@ def _harmonic_reference_check(ctx):
 
 
 def _chain_check(ctx):
-    """theta-form, x-form, and Re-K-form of the b=0 axial integral agree."""
+    """theta-, t-, x- and Re-K-forms of the b=0 axial integral agree pairwise."""
     mp = ctx.mp
     worst = mp.zero
     for c_label in CHAIN_C:
         c = mp.mpf(c_label)
         specs = (kernels.axial_spec(0, c),
+                 kernels.axial_t_spec(0, c),
                  kernels.semi_infinite_spec(kernels.axial_x_form_kernel, c),
                  kernels.semi_infinite_spec(kernels.re_k_semi_infinite_kernel, c))
         values = [integrate(s, ctx).value for s in specs]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                worst = max(worst, abs(values[i] - values[j]))
+        for i, u in enumerate(values):
+            for v in values[i + 1:]:
+                worst = max(worst, abs(u - v))
     return worst <= ctx.pass_tol, f"max pairwise gap {mp.nstr(worst, 3)} (tol {mp.nstr(ctx.pass_tol, 3)})"
 
 

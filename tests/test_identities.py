@@ -221,7 +221,7 @@ ENDPOINTS = [("I1", {"a": "0"}), ("I1", {"a": "1"}),
              ("I11", {"a": "0"}), ("I11", {"a": "0.95"}),
              ("I13", {"a": "0"}), ("I13", {"a": "0.95"}),
              ("I12", {"variant": 0}), ("I12", {"variant": 1}),
-             # the near-singular band of I6: K sharply peaked at theta = atan(c)
+             # the near-singular band of I6: K sharply peaked at t = c
              ("I6", {"b": "0.01", "c": "1"}), ("I6", {"b": "0.01", "c": "2"})]
 
 
@@ -243,7 +243,11 @@ DIGITS_AXIS = [("I1", {"a": "0.5"}), ("I1", {"a": "1"}), ("I1-ext", {"a": "2"}),
                ("I6", {"b": "1", "c": "1"}), ("I6", {"b": "0", "c": "1"}),
                ("I7", {}), ("I8", {}), ("I9", {"c": "1"}), ("I10", {}),
                ("I11", {"a": "0.5"}), ("I11", {"a": "0.95"}),
-               ("I12", {"variant": 0}), ("I12", {"variant": 1}), ("I13", {"a": "0.95"})]
+               ("I12", {"variant": 0}), ("I12", {"variant": 1}), ("I13", {"a": "0.95"}),
+               # I6 integrates in t = tan th: the ends of its domain in b and c
+               ("I6", {"b": "0", "c": "1e-8"}), ("I6", {"b": "1e-8", "c": "0"}),
+               ("I6", {"b": "0", "c": "10"}), ("I6", {"b": "1000", "c": "1000"}),
+               ("I6", {"b": "0.001", "c": "1"})]
 
 
 @pytest.mark.parametrize("digits", [30, 100])

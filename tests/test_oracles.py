@@ -14,7 +14,7 @@ down to 1e-300 with mpmath's ellipk at the digits that 1 - m needs.
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
@@ -139,6 +139,55 @@ def test_axial_integrand_of_bc_against_ellipk(b, c, theta):
     den2 = be * be + (ce + EXACT.tan(te)) ** 2
     ref = EXACT.ellipk(4 * ce * EXACT.tan(te) / den2) * EXACT.sin(te) / EXACT.sqrt(den2)
     assert k_close(axial_integrand_of_bc(ENGINE, theta)(b, c), ref)
+
+
+# t near c: the gap c - t is s 10^-k, down to 1e-30 from the log singularity at b = 0
+t_near_c = st.tuples(st.integers(min_value=1, max_value=30), sign)
+t_anywhere = st.floats(min_value=0, max_value=50, exclude_min=True)
+
+
+@oracle_settings
+@given(st.floats(min_value=0, max_value=3), st.floats(min_value=0, max_value=3),
+       st.one_of(t_anywhere, t_near_c))
+@example(0, 1, (30, 1))
+@example(0, 1, (30, -1))
+@example(0, 0, 50)
+def test_axial_t_kernel_against_ellipk(b, c, t):
+    # a node next to the panel end t = c, as the quadrature passes it: t is
+    # rounded and xc = c - t exact, so the node is c - xc.  The reference
+    # is taken 40 digits higher, plus the digits that 1 - m spends on
+    # holding m there.
+    b, c = ENGINE.mpf(b), ENGINE.mpf(c)
+    if isinstance(t, tuple):
+        k, s = t
+        xc = s * ENGINE.mpf(10) ** -k
+        if xc >= c:
+            xc = -abs(xc)
+        t = c - xc
+    else:
+        t = ENGINE.mpf(t)
+        xc = c - t
+    assume(b > 0 or xc != 0)
+    ref_mp = context(WORKING + 40 + 2 * max(0, math.ceil(-ENGINE.log10(abs(xc) + b))))
+    be, ce = ref_mp.convert(b), ref_mp.convert(c)
+    te = ce - ref_mp.convert(xc) if abs(xc) < c / 2 else ref_mp.convert(t)
+    den2 = be * be + (ce + te) ** 2
+    ref = ref_mp.ellipk(4 * ce * te / den2) * te / ((1 + te * te) ** 1.5 * ref_mp.sqrt(den2))
+    value = kernels.axial_t_kernel(ENGINE, b, c)(t, xc)
+    assert abs(ref_mp.convert(value) - ref) <= K_TOL * abs(ref)
+
+
+@oracle_settings
+@given(st.floats(min_value=0.05, max_value=3), st.floats(min_value=0.05, max_value=3),
+       st.floats(min_value=0.05, max_value=math.pi / 2 - 0.05))
+def test_axial_t_kernel_is_the_theta_form_over_its_jacobian(b, c, theta):
+    # dt = (1 + tan^2 th) dth: the t-form at tan th, times 1 + tan^2 th,
+    # is the theta-form at th
+    b, c, theta = ENGINE.mpf(b), ENGINE.mpf(c), ENGINE.mpf(theta)
+    t = ENGINE.tan(theta)
+    in_t = kernels.axial_t_kernel(ENGINE, b, c)(t, c - t) * (1 + t * t)
+    in_theta = kernels.axial_kernel(ENGINE, b, c)(theta, ENGINE.atan(c) - theta)
+    assert k_close(in_t, EXACT.convert(in_theta))
 
 
 # The integer AGM core: K from kc at `digits` working digits, against

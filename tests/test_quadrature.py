@@ -4,7 +4,7 @@ import pytest
 
 from multiell import (DomainError, INF, IntegralSpec, IntegrandFailureError,
                       NonConvergenceError, integrate, rhs_constant)
-from multiell.kernels import (axial_kernel, complex_kernel_r3,
+from multiell.kernels import (axial_kernel, axial_t_spec, complex_kernel_r3,
                               complex_kernel_r7, k_of_x,
                               ratio_kernel_2sqrt2, re_k_semi_infinite_kernel,
                               signed_kernel_4sqrt2, singular_value_kernel_r4,
@@ -103,7 +103,10 @@ def test_exp_sinh_against_closed_form(ctx):
     (plain_spec(), 602, 5),
     (IntegralSpec("re_k_semi_infinite", (1,), (0, INF), re_k_semi_infinite_kernel,
                   singular_points=(1,)), 938, 6),
-], ids=["tanh-sinh", "exp-sinh"])
+    # I6's form: a tanh-sinh panel (0, c) and an exp-sinh panel (c, inf)
+    (axial_t_spec(1, 1), 932, 6),
+    (axial_t_spec(0, 1), 938, 6),
+], ids=["tanh-sinh", "exp-sinh", "axial-t-b1-c1", "axial-t-b0-c1"])
 def test_node_sets_are_pinned(ctx, spec, calls, levels):
     # integrand calls and depth at 50 digits fix each transform's node set
     count = [0]
