@@ -77,10 +77,7 @@ def _k_column(mp, column: str, k_at):
         table = _k_tables.setdefault((column, mp.prec), {})
 
     def k(x, xc):
-        try:
-            node = (x._mpf_, xc._mpf_)
-        except AttributeError:  # a plain number, such as exp-sinh's xc = -1
-            node = (x, xc)
+        node = (x._mpf_, xc._mpf_)
         v = table.get(node)
         if v is None:
             v = table[node] = k_at(x, xc)

@@ -45,6 +45,21 @@ This resolves logarithmic (K-kernel) and x^(-1/2) endpoint singularities
 to quad_target; I1 at a = 1, where the weight becomes (4(1-x))^(-1/2),
 converges.
 
+Fixed-point accumulation: a panel keeps one Python int per real component
+(two per mpc component), the sum of w f over every node so far scaled by
+2^wp, wp = engine precision + 20 bits.  Node tables hold each weight as its
+exact mpf (mantissa, exponent), and each term is the product of the two
+mantissas shifted once into place, so a term is rounded once, by at most
+2^-wp, and N terms by at most N 2^-wp; a panel's value moves by at most
+h scale N 2^-wp.  That is absolute, and far below the representation error
+(1 + |value|) 10^-digits that every returned estimate is floored at.  The
+weights themselves are never rounded to fixed point: tail weights reach
+10^-2(digits+10) and an x^(-1/2) endpoint gives integrand values near the
+inverse square root of that, so a weight rounded to 2^-wp would lose every
+digit of those terms.  A component that is neither mpf nor mpc passes once
+through mp.convert; an mpc component stays mpc when its imaginary sum
+cancels to 0.
+
 Semi-infinite integrands must decay at least like x^(-2); every catalog
 form decays like x^(-3).
 """
@@ -55,8 +70,6 @@ import math
 import threading
 from dataclasses import dataclass
 from typing import Callable
-
-import mpmath
 
 from .errors import DomainError, IntegrandFailureError, NonConvergenceError
 from .precision import PrecisionContext
@@ -115,39 +128,46 @@ def _resolve(v, mp):
     return v(mp) if callable(v) else mp.mpf(v)
 
 
+def _man_exp(w):
+    """A positive mpf's exact (mantissa, exponent): w = mantissa 2^exponent."""
+    _, man, exp, _ = w._mpf_
+    return man, exp
+
+
 def _ts_node(mp, half_pi, t):
     e = mp.exp(-2 * half_pi * mp.sinh(t))  # e^(-2u), u = (pi/2) sinh t
     d = 1 + e
     w = 4 * half_pi * mp.cosh(t) * e / (d * d)  # (pi/2) cosh t / cosh(u)^2
-    return (2 * e / d, w), w  # 1 - tanh u, formed without cancellation
+    return (2 * e / d, *_man_exp(w)), w  # 1 - tanh u, formed without cancellation
 
 
 def _ts_points(node, lo, hi, rad):
-    c, w = node  # x = lo + rad c and, for t > 0, its mirror x = hi - rad c
+    c, wm, we = node  # x = lo + rad c and, for t > 0, its mirror x = hi - rad c
     xc = rad * c
     if c == 1:
-        return ((w, lo + xc, -xc),)
-    return ((w, lo + xc, -xc), (w, hi - xc, xc))
+        return ((wm, we, lo + xc, -xc),)
+    return ((wm, we, lo + xc, -xc), (wm, we, hi - xc, xc))
 
 
 def _es_node(mp, half_pi, t):
     eu = mp.exp(half_pi * mp.sinh(t))
     coshfac = half_pi * mp.cosh(t)
-    return (eu, 1 / eu, coshfac), coshfac / eu
+    ieu = 1 / eu
+    return (eu, ieu, *_man_exp(coshfac * eu), *_man_exp(coshfac * ieu)), coshfac / eu
 
 
 def _es_points(node, lo, _hi, _scale):
-    eu, ieu, coshfac = node  # x = lo + eu and, for t > 0, its mirror x = lo + 1/eu
+    eu, ieu, wm, we, iwm, iwe = node  # x = lo + eu and, for t > 0, its mirror x = lo + 1/eu
     if eu == 1:
-        return ((coshfac, lo + 1, -1),)
-    return ((coshfac * eu, lo + eu, -eu), (coshfac * ieu, lo + ieu, -ieu))
+        return ((wm, we, lo + eu, -eu),)
+    return ((wm, we, lo + eu, -eu), (iwm, iwe, lo + ieu, -ieu))
 
 
 # kind -> (node, scale, points): node(mp, half_pi, t) is (node, weight), and
 # a table ends once weight < its cutoff (and t > 3); scale(lo, hi) is the
-# panel's length scale; points(node, lo, hi, scale) are the (weight, x, xc)
-# of a node and of its mirror.  A level's sum of weight * f(x, xc) is
-# multiplied by h * scale.
+# panel's length scale; points(node, lo, hi, scale) are the (weight
+# mantissa, weight exponent, x, xc) of a node and of its mirror.  A level's
+# sum of weight * f(x, xc) is multiplied by h * scale.
 _TRANSFORMS = {
     "tanh-sinh": (_ts_node, lambda lo, hi: (hi - lo) / 2, _ts_points),
     "exp-sinh": (_es_node, lambda lo, hi: 1, _es_points),
@@ -206,18 +226,6 @@ def offset(mp, end):
     return to_end
 
 
-def _call(f, x, xc):
-    """f(x, xc), checked: the value, or each component of a tuple, is finite."""
-    try:
-        v = f(x, xc)
-    except (ArithmeticError, ValueError, ZeroDivisionError) as exc:
-        raise IntegrandFailureError(f"integrand raised at x = {x}{_at_end(x, xc)}: {exc}") from exc
-    for c in v if type(v) is tuple else (v,):
-        if not mpmath.isfinite(c):
-            raise IntegrandFailureError(f"integrand returned {c} at x = {x}{_at_end(x, xc)}")
-    return v
-
-
 def _at_end(x, xc):
     if xc and x + xc == x:  # x has rounded onto its panel end
         return (", which rounds onto its panel end; an integrand singular there"
@@ -225,36 +233,84 @@ def _at_end(x, xc):
     return ""
 
 
+def _fixed(part, wm, shift):
+    """w f * 2^wp as an int, rounded once: f's _mpf_ part, w's mantissa wm and
+    shift = w's exponent + wp; None where f is inf or nan."""
+    sign, man, exp, _ = part
+    if not man and exp:  # mpmath's inf, -inf and nan: mantissa 0, exponent not 0
+        return None
+    e = exp + shift
+    t = man * wm << e if e >= 0 else man * wm >> -e
+    return -t if sign else t
+
+
+def _nonfinite(c, x, xc):
+    return IntegrandFailureError(f"integrand returned {c} at x = {x}{_at_end(x, xc)}")
+
+
 def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level):
     """Refine one panel level by level.
 
     Returns (values, error estimates, level, calls, vector): one value and
     one estimate per component of f, the level reached, the integrand calls
-    made and whether f returned a tuple.
+    made and whether f returned a tuple.  Each component's sum of w f over
+    every node so far is one int scaled by 2^wp (two for an mpc component);
+    level L's value is that sum times 2^-L scale.
     """
     _, scale_of, points = _TRANSFORMS[kind]
     scale = scale_of(lo, hi)
-    negligible = negligible / scale  # a term w f is negligible once scale |w f| is
-    prev = total = err = None
+    wp = mp.prec + 20
+    # a term w f is negligible once scale |w f| is
+    limit = int(mp.ldexp(negligible / scale, wp))
+    re = im = err = None
     calls = 0
     vector = False
     for level in range(max_level + 1):
-        h = mp.mpf(2) ** (-level)
-        s = None
         nodes, tail = _level_nodes(mp, kind, level, cutoff)
         for i, node in enumerate(nodes):
             small = i >= tail
-            for w, x, xc in points(node, lo, hi, scale):
-                v = _call(f, x, xc)
+            for wm, we, x, xc in points(node, lo, hi, scale):
+                try:
+                    v = f(x, xc)
+                except (ArithmeticError, ValueError, ZeroDivisionError) as exc:
+                    raise IntegrandFailureError(
+                        f"integrand raised at x = {x}{_at_end(x, xc)}: {exc}") from exc
                 calls += 1
                 vector = type(v) is tuple
-                terms = [w * c for c in v] if vector else [w * v]
-                s = terms if s is None else [a + b for a, b in zip(s, terms)]
-                small = small and all(abs(c) < negligible for c in terms)
+                if not vector:
+                    v = (v,)
+                if re is None:
+                    re, im = [0] * len(v), [None] * len(v)
+                shift = we + wp
+                for j, c in enumerate(v):
+                    try:
+                        sign, man, exp, _ = c._mpf_
+                    except AttributeError:  # an mpc, or a number such as an int
+                        c = mp.convert(c)
+                        if hasattr(c, "_mpc_"):
+                            t, u = (_fixed(part, wm, shift) for part in c._mpc_)
+                            if t is None or u is None:
+                                raise _nonfinite(c, x, xc) from None
+                            re[j] += t
+                            im[j] = (im[j] or 0) + u
+                            if small and t * t + u * u >= limit * limit:
+                                small = False
+                            continue
+                        sign, man, exp, _ = c._mpf_
+                    # _fixed(c._mpf_, wm, shift), inlined: most components are mpf
+                    if not man and exp:
+                        raise _nonfinite(c, x, xc)
+                    e = exp + shift
+                    t = man * wm << e if e >= 0 else man * wm >> -e
+                    re[j] += -t if sign else t
+                    if small and not -limit < t < limit:
+                        small = False
             if small:
                 break
-        new = [c * h * scale for c in s]
-        total = new if level == 0 else [t / 2 + c for t, c in zip(total, new)]
+        unit = -wp - level  # the sums times h = 2^-level, as (mantissa, exponent)
+        total = [mp.mpf((a, unit)) * scale if b is None
+                 else mp.mpc(mp.mpf((a, unit)), mp.mpf((b, unit))) * scale
+                 for a, b in zip(re, im)]
         if level >= 1:
             err = [abs(t - p) for t, p in zip(total, prev)]
             if level >= min_level and max(err) <= target:

@@ -97,10 +97,21 @@ def _ode_grid_check(ctx):
 
 
 def _control_verdict(ctx, clean, bad):
-    """The corrupted operator's residual must exceed the clean one by CONTROL_RATIO."""
+    """The corrupted operator's residual must exceed the clean one by CONTROL_RATIO.
+
+    A clean residual below 10^(-2 digits), such as an exact 0, is replaced
+    by that floor; the ratio is then corrupted/floor, a lower bound on the
+    true ratio rather than a measurement, and the detail says so.
+    """
     mp = ctx.mp
-    ratio = bad / max(clean, mp.mpf(10) ** (-(2 * ctx.digits)))
-    return ratio >= CONTROL_RATIO, f"corrupted/clean residual ratio {mp.nstr(ratio, 3)}"
+    floor = mp.mpf(10) ** (-(2 * ctx.digits))
+    ratio = bad / max(clean, floor)
+    detail = f"corrupted/clean residual ratio {mp.nstr(ratio, 3)}"
+    if clean < floor:
+        detail = (f"corrupted/clean residual ratio >= {mp.nstr(ratio, 3)} (lower bound: clean"
+                  f" residual {mp.nstr(clean, 3)} is below the floor 1e-{2 * ctx.digits},"
+                  f" which stands in for it)")
+    return ratio >= CONTROL_RATIO, detail
 
 
 def _ode_control_check(ctx):

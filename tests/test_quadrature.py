@@ -1,9 +1,13 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiell import (DomainError, INF, IntegralSpec, IntegrandFailureError,
-                      NonConvergenceError, integrate, rhs_constant)
+                      NonConvergenceError, PrecisionContext, integrate, rhs_constant, verify)
+from multiell import quadrature
+from multiell.quadrature import GUARD
 from multiell.kernels import (axial_kernel, axial_t_spec, complex_kernel_r3,
                               complex_kernel_r7, k_of_x,
                               ratio_kernel_2sqrt2, re_k_semi_infinite_kernel,
@@ -299,3 +303,100 @@ def test_spec_validation(ctx):
     with pytest.raises(DomainError):
         spec = IntegralSpec("inf_lo", (), (INF, 1), lambda mp: (lambda x, xc: mp.one))
         integrate(spec, ctx)
+
+
+def test_inf_in_second_component_is_an_integrand_failure(ctx):
+    spec = IntegralSpec("inf_component", (), (0, 1),
+                        lambda mp: (lambda x, xc: (mp.one, x if x < 0.7 else mp.inf)))
+    with pytest.raises(IntegrandFailureError, match=r"returned \+inf"):
+        integrate(spec, ctx)
+
+
+def test_python_int_component_integrates(ctx):
+    spec = IntegralSpec("int_component", (), (0, 1), lambda mp: (lambda x, xc: (2, x)))
+    r = integrate(spec, ctx)
+    assert [type(v) for v in r.value] == [ctx.mp.mpf] * 2
+    assert abs(r.value[0] - 2) <= ctx.quad_target
+    assert abs(r.value[1] - ctx.mp.mpf(0.5)) <= ctx.quad_target
+
+
+def test_complex_values_stay_complex(ctx):
+    # I4's imaginary part is below its estimate, not zero, and its LHS is mpc
+    assert isinstance(verify("I4", {}, ctx).lhs_value, ctx.mp.mpc)
+    # on (-1, 1) the node pairs are x and -x exactly, so the imaginary
+    # parts x of their terms cancel exactly: the sum is still an mpc
+    spec = IntegralSpec("odd_imaginary", (), (-1, 1), lambda mp: (lambda x, xc: mp.mpc(1, x)))
+    r = integrate(spec, ctx)
+    assert isinstance(r.value, ctx.mp.mpc) and r.value.imag == 0
+    assert abs(r.value.real - 2) <= ctx.quad_target
+
+
+# Fixed-point sum oracle.  Each component is sign 10^k b(x) / (j + 1 + x),
+# times (1 + i x) when complex, on one panel: tanh-sinh with a smooth base
+# b, tanh-sinh with an x^(-1/2) end (f near 1e40 at weights near 1e-80 at
+# 30 digits, 1e110 at 1e-220 at 100), or exp-sinh, whose weights grow past
+# 1e50.  The panel runs to a fixed level: no absolute target can be met
+# at 10^30.
+_ORACLE_PANELS = {
+    "smooth": ("tanh-sinh", 1, lambda mp, x: mp.exp(x)),
+    "sqrt-end": ("tanh-sinh", 1, lambda mp, x: mp.cos(x) / mp.sqrt(x)),
+    "exp-sinh": ("exp-sinh", INF, lambda mp, x: 1 / (1 + x * x) ** 2),
+}
+_oracle_component = st.tuples(st.integers(min_value=-30, max_value=30), st.booleans(), st.booleans())
+
+
+def _oracle_integrand(mp, base, components):
+    def f(x, xc):
+        b = base(mp, x)
+        out = []
+        for j, (k, negative, complex_) in enumerate(components):
+            v = (-b if negative else b) * mp.mpf(10) ** k / (j + 1 + x)
+            out.append(v * mp.mpc(1, x) if complex_ else v)
+        return tuple(out)
+    return f
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(panel=st.sampled_from(sorted(_ORACLE_PANELS)),
+       components=st.lists(_oracle_component, min_size=1, max_size=4),
+       level=st.integers(min_value=2, max_value=5))
+def test_fixed_point_sum_against_mpf_sum(digits, panel, components, level):
+    # the driver rounds each term w f once, by at most 2^-wp, so over N
+    # calls a value may move by N 2^-wp; the reference sums the same terms
+    # in mpf 40 digits above the engine, each weight exact from the node
+    # tables and each f evaluated in that context
+    kind, hi, base = _ORACLE_PANELS[panel]
+    ctx = PrecisionContext(digits)
+    emp = ctx.boosted(GUARD).mp
+    lo, hi = emp.zero, emp.convert(hi)
+    negligible = emp.mpf(10) ** -(digits + 10)
+    cutoff = negligible ** 2
+    f = _oracle_integrand(emp, base, components)
+    calls = []
+
+    def recording(x, xc):
+        calls.append((x, xc))
+        return f(x, xc)
+    values, _, _, n, vector = quadrature._panel(recording, emp, kind, lo, hi, cutoff, negligible,
+                                                emp.zero, level, level)
+    assert vector and n == len(calls)
+
+    _, scale_of, points = quadrature._TRANSFORMS[kind]
+    scale = scale_of(lo, hi)
+    weights = {}
+    for lev in range(level + 1):
+        for node in quadrature._level_nodes(emp, kind, lev, cutoff)[0]:
+            for wm, we, x, xc in points(node, lo, hi, scale):
+                weights[x._mpf_, xc._mpf_] = wm, we
+    mp = PrecisionContext(digits + GUARD + 40).mp
+    g = _oracle_integrand(mp, base, components)
+    sums = [0] * len(components)
+    for x, xc in calls:
+        w = mp.mpf(weights[x._mpf_, xc._mpf_])
+        sums = [a + w * c for a, c in zip(sums, g(x, xc))]
+
+    rounding = n * emp.ldexp(1, -(emp.prec + 20))
+    for v, u, (_, _, complex_) in zip(values, sums, components):
+        assert isinstance(v, emp.mpc if complex_ else emp.mpf)
+        assert abs(v - u * scale / 2 ** level) <= (1 + abs(v)) * emp.mpf(10) ** -digits + rounding
