@@ -321,7 +321,7 @@ def test_python_int_component_integrates(ctx):
 
 
 def test_complex_values_stay_complex(ctx):
-    # I4's imaginary part is below its estimate, not zero, and its LHS is mpc
+    # I4's imaginary terms cancel to an integer sum of exactly 0; its LHS stays mpc
     assert isinstance(verify("I4", {}, ctx).lhs_value, ctx.mp.mpc)
     # on (-1, 1) the node pairs are x and -x exactly, so the imaginary
     # parts x of their terms cancel exactly: the sum is still an mpc
@@ -362,7 +362,7 @@ def _oracle_integrand(mp, base, components):
        components=st.lists(_oracle_component, min_size=1, max_size=4),
        level=st.integers(min_value=2, max_value=5))
 def test_fixed_point_sum_against_mpf_sum(digits, panel, components, level):
-    # the driver rounds each term w f once, by at most 2^-wp, so over N
+    # _panel rounds each term w f once, by at most 2^-wp, so over N
     # calls a value may move by N 2^-wp; the reference sums the same terms
     # in mpf 40 digits above the engine, each weight exact from the node
     # tables and each f evaluated in that context
