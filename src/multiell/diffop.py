@@ -12,8 +12,8 @@ Two routes, deliberately asymmetric:
   pointwise evaluations, FD-limited accuracy).
 
 * The cylindrical Laplacian d^2/db^2 + d^2/dc^2 + (1/c) d/dc is applied
-  to the axial integrand pointwise by finite differences; its analytic
-  partials would be error-prone to derive by hand.
+  to the t-form axial integrand at fixed t by finite differences; its
+  analytic partials would be error-prone to derive by hand.
 
 Residuals are reported together with the magnitude scale of the largest
 operator term, and pass when residual <= tol * scale.
@@ -171,10 +171,12 @@ def laplace_residual_of(func, b, c, ctx: PrecisionContext, *, corrupted: bool = 
 
 def laplace_residual(theta, b, c, ctx: PrecisionContext, *,
                      corrupted: bool = False) -> LaplaceResidual:
-    """Laplacian residual of the axial integrand at fixed theta.
+    """Laplacian residual of the axial integrand at fixed t = tan theta.
 
-    Requires b, c > 0 and theta in (0, pi/2) with the inner parameter of K
-    strictly inside (0, 1) at every stencil point.
+    The integrand is kernels.axial_t_kernel's; its Jacobian to the theta
+    form, 1 + t^2, is constant in (b, c).  Requires b, c > 0 and theta in
+    (0, pi/2) with the inner parameter of K strictly inside (0, 1) at
+    every stencil point.
     """
     work = ctx.boosted(_FD_BOOST)
     mp = work.mp
@@ -185,7 +187,9 @@ def laplace_residual(theta, b, c, ctx: PrecisionContext, *,
         raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
     if not (b > 0 and c > 0):
         raise DomainError("operator check requires b > 0 and c > 0")
-    func = kernels.axial_integrand_of_bc(mp, theta)
+    t = mp.tan(theta)
+    def func(b, c):
+        return kernels.axial_t_kernel(mp, b, c)(t, c - t)
     residual, scale, tol, ok = laplace_residual_of(func, b, c, ctx, corrupted=corrupted)
     return LaplaceResidual(ctx.reduce(theta), ctx.reduce(b), ctx.reduce(c),
                            ctx.reduce(residual), ctx.reduce(scale),

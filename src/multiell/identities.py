@@ -3,9 +3,9 @@
 Each catalog row pairs a left-hand side (a quadrature or a series partial
 sum) with a closed-form right-hand side.  The I-numbering is this
 artifact's own labeling scheme.  A report passes when the absolute
-discrepancy sits below ctx.pass_tol * max(1, |rhs|); rows with complex
-kernels additionally require the imaginary part of the quadrature value to
-sit below ten times the quadrature error estimate (the kernels are
+discrepancy sits below ctx.pass_tol * max(1, |rhs|); a complex (mpc)
+quadrature value additionally requires its imaginary part to sit below ten
+times the quadrature error estimate (the complex kernels are
 conjugate-symmetric, so the imaginary part must vanish -- tested, not
 assumed).
 """
@@ -86,7 +86,6 @@ class IdentityRecord:
     id: str
     description: str
     params: tuple
-    kind: str  # "quad" | "quad_complex" | "series"
     singular_notes: str
     lhs: object
     rhs: object
@@ -158,66 +157,66 @@ def _build_catalog():
     log_half = "kernel log-singular at x=1/2"
     complex_root = "kernel log-singular at x=1/2; principal-branch root"
     add("I1", "weighted K-kernel integral vs squared-K closed form",
-        (unit_a,), "quad", log_half, _weighted_lhs,
+        (unit_a,), log_half, _weighted_lhs,
         lambda ctx, p: generating_integral_closed_form(p["a"], ctx))
 
     add("I1-ext", "weighted K-kernel integral past the critical parameter",
-        (ParamSpec("a", lo=1, lo_open=True),), "quad",
+        (ParamSpec("a", lo=1, lo_open=True),),
         "kernel log-singular at x=1/2; no smooth continuation across a=1",
         _weighted_lhs,
         lambda ctx, p: generating_integral_closed_form(p["a"], ctx))
 
     add("I2", "rational-weight K integral; value pi/(4 sqrt 2)",
-        (), "quad", log_half, _unit_kernel_lhs(kernels.ratio_kernel_2sqrt2),
+        (), log_half, _unit_kernel_lhs(kernels.ratio_kernel_2sqrt2),
         _closed_form_rhs(lambda mp: mp.pi / (4 * mp.sqrt(2))))
 
     add("I3", "r=4 singular-value K integral; value Gamma(1/4)^4/(16 sqrt2 pi)",
-        (), "quad", log_half, _unit_kernel_lhs(kernels.singular_value_kernel_r4),
+        (), log_half, _unit_kernel_lhs(kernels.singular_value_kernel_r4),
         lambda ctx, p: rhs_constant("I3", ctx))
 
     add("I4", "complex-kernel K integral for the r=3 singular value",
-        (), "quad_complex", complex_root, _unit_kernel_lhs(kernels.complex_kernel_r3),
+        (), complex_root, _unit_kernel_lhs(kernels.complex_kernel_r3),
         lambda ctx, p: rhs_constant("I4", ctx))
 
     add("I5", "complex-kernel K integral for the r=7 singular value",
-        (), "quad_complex", complex_root, _unit_kernel_lhs(kernels.complex_kernel_r7),
+        (), complex_root, _unit_kernel_lhs(kernels.complex_kernel_r7),
         lambda ctx, p: rhs_constant("I5", ctx))
 
     add("I6", "axially symmetric K integral with two tunable parameters",
-        (ParamSpec("b", lo=0), ParamSpec("c", lo=0)), "quad",
+        (ParamSpec("b", lo=0), ParamSpec("c", lo=0)),
         "singular at t = c when b = 0",
         _quad_lhs(lambda ctx, p: kernels.axial_t_spec(p["b"], p["c"])), _axial_rhs)
 
     add("I7", "axial special case on (0,1); value pi/(2 sqrt 2)",
-        (), "quad", log_half, _unit_kernel_lhs(kernels.special_case_kernel),
+        (), log_half, _unit_kernel_lhs(kernels.special_case_kernel),
         _closed_form_rhs(lambda mp: mp.pi / (2 * mp.sqrt(2))))
 
     add("I8", "plain K-kernel integral; value pi^2/4",
-        (), "quad", log_half, _unit_kernel_lhs(kernels.k_of_x),
+        (), log_half, _unit_kernel_lhs(kernels.k_of_x),
         _closed_form_rhs(lambda mp: mp.pi ** 2 / 4))
 
     add("I9", "semi-infinite Re K integral; value pi/(2 sqrt(1+c^2))",
-        (ParamSpec("c", lo=0, lo_open=True),), "quad",
+        (ParamSpec("c", lo=0, lo_open=True),),
         "Re K switches branch formula at x=1 (log-singular there)",
         _quad_lhs(lambda ctx, p: kernels.semi_infinite_spec(
             kernels.re_k_semi_infinite_kernel, p["c"])),
         lambda ctx, p: _axial_rhs(ctx, {"b": 0, "c": p["c"]}))
 
     add("I10", "signed rational-weight K integral; value -pi/(8 sqrt 2)",
-        (), "quad", log_half, _unit_kernel_lhs(kernels.signed_kernel_4sqrt2),
+        (), log_half, _unit_kernel_lhs(kernels.signed_kernel_4sqrt2),
         _closed_form_rhs(lambda mp: -mp.pi / (8 * mp.sqrt(2))))
 
     add("I11", "Clausen-type series vs squared-K closed form",
-        (series_a,), "series", "series converges like a^(2n)",
+        (series_a,), "series converges like a^(2n)",
         _clausen_lhs, _clausen_rhs)
 
     add("I12", "level-4 Ramanujan-type series vs algebraic multiple of 1/pi",
-        (ParamSpec("variant", choices=(0, 1)),), "series",
+        (ParamSpec("variant", choices=(0, 1)),),
         "variant 0 sums to 2 sqrt2/pi, variant 1 to 4 sqrt2/pi",
         _ramanujan_lhs, _ramanujan_rhs)
 
     add("I13", "quadrature route vs Legendre-projection series route",
-        (series_a,), "quad", log_half, _weighted_lhs,
+        (series_a,), log_half, _weighted_lhs,
         lambda ctx, p: legendre_sum(p["a"], _series_terms(p["a"] ** 2, ctx.digits), ctx))
 
     return {rec.id: rec for rec in records}
@@ -304,9 +303,8 @@ def _verify_points(rec: IdentityRecord, points, ctx: PrecisionContext, max_level
         abs_err = +abs(mp.convert(lhs_value) - mp.convert(rhs_value))
         rel_err = +(abs_err / abs(mp.convert(rhs_value)))
         passed = abs_err <= ctx.pass_tol * max(mp.one, abs(mp.convert(rhs_value)))
-        if rec.kind == "quad_complex":
-            imag = abs(mp.convert(lhs_value).imag)
-            passed = bool(passed and imag <= 10 * err_estimate)
+        if hasattr(lhs_value, "_mpc_"):
+            passed = bool(passed and abs(lhs_value.imag) <= 10 * err_estimate)
         reports.append(VerificationReport(
             id=rec.id, params=validated, lhs_value=lhs_value, rhs_value=rhs_value,
             abs_err=abs_err, rel_err=rel_err, passed=bool(passed),

@@ -12,19 +12,16 @@ at digits + GUARD:
   forms kc without cancellation and never forms the parameter m:
   2|1/2 - x| for K(2 sqrt(x(1-x))); sqrt((1-x)(1+x)) and
   sqrt((x-1)(x+1))/x for Re K at modulus x; sqrt((b^2+(c-t)^2)/den2)
-  for the axial kernel at t = tan th; |1-x|/(1+x) for K(2 sqrt(x)/(1+x)).
+  for the axial kernel in t = tan th; |1-x|/(1+x) for K(2 sqrt(x)/(1+x)).
 * Next to a panel end at a kernel's singular abscissa, the distance to it
-  (1/2 - x, 1 - x, c - t, atan c - th) is read from xc through
+  (1/2 - x, 1 - x, c - t) is read from xc through
   quadrature.offset, exact where the rounded x is not; the generating
   weight is formed as (1-a)^2 + 4a(1-x), which equals 1 - 2(2x-1)a + a^2.
 
-The axial kernel: I6 integrates it in t = tan th over (0, inf), split at
-t = c (axial_t_kernel), where sin th = t / sqrt(1 + t^2) and the gap
-c - t need no trig at any node.  The theta form over (0, pi/2), split at
-atan c (axial_kernel, with c - tan th = tan(atan c - th)(1 + c tan th)),
-is kept as the first link of the b = 0 substitution chain; it, the t form
-and the (b, c) function that the Laplace check differentiates share one
-body, so the check certifies the integrand that I6 integrates.
+The axial kernel: axial_t_kernel is its one body, the integrand that I6
+integrates over (0, inf) split at t = c and that the Laplace check
+differentiates in (b, c); axial_kernel is only its Jacobian adapter to
+th = atan t, kept for the benchmark's theta substitution chain.
 
 K columns: the K factor of the kernels K(2 sqrt(x(1-x))), Re K(x) and
 K(2 sqrt(x)/(1+x)) depends on the node alone, not on the integral's
@@ -199,36 +196,36 @@ def complex_kernel_r7(mp):
     return f
 
 
-def _axial(mp, b, c, tan_t, sin_t, gap):
-    """K(sqrt(4c tan th / den2)) sin th / sqrt(den2), den2 = b^2 + (c + tan th)^2.
+def axial_t_kernel(mp, b, c):
+    """The axial kernel in t = tan th on (0, inf), with no trig at any node.
 
-    gap = c - tan th gives K's complementary modulus sqrt((b^2 + gap^2) / den2).
+    K(sqrt(4ct / den2)) t / ((1+t^2)^(3/2) sqrt(den2)), den2 = b^2+(c+t)^2;
+    the gap c - t in K's complementary modulus is read from xc next to t = c.
     """
-    den2 = b * b + (c + tan_t) ** 2
-    return ellipk_real_mp(mp, mp.sqrt((b * b + gap * gap) / den2)) * sin_t / mp.sqrt(den2)
-
-
-def axial_kernel(mp, b, c):
-    """K(sqrt(4c tan th / (b^2+(c+tan th)^2))) sin th / sqrt(b^2+(c+tan th)^2)."""
-    to_peak = offset(mp, mp.atan(c))
-    def f(theta, xc):
-        tt = mp.tan(theta)
-        gap = (1 + c * tt) * mp.tan(to_peak(theta, xc))  # c - tan th
-        return _axial(mp, b, c, tt, mp.sin(theta), gap)
+    to_peak = offset(mp, c)
+    b2 = b * b
+    def f(t, xc):
+        q = 1 + t * t
+        gap = to_peak(t, xc)
+        den2 = b2 + (c + t) ** 2
+        kc = mp.sqrt((b2 + gap * gap) / den2)
+        return ellipk_real_mp(mp, kc) * (t / mp.sqrt(q)) / mp.sqrt(den2) / q
     return f
 
 
-def axial_t_kernel(mp, b, c):
-    """The axial kernel after t = tan th, on (0, inf): axial_kernel(atan t) / (1 + t^2).
+def axial_kernel(mp, b, c):
+    """The axial kernel in th on (0, pi/2): axial_t_kernel at tan th times 1 + tan^2 th.
 
-    K(sqrt(4ct / (b^2+(c+t)^2))) t / ((1+t^2)^(3/2) sqrt(b^2+(c+t)^2)), with
-    no trig at any node: sin th = t / sqrt(1 + t^2), and the gap c - t is
-    read from xc next to t = c.
+    A Jacobian adapter with no K call of its own; the gap c - tan th
+    reaches the t form as tan(atan c - th)(1 + c tan th), with
+    atan c - th read from xc.  It is kept only because the benchmark's
+    theta substitution chain integrates it.
     """
-    to_peak = offset(mp, c)
-    def f(t, xc):
-        q = 1 + t * t
-        return _axial(mp, b, c, t, t / mp.sqrt(q), to_peak(t, xc)) / q
+    to_peak = offset(mp, mp.atan(c))
+    in_t = axial_t_kernel(mp, b, c)
+    def f(theta, xc):
+        t = mp.tan(theta)
+        return (1 + t * t) * in_t(t, (1 + c * t) * mp.tan(to_peak(theta, xc)))
     return f
 
 
@@ -287,20 +284,6 @@ def signed_kernel_4sqrt2(mp):
     return f
 
 
-def axial_integrand_of_bc(mp, theta):
-    """The axial kernel at fixed theta as a function of (b, c).
-
-    This is the pointwise object the cylindrical Laplacian annihilates,
-    evaluated by the same body as axial_kernel; gap = c - tan th is formed
-    directly, since b > 0 keeps K's complementary modulus away from 0.
-    """
-    sin_t = mp.sin(theta)
-    tan_t = mp.tan(theta)
-    def F(b, c):
-        return _axial(mp, b, c, tan_t, sin_t, c - tan_t)
-    return F
-
-
 def weighted_kernel_spec(a_values, order: int = 0):
     """The weighted K-kernel integrals over (0, 1) at each a in a_values.
 
@@ -309,18 +292,6 @@ def weighted_kernel_spec(a_values, order: int = 0):
     """
     return IntegralSpec(f"weighted_kernel_d{order}", (order, *a_values), (0, 1),
                         weighted_kernel, singular_points=(0.5,))
-
-
-def axial_spec(b, c):
-    """The axial integral over (0, pi/2), split at atan(c) when c > 0.
-
-    K is log-singular there when b = 0 and sharply peaked when b is small.
-    """
-    singular = ()
-    if c > 0:
-        singular = ((lambda mp: mp.atan(mp.convert(c))),)
-    return IntegralSpec("axial_kernel", (b, c), (0, lambda mp: mp.pi / 2), axial_kernel,
-                        singular_points=singular)
 
 
 def axial_t_spec(b, c):

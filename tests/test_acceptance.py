@@ -121,7 +121,14 @@ def test_criterion_08_annihilator_grids_and_controls(ctx):
     bad_lap = laplace_residual(mp.pi / 4, 1, 1, ctx, corrupted=True)
     ratio_lap = bad_lap.residual / max(clean_lap.residual, mp.mpf(10) ** -100)
     ok = ok and ratio_ode >= 10 ** 6 and ratio_lap >= 10 ** 6
-    report(8, ok, f"control ratios {mp.nstr(ratio_ode, 3)}, {mp.nstr(ratio_lap, 3)}")
+
+    def shown(clean, ratio):
+        # a clean residual below the floor 1e-100 was replaced by it
+        if clean.residual < mp.mpf(10) ** -100:
+            return (f">= {mp.nstr(ratio, 3)} (lower bound: clean residual"
+                    f" {mp.nstr(clean.residual, 3)} is below the floor 1e-100)")
+        return mp.nstr(ratio, 3)
+    report(8, ok, f"control ratios {shown(clean_ode, ratio_ode)}, {shown(clean_lap, ratio_lap)}")
 
 
 def test_criterion_09_transform_and_singular_values(ctx):

@@ -7,7 +7,7 @@ from multiell import (DomainError, PrecisionContext, apply_annihilator_fd,
                       ode_annihilator_residual,
                       ode_annihilator_residual_closed_form)
 from multiell.fd import richardson_derivative
-from multiell.kernels import generating_weight, weighted_kernel_spec
+from multiell.kernels import axial_t_kernel, generating_weight, weighted_kernel_spec
 
 
 def test_weight_derivatives_match_finite_differences(ctx):
@@ -105,6 +105,19 @@ def test_laplace_residual_passes(ctx):
     res = laplace_residual(mp.pi / 4, 1, 1, ctx)
     assert res.passed
     assert res.residual <= res.tolerance
+
+
+@pytest.mark.parametrize("theta_div, b, c", [(4, "1", "1"), (6, "0.5", "2"), (3, "2", "0.5")])
+def test_laplace_residual_differentiates_the_t_form(ctx, theta_div, b, c):
+    # the residual at theta is the t-form integrand's at t = tan theta
+    mp = ctx.boosted(20).mp
+    theta = mp.pi / theta_div
+    t = mp.tan(theta)
+    residual, scale, tol, ok = laplace_residual_of(
+        lambda bb, cc: axial_t_kernel(mp, bb, cc)(t, cc - t), mp.mpf(b), mp.mpf(c), ctx)
+    res = laplace_residual(theta, mp.mpf(b), mp.mpf(c), ctx)
+    assert ok and res.passed
+    assert (res.residual, res.scale) == (ctx.reduce(residual), ctx.reduce(scale))
 
 
 def test_laplace_negative_control(ctx):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,6 +7,8 @@ from multiell import (DomainError, OutOfDomainError, PrecisionContext,
                       SeriesId, clausen_sum, clausen_sum_da, export,
                       legendre_sum, linear_bridge, list_identities, sweep,
                       verify)
+from multiell.identities import _verify_points, get_identity
+from multiell.quadrature import MAX_LEVEL
 
 
 def test_catalog_shape():
@@ -37,6 +40,18 @@ def test_i1_at_zero_reduces_to_plain_kernel(ctx):
     r_plain = verify("I8", {}, ctx)
     assert r_zero.lhs_value == r_plain.lhs_value  # weight is exactly one
     assert abs(r_zero.rhs_value - r_plain.rhs_value) <= ctx.mp.mpf(10) ** (-ctx.digits + 2)
+
+
+def test_complex_lhs_needs_a_vanishing_imaginary_part(ctx30):
+    # at 30 digits an imaginary part of 1e-30 is within pass_tol of the
+    # RHS, but not within ten times an error estimate of 1e-45
+    mp = ctx30.mp
+    rec = get_identity("I8")
+    rhs = rec.rhs(ctx30, {})
+    for lhs, passed in ((mp.mpc(rhs, "1e-30"), False), (rhs, True)):
+        row = dataclasses.replace(rec, lhs=lambda ctx, points, max_level: [(lhs, mp.mpf("1e-45"))])
+        report, = _verify_points(row, [{}], ctx30, MAX_LEVEL)
+        assert report.passed is passed
 
 
 def test_axial_special_case_links(ctx):

@@ -23,7 +23,7 @@ from multiell import (DomainError, IntegralSpec, PrecisionContext, agm,
                       clausen_sum, clausen_sum_da, ellipk_complementary,
                       ellipk_series, integrate, legendre_p, legendre_sum)
 from multiell.elliptic import ellipk_real_mp, re_k_modulus_mp
-from multiell.kernels import axial_integrand_of_bc, k_of_x
+from multiell.kernels import k_of_x
 from multiell.quadrature import GUARD, offset
 
 CTX = PrecisionContext(30)
@@ -130,17 +130,6 @@ def test_re_k_modulus_next_to_modulus_one(k, s):
     assert k_close(re_k_modulus_mp(ENGINE, x, 1 - x), ref)  # 1 - x is exact here
 
 
-@oracle_settings
-@given(st.floats(min_value=0.05, max_value=3), st.floats(min_value=0.05, max_value=3),
-       st.floats(min_value=0.05, max_value=math.pi / 2 - 0.05))
-def test_axial_integrand_of_bc_against_ellipk(b, c, theta):
-    b, c, theta = ENGINE.mpf(b), ENGINE.mpf(c), ENGINE.mpf(theta)
-    be, ce, te = EXACT.convert(b), EXACT.convert(c), EXACT.convert(theta)
-    den2 = be * be + (ce + EXACT.tan(te)) ** 2
-    ref = EXACT.ellipk(4 * ce * EXACT.tan(te) / den2) * EXACT.sin(te) / EXACT.sqrt(den2)
-    assert k_close(axial_integrand_of_bc(ENGINE, theta)(b, c), ref)
-
-
 # t near c: the gap c - t is s 10^-k, down to 1e-30 from the log singularity at b = 0
 t_near_c = st.tuples(st.integers(min_value=1, max_value=30), sign)
 t_anywhere = st.floats(min_value=0, max_value=50, exclude_min=True)
@@ -177,17 +166,46 @@ def test_axial_t_kernel_against_ellipk(b, c, t):
     assert abs(ref_mp.convert(value) - ref) <= K_TOL * abs(ref)
 
 
+# theta near atan c: the distance atan c - th is s 10^-k, down to 1e-30
+theta_near_peak = st.tuples(st.integers(min_value=1, max_value=30), sign)
+theta_anywhere = st.floats(min_value=0.05, max_value=math.pi / 2 - 0.05)
+
+
 @oracle_settings
-@given(st.floats(min_value=0.05, max_value=3), st.floats(min_value=0.05, max_value=3),
-       st.floats(min_value=0.05, max_value=math.pi / 2 - 0.05))
-def test_axial_t_kernel_is_the_theta_form_over_its_jacobian(b, c, theta):
-    # dt = (1 + tan^2 th) dth: the t-form at tan th, times 1 + tan^2 th,
-    # is the theta-form at th
-    b, c, theta = ENGINE.mpf(b), ENGINE.mpf(c), ENGINE.mpf(theta)
+@given(st.floats(min_value=0, max_value=3), st.floats(min_value=0.05, max_value=3),
+       st.one_of(theta_anywhere, theta_near_peak))
+@example(0, 1, (30, 1))
+@example(0, 1, (30, -1))
+def test_axial_forms_against_the_printed_theta_integrand(b, c, theta):
+    # The printed theta integrand K(sqrt(4c tan th / den2)) sin th / sqrt(den2),
+    # den2 = b^2 + (c + tan th)^2, built from mp.ellipk, is axial_kernel at
+    # th and the t form at tan th times its Jacobian 1 + tan^2 th.  A node
+    # next to the panel end atan c is passed as the quadrature passes it:
+    # th is rounded and thc = atan c - th exact; the t form is given the
+    # exact gap c - tan th.  The reference is taken as in the t-form test.
+    b, c = ENGINE.mpf(b), ENGINE.mpf(c)
+    peak = ENGINE.atan(c)
+    if isinstance(theta, tuple):
+        k, s = theta
+        thc = s * ENGINE.mpf(10) ** -k
+        if thc >= peak:
+            thc = -abs(thc)
+        theta = peak - thc
+    else:
+        theta = ENGINE.mpf(theta)
+        thc = peak - theta
+    assume(b > 0 or thc != 0)
+    ref_mp = context(WORKING + 40 + 2 * max(0, math.ceil(-ENGINE.log10(abs(thc) + b))))
+    be, ce = ref_mp.convert(b), ref_mp.convert(c)
+    te = ref_mp.atan(ce) - ref_mp.convert(thc) if abs(thc) < peak / 2 else ref_mp.convert(theta)
+    tan_te = ref_mp.tan(te)
+    den2 = be * be + (ce + tan_te) ** 2
+    ref = ref_mp.ellipk(4 * ce * tan_te / den2) * ref_mp.sin(te) / ref_mp.sqrt(den2)
     t = ENGINE.tan(theta)
-    in_t = kernels.axial_t_kernel(ENGINE, b, c)(t, c - t) * (1 + t * t)
-    in_theta = kernels.axial_kernel(ENGINE, b, c)(theta, ENGINE.atan(c) - theta)
-    assert k_close(in_t, EXACT.convert(in_theta))
+    in_t = kernels.axial_t_kernel(ENGINE, b, c)(t, ENGINE.convert(ce - tan_te)) * (1 + t * t)
+    in_theta = kernels.axial_kernel(ENGINE, b, c)(theta, thc)
+    for value in (in_t, in_theta):
+        assert abs(ref_mp.convert(value) - ref) <= K_TOL * abs(ref)
 
 
 # The integer AGM core: K from kc at `digits` working digits, against
