@@ -171,18 +171,15 @@ theta_near_peak = st.tuples(st.integers(min_value=1, max_value=30), sign)
 theta_anywhere = st.floats(min_value=0.05, max_value=math.pi / 2 - 0.05)
 
 
-@oracle_settings
-@given(st.floats(min_value=0, max_value=3), st.floats(min_value=0.05, max_value=3),
-       st.one_of(theta_anywhere, theta_near_peak))
-@example(0, 1, (30, 1))
-@example(0, 1, (30, -1))
-def test_axial_forms_against_the_printed_theta_integrand(b, c, theta):
-    # The printed theta integrand K(sqrt(4c tan th / den2)) sin th / sqrt(den2),
-    # den2 = b^2 + (c + tan th)^2, built from mp.ellipk, is axial_kernel at
-    # th and the t form at tan th times its Jacobian 1 + tan^2 th.  A node
-    # next to the panel end atan c is passed as the quadrature passes it:
-    # th is rounded and thc = atan c - th exact; the t form is given the
-    # exact gap c - tan th.  The reference is taken as in the t-form test.
+def theta_node_and_reference(b, c, theta):
+    """A theta node and the printed theta integrand there, from mp.ellipk.
+
+    The printed integrand is K(sqrt(4c tan th / den2)) sin th / sqrt(den2),
+    den2 = b^2 + (c + tan th)^2.  A node next to the panel end atan c is
+    passed as the quadrature passes it: th is rounded and thc = atan c - th
+    exact.  The reference is taken as in the t-form test.  Returns
+    (th, thc, the exact gap c - tan th, the reference, its context).
+    """
     b, c = ENGINE.mpf(b), ENGINE.mpf(c)
     peak = ENGINE.atan(c)
     if isinstance(theta, tuple):
@@ -201,11 +198,38 @@ def test_axial_forms_against_the_printed_theta_integrand(b, c, theta):
     tan_te = ref_mp.tan(te)
     den2 = be * be + (ce + tan_te) ** 2
     ref = ref_mp.ellipk(4 * ce * tan_te / den2) * ref_mp.sin(te) / ref_mp.sqrt(den2)
+    return theta, thc, ce - tan_te, ref, ref_mp
+
+
+axial_theta_nodes = given(
+    st.floats(min_value=0, max_value=3), st.floats(min_value=0.05, max_value=3),
+    st.one_of(theta_anywhere, theta_near_peak))
+
+
+@oracle_settings
+@axial_theta_nodes
+@example(0, 1, (30, 1))
+@example(0, 1, (30, -1))
+def test_axial_integrand_of_bc_against_ellipk(b, c, theta):
+    # axial_kernel, the theta form the substitution chain integrates,
+    # against the printed theta integrand
+    theta, thc, _, ref, ref_mp = theta_node_and_reference(b, c, theta)
+    value = kernels.axial_kernel(ENGINE, ENGINE.mpf(b), ENGINE.mpf(c))(theta, thc)
+    assert abs(ref_mp.convert(value) - ref) <= K_TOL * abs(ref)
+
+
+@oracle_settings
+@axial_theta_nodes
+@example(0, 1, (30, 1))
+@example(0, 1, (30, -1))
+def test_axial_t_kernel_is_the_theta_form_over_its_jacobian(b, c, theta):
+    # dt = (1 + tan^2 th) dth: the t form at tan th, given the exact gap
+    # c - tan th, times 1 + tan^2 th, is the printed theta integrand at th
+    theta, _, gap, ref, ref_mp = theta_node_and_reference(b, c, theta)
     t = ENGINE.tan(theta)
-    in_t = kernels.axial_t_kernel(ENGINE, b, c)(t, ENGINE.convert(ce - tan_te)) * (1 + t * t)
-    in_theta = kernels.axial_kernel(ENGINE, b, c)(theta, thc)
-    for value in (in_t, in_theta):
-        assert abs(ref_mp.convert(value) - ref) <= K_TOL * abs(ref)
+    in_t = kernels.axial_t_kernel(ENGINE, ENGINE.mpf(b), ENGINE.mpf(c))(t, ENGINE.convert(gap))
+    value = in_t * (1 + t * t)
+    assert abs(ref_mp.convert(value) - ref) <= K_TOL * abs(ref)
 
 
 # The integer AGM core: K from kc at `digits` working digits, against
