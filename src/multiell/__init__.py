@@ -8,9 +8,8 @@ differential operators behind the identities, all threaded through an
 explicit PrecisionContext.
 """
 
-from .diffop import (LaplaceResidual, OdeResidual, apply_annihilator_fd,
-                     laplace_residual, laplace_residual_of,
-                     ode_annihilator_residual,
+from .diffop import (Residual, apply_annihilator_fd, laplace_residual,
+                     laplace_residual_of, ode_annihilator_residual,
                      ode_annihilator_residual_closed_form)
 from .elliptic import (agm, ellipk, ellipk_complementary, ellipk_series,
                        generating_integral_closed_form)
@@ -44,7 +43,7 @@ __all__ = [
     "clausen_sum_da", "legendre_sum", "ramanujan_sum", "ramanujan_target",
     "linear_bridge",
     "lambda_star", "singular_value_residual", "rhs_constant",
-    "OdeResidual", "LaplaceResidual", "ode_annihilator_residual",
+    "Residual", "ode_annihilator_residual",
     "ode_annihilator_residual_closed_form", "laplace_residual",
     "laplace_residual_of", "apply_annihilator_fd",
     "IdentityRecord", "ParamSpec", "VerificationReport", "list_identities",

@@ -15,13 +15,16 @@ Two routes, deliberately asymmetric:
   to the t-form axial integrand at fixed t by finite differences; its
   analytic partials would be error-prone to derive by hand.
 
-Residuals are reported together with the magnitude scale of the largest
-operator term, and pass when residual <= tol * scale.
+Every route returns one ``Residual``: the residual, the magnitude scale
+of the largest operator term, the tolerance 10^-(digits/k) * scale (k = 2
+for quadrature, 3 for finite differences) and the verdict residual <=
+tolerance.  Finite-difference stencils sample each distinct point once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
+from typing import NamedTuple
 
 from . import kernels
 from .elliptic import generating_integral_closed_form
@@ -33,24 +36,19 @@ from .quadrature import MAX_LEVEL, integrate
 _FD_BOOST = 20
 
 
-@dataclass(frozen=True)
-class OdeResidual:
-    a: object
+class Residual(NamedTuple):
+    """An operator residual, the scale it is measured against, and its verdict."""
+
     residual: object
     scale: object
     tolerance: object
     passed: bool
 
 
-@dataclass(frozen=True)
-class LaplaceResidual:
-    theta: object
-    b: object
-    c: object
-    residual: object
-    scale: object
-    tolerance: object
-    passed: bool
+def _verdict(mp, residual, scale, ctx: PrecisionContext, k: int) -> Residual:
+    """Residual against tolerance 10^-(digits//k) * scale in mp, rounded to ctx."""
+    tol = mp.mpf(10) ** (-(ctx.digits // k)) * scale
+    return Residual(ctx.reduce(residual), ctx.reduce(scale), ctx.reduce(tol), residual <= tol)
 
 
 def _ode_combine(mp, a, derivs, zeroth_factor):
@@ -86,20 +84,18 @@ def weighted_derivatives(a_values, ctx: PrecisionContext, *, max_level: int = MA
     return [values[4 * i:4 * i + 4] for i in range(len(a_values))]
 
 
-def ode_residual_of(a, derivs, ctx: PrecisionContext, *, corrupted: bool = False) -> OdeResidual:
+def ode_residual_of(a, derivs, ctx: PrecisionContext, *, corrupted: bool = False) -> Residual:
     """The third-order operator's residual at a, from the integral's four derivatives.
 
     The tolerance is quadrature-limited, 10^(-digits/2) relative to scale.
     With ``corrupted`` the zeroth-order coefficient a is replaced by 2a.
     """
-    mp = ctx.mp
-    residual, scale = _ode_combine(mp, a, derivs, 2 if corrupted else 1)
-    tol = mp.mpf(10) ** (-(ctx.digits // 2)) * scale
-    return OdeResidual(a, +residual, +scale, +tol, residual <= tol)
+    residual, scale = _ode_combine(ctx.mp, a, derivs, 2 if corrupted else 1)
+    return _verdict(ctx.mp, residual, scale, ctx, 2)
 
 
 def ode_annihilator_residual(a, ctx: PrecisionContext, *, corrupted: bool = False,
-                             max_level: int = MAX_LEVEL) -> OdeResidual:
+                             max_level: int = MAX_LEVEL) -> Residual:
     """Apply the third-order operator to the weighted K-kernel integral.
 
     The integral and its first three a-derivatives come from one vector
@@ -118,19 +114,20 @@ def apply_annihilator_fd(f, a, ctx: PrecisionContext, *, zeroth_factor=1):
 
     f maps an mpf (at ctx precision boosted for FD) to a value; derivatives
     use 5-point central stencils at h = 10^(-digits/5) with Richardson
-    extrapolation over two step sizes.
+    extrapolation over two step sizes, which share 7 distinct points.
     """
     work = ctx.boosted(_FD_BOOST)
     mp = work.mp
     a = mp.convert(a)
     h = mp.mpf(10) ** (-(ctx.digits // 5))
+    f = cache(f)
     derivs = [mp.convert(f(a))]
     for order in (1, 2, 3):
         derivs.append(richardson_derivative(f, a, order, h))
     return _ode_combine(mp, a, derivs, zeroth_factor)
 
 
-def ode_annihilator_residual_closed_form(a, ctx: PrecisionContext) -> OdeResidual:
+def ode_annihilator_residual_closed_form(a, ctx: PrecisionContext) -> Residual:
     """Apply the third-order operator to the squared-K closed form by FD.
 
     Certifies that the closed form solves the homogeneous equation; the
@@ -140,17 +137,16 @@ def ode_annihilator_residual_closed_form(a, ctx: PrecisionContext) -> OdeResidua
     work = ctx.boosted(_FD_BOOST)
     residual, scale = apply_annihilator_fd(
         lambda t: generating_integral_closed_form(t, work), a, ctx)
-    tol = work.mp.mpf(10) ** (-(ctx.digits // 3)) * scale
-    return OdeResidual(+a, ctx.reduce(residual), ctx.reduce(scale),
-                       ctx.reduce(tol), residual <= tol)
+    return _verdict(work.mp, residual, scale, ctx, 3)
 
 
-def laplace_residual_of(func, b, c, ctx: PrecisionContext, *, corrupted: bool = False):
+def laplace_residual_of(func, b, c, ctx: PrecisionContext, *, corrupted: bool = False) -> Residual:
     """Cylindrical-Laplacian residual of func(b, c) by finite differences.
 
     func must be smooth near (b, c) and accept mpf arguments at boosted
-    precision.  With ``corrupted`` the (1/c) d/dc term is dropped.
-    Returns (residual, scale, tolerance, passed).
+    precision; the three stencils share 13 distinct points.  With
+    ``corrupted`` the (1/c) d/dc term is dropped.  The tolerance is
+    FD-truncation-limited, 10^(-digits/3) relative to scale.
     """
     work = ctx.boosted(_FD_BOOST)
     mp = work.mp
@@ -159,18 +155,18 @@ def laplace_residual_of(func, b, c, ctx: PrecisionContext, *, corrupted: bool = 
     h = mp.mpf(10) ** (-(ctx.digits // 5))
     if not (b - 2 * h > 0 and c - 2 * h > 0):
         raise DomainError("stencil point leaves valid region")
+    func = cache(func)
     f_bb = richardson_derivative(lambda t: func(t, c), b, 2, h)
     f_cc = richardson_derivative(lambda t: func(b, t), c, 2, h)
     f_c = richardson_derivative(lambda t: func(b, t), c, 1, h)
     terms = (f_bb, f_cc) if corrupted else (f_bb, f_cc, f_c / c)
     residual = abs(sum(terms))
     scale = max(abs(f_bb), abs(f_cc), abs(f_c / c))
-    tol = mp.mpf(10) ** (-(ctx.digits // 3)) * scale
-    return residual, scale, tol, residual <= tol
+    return _verdict(mp, residual, scale, ctx, 3)
 
 
 def laplace_residual(theta, b, c, ctx: PrecisionContext, *,
-                     corrupted: bool = False) -> LaplaceResidual:
+                     corrupted: bool = False) -> Residual:
     """Laplacian residual of the axial integrand at fixed t = tan theta.
 
     The integrand is kernels.axial_t_kernel's; its Jacobian to the theta
@@ -180,9 +176,7 @@ def laplace_residual(theta, b, c, ctx: PrecisionContext, *,
     """
     work = ctx.boosted(_FD_BOOST)
     mp = work.mp
-    theta = mp.convert(theta)
-    b = mp.convert(b)
-    c = mp.convert(c)
+    theta, b, c = (mp.convert(v) for v in (theta, b, c))
     if not 0 < theta < mp.pi / 2:
         raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
     if not (b > 0 and c > 0):
@@ -190,7 +184,4 @@ def laplace_residual(theta, b, c, ctx: PrecisionContext, *,
     t = mp.tan(theta)
     def func(b, c):
         return kernels.axial_t_kernel(mp, b, c)(t, c - t)
-    residual, scale, tol, ok = laplace_residual_of(func, b, c, ctx, corrupted=corrupted)
-    return LaplaceResidual(ctx.reduce(theta), ctx.reduce(b), ctx.reduce(c),
-                           ctx.reduce(residual), ctx.reduce(scale),
-                           ctx.reduce(tol), ok)
+    return laplace_residual_of(func, b, c, ctx, corrupted=corrupted)

@@ -56,7 +56,7 @@ class ParamSpec:
                 as_int = int(value)
                 if as_int != (float(value) if not isinstance(value, str) else as_int):
                     raise ValueError
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise OutOfDomainError(f"{self.name} must be an integer choice, got {value!r}")
             if as_int not in self.choices:
                 raise OutOfDomainError(f"{self.name} must be one of {self.choices}, got {as_int}")
@@ -65,6 +65,8 @@ class ParamSpec:
             v = mp.mpf(value)
         except (TypeError, ValueError):
             raise OutOfDomainError(f"{self.name} must be numeric, got {value!r}")
+        if not mp.isfinite(v):
+            raise OutOfDomainError(f"{self.name} must be finite, got {value!r}")
         lo = None if self.lo is None else mp.mpf(self.lo)
         hi = None if self.hi is None else mp.mpf(self.hi)
         if lo is not None and (v < lo or (self.lo_open and v == lo)):
@@ -369,26 +371,27 @@ def _rows(reports):
         }
 
 
+def _csv_field(value) -> str:
+    """One CSV cell: params as name=value pairs joined by ';', booleans lowercase."""
+    if isinstance(value, dict):
+        return ";".join(f"{k}={v}" for k, v in value.items())
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def export(reports, format: str = "json") -> bytes:
     """Serialize reports; JSON is an array of objects, CSV one row per report.
 
     Numeric fields are decimal strings at full working precision; CSV uses
     comma separators and LF line endings.
     """
-    reports = list(reports)
-    if not reports:
+    rows = list(_rows(reports))
+    if not rows:
         raise DomainError("cannot export an empty report list")
     if format == "json":
-        return json.dumps(list(_rows(reports)), indent=2).encode()
+        return json.dumps(rows, indent=2).encode()
     if format == "csv":
-        header = "id,params,lhs,rhs,abs_err,rel_err,passed,digits,wall_ms"
-        lines = [header]
-        for row in _rows(reports):
-            params = ";".join(f"{k}={v}" for k, v in row["params"].items())
-            lines.append(",".join([
-                row["id"], params, row["lhs"], row["rhs"], row["abs_err"],
-                row["rel_err"], "true" if row["passed"] else "false",
-                str(row["digits"]), row["wall_ms"],
-            ]))
+        lines = [",".join(rows[0])] + [",".join(map(_csv_field, row.values())) for row in rows]
         return ("\n".join(lines) + "\n").encode()
     raise DomainError(f"unknown export format {format!r}")

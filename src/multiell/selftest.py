@@ -9,6 +9,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from . import kernels
 from .diffop import laplace_residual, laplace_residual_of, ode_residual_of, weighted_derivatives
@@ -20,7 +21,7 @@ from .singular import SUPPORTED_R, singular_value_residual
 
 GRAM_ORDER = 12
 ODE_GRID = tuple(f"0.{k}" for k in range(1, 10))
-LAPLACE_THETAS = ("pi/6", "pi/4", "pi/3")
+LAPLACE_THETAS = (6, 4, 3)  # theta = pi / each
 LAPLACE_BC = ("0.5", "1", "2")
 CHAIN_C = ("0.5", "1", "2")
 CONTROL_RATIO = 10 ** 6
@@ -32,11 +33,6 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float
-
-
-def _theta_value(mp, label):
-    num = {"pi/6": 6, "pi/4": 4, "pi/3": 3}[label]
-    return mp.pi / num
 
 
 def _check(name, fn, ctx):
@@ -85,15 +81,21 @@ def _ode_grid(ctx):
     return tuple(zip(a_values, map(tuple, weighted_derivatives(a_values, ctx))))
 
 
-def _ode_grid_check(ctx):
+def _grid_verdict(ctx, residuals, span):
+    """Pass when every (point label, Residual) passes, else name the first failing point."""
     mp = ctx.mp
-    worst_ratio = mp.zero
-    for a, derivs in _ode_grid(ctx):
-        res = ode_residual_of(a, derivs, ctx)
+    worst = mp.zero
+    for label, res in residuals:
         if not res.passed:
-            return False, f"residual {mp.nstr(res.residual, 3)} at a={a} exceeds {mp.nstr(res.tolerance, 3)}"
-        worst_ratio = max(worst_ratio, res.residual / res.scale)
-    return True, f"max residual/scale {mp.nstr(worst_ratio, 3)} over a in {{0.1..0.9}}"
+            return False, (f"residual {mp.nstr(res.residual, 3)} at {label}"
+                           f" exceeds {mp.nstr(res.tolerance, 3)}")
+        worst = max(worst, res.residual / res.scale)
+    return True, f"max residual/scale {mp.nstr(worst, 3)} over {span}"
+
+
+def _ode_grid_check(ctx):
+    return _grid_verdict(ctx, ((f"a={a}", ode_residual_of(a, derivs, ctx))
+                               for a, derivs in _ode_grid(ctx)), "a in {0.1..0.9}")
 
 
 def _control_verdict(ctx, clean, bad):
@@ -123,17 +125,10 @@ def _ode_control_check(ctx):
 
 def _laplace_grid_check(ctx):
     mp = ctx.mp
-    worst = mp.zero
-    for label in LAPLACE_THETAS:
-        theta = _theta_value(mp, label)
-        for b in LAPLACE_BC:
-            for c in LAPLACE_BC:
-                res = laplace_residual(theta, mp.mpf(b), mp.mpf(c), ctx)
-                if not res.passed:
-                    return False, (f"residual {mp.nstr(res.residual, 3)} at "
-                                   f"(theta={label}, b={b}, c={c})")
-                worst = max(worst, res.residual / res.scale)
-    return True, f"max residual/scale {mp.nstr(worst, 3)} over the 3x3x3 grid"
+    return _grid_verdict(ctx, ((f"(theta=pi/{d}, b={b}, c={c})",
+                                laplace_residual(mp.pi / d, mp.mpf(b), mp.mpf(c), ctx))
+                               for d, b, c in product(LAPLACE_THETAS, LAPLACE_BC, LAPLACE_BC)),
+                         "the 3x3x3 grid")
 
 
 def _laplace_control_check(ctx):
@@ -151,8 +146,9 @@ def _harmonic_reference_check(ctx):
         # axially symmetric harmonic function, c radial and b axial
         return 1 / mp.sqrt(c * c + (b - 3) ** 2)
 
-    residual, scale, tol, ok = laplace_residual_of(harmonic, mp.one, mp.one, ctx)
-    return ok, f"residual/scale {mp.nstr(residual / scale, 3)} (tol/scale {mp.nstr(tol / scale, 3)})"
+    res = laplace_residual_of(harmonic, mp.one, mp.one, ctx)
+    return res.passed, (f"residual/scale {mp.nstr(res.residual / res.scale, 3)}"
+                        f" (tol/scale {mp.nstr(res.tolerance / res.scale, 3)})")
 
 
 def _chain_check(ctx):

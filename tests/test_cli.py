@@ -3,7 +3,7 @@ import json
 import pytest
 
 import multiell.cli as cli
-from multiell.identities import VerificationReport
+from multiell.identities import VerificationReport, verify
 
 
 def run(argv):
@@ -67,6 +67,18 @@ def test_domain_errors_exit_3(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "I1-ext", "--param", "a=inf"],
+    ["verify", "I6", "--param", "b=inf", "--param", "c=1"],
+    ["verify", "I11", "--param", "a=nan"],
+    ["verify", "I1", "--param", "a=nan"],
+    ["sweep", "I1", "--param", "a", "--range", "0:nan:3"],
+], ids=["I1-ext-inf", "I6-inf", "I11-nan", "I1-nan", "sweep-nan"])
+def test_non_finite_parameters_exit_3(capsys, argv):
+    assert run(argv + ["--digits", "30"]) == 3
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_nonconvergence_exits_3(capsys):
     assert run(["verify", "I8", "--digits", "30", "--level-cap", "2"]) == 3
     assert "error:" in capsys.readouterr().err
@@ -97,6 +109,21 @@ def test_cli_flag_wins_over_config(tmp_path, monkeypatch, capsysbinary):
     assert run(["verify", "I8", "--digits", "30", "--format", "json"]) == 0
     rows = json.loads(capsysbinary.readouterr().out)
     assert rows[0]["digits"] == 30
+
+
+def test_config_file_sets_tol(tmp_path, monkeypatch, capsysbinary):
+    cfg = tmp_path / "multiell.cfg"
+    cfg.write_text("digits = 30\ntol = 1e-12\n")
+    monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+    contexts = []
+
+    def recording(identity, params, ctx, **kw):
+        contexts.append(ctx)
+        return verify(identity, params, ctx, **kw)
+    monkeypatch.setattr(cli, "verify", recording)
+    assert run(["verify", "I8", "--format", "json"]) == 0
+    (ctx,) = contexts
+    assert ctx.pass_tol == ctx.mp.mpf("1e-12")
 
 
 def test_config_rejects_unknown_keys(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from multiell import (DomainError, PrecisionContext, apply_annihilator_fd,
+from multiell import (DomainError, PrecisionContext, Residual, apply_annihilator_fd,
                       integrate, laplace_residual, laplace_residual_of,
                       ode_annihilator_residual,
                       ode_annihilator_residual_closed_form)
@@ -165,3 +165,75 @@ def test_differentiation_under_the_integral(ctx, a_str):
         weighted_kernel_spec(tuple(a + k * h for k in steps)), ctx).value))
     fd = (samples[-2] - 8 * samples[-1] + 8 * samples[1] - samples[2]) / (12 * h)
     assert abs(fd - direct) <= mp.mpf(10) ** (-(ctx.digits // 3)) * abs(direct)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper and return the list of its calls' arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_closed_form_samples_each_stencil_point_once(ctx, monkeypatch):
+    # f(a) and the order 1-3 stencils at h and h/2 share a, a +- h/2, a +- h, a +- 2h
+    import multiell.diffop as diffop
+    calls = _counting(monkeypatch, diffop, "generating_integral_closed_form")
+    assert ode_annihilator_residual_closed_form(ctx.mp.mpf("0.4"), ctx).passed
+    assert len(calls) == 7
+    assert len({a for a, _ in calls}) == 7
+
+
+def test_laplace_residual_samples_each_stencil_point_once(ctx, monkeypatch):
+    # 7 points on the b line and 7 on the c line, (b, c) shared
+    from multiell import kernels
+    calls = _counting(monkeypatch, kernels, "axial_t_kernel")
+    assert laplace_residual(ctx.mp.pi / 4, 1, 1, ctx).passed
+    assert len(calls) == 13
+    assert len({(b, c) for _, b, c in calls}) == 13
+
+
+def test_every_route_returns_one_residual_type(ctx):
+    mp = ctx.mp
+    work = ctx.boosted(20).mp
+    results = (
+        ode_annihilator_residual(mp.mpf("0.5"), ctx),
+        ode_annihilator_residual_closed_form(mp.mpf("0.5"), ctx),
+        laplace_residual(mp.pi / 4, 1, 1, ctx),
+        laplace_residual_of(lambda b, c: 1 / work.sqrt(c * c + (b - 3) ** 2), 1, 1, ctx),
+    )
+    for res in results:
+        assert type(res) is Residual
+        residual, scale, tolerance, passed = res
+        assert passed is True and residual <= tolerance <= scale
+        # rounded to the caller's context
+        assert all(type(v) is mp.mpf for v in (residual, scale, tolerance))
+
+
+def _failing_residual(mp, bad):
+    return Residual(mp.mpf(2 if bad else 0), mp.one, mp.one, not bad)
+
+
+def test_ode_grid_verdict_names_the_failing_point(monkeypatch):
+    from multiell import selftest
+    run = PrecisionContext(30)
+    mp = run.mp
+    grid = tuple((mp.mpf(a), None) for a in ("0.1", "0.3", "0.5"))
+    monkeypatch.setattr(selftest, "_ode_grid", lambda ctx: grid)
+    monkeypatch.setattr(selftest, "ode_residual_of",
+                        lambda a, derivs, ctx: _failing_residual(mp, a > mp.mpf("0.2")))
+    assert selftest._ode_grid_check(run) == (False, "residual 2.0 at a=0.3 exceeds 1.0")
+
+
+def test_laplace_grid_verdict_names_the_failing_point(monkeypatch):
+    from multiell import selftest
+    run = PrecisionContext(30)
+    mp = run.mp
+    monkeypatch.setattr(selftest, "laplace_residual",
+                        lambda theta, b, c, ctx: _failing_residual(mp, b == 1 and c == 2))
+    assert selftest._laplace_grid_check(run) == (
+        False, "residual 2.0 at (theta=pi/6, b=1, c=2) exceeds 1.0")

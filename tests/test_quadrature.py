@@ -312,6 +312,17 @@ def test_inf_in_second_component_is_an_integrand_failure(ctx):
         integrate(spec, ctx)
 
 
+@pytest.mark.parametrize("part, message", [
+    (lambda mp: mp.mpc(mp.inf, 1), r"returned \(\+inf"),
+    (lambda mp: mp.mpc(1, mp.nan), r"returned \(1\.0 \+ nanj\)"),
+], ids=["inf-real", "nan-imag"])
+def test_nonfinite_mpc_component_is_an_integrand_failure(ctx, part, message):
+    spec = IntegralSpec("nonfinite_mpc", (), (0, 1),
+                        lambda mp: (lambda x, xc: (mp.one, mp.mpc(x, x) if x < 0.7 else part(mp))))
+    with pytest.raises(IntegrandFailureError, match=message):
+        integrate(spec, ctx)
+
+
 def test_python_int_component_integrates(ctx):
     spec = IntegralSpec("int_component", (), (0, 1), lambda mp: (lambda x, xc: (2, x)))
     r = integrate(spec, ctx)
