@@ -42,8 +42,12 @@ axial kernel's K depends on (b, c) and is not tabulated.
 and 1 - x once per node and returns K times the generating weight's
 a-derivatives 0..order at each of several a, so that an ODE check (four
 derivatives at one a) or a sweep over a (one weight at each a) is one
-integral.  Powers u^(k/2) are formed from sqrt(u), and constants are
-hoisted out of the integrands into their factories.
+integral.  It runs on integers and returns a quadrature.Fixed: the weight
+u^(-1/2) and its derivatives come from one math.isqrt and integer
+divisions at a scale chosen per node from 1 - x and a, and K's exact
+mantissa multiplies them.  ``generating_weight`` is the mpf view of that
+same core.  Constants are hoisted out of the other integrands into their
+factories.
 
 The ``*_spec`` builders at the end pair a factory with its interval and
 singular points for the integrals that more than one module runs.  They
@@ -54,9 +58,10 @@ of that name reaches every spec they build.
 from __future__ import annotations
 
 import threading
+from math import isqrt
 
 from .elliptic import ellipk_real_mp, re_k_modulus_mp
-from .quadrature import INF, IntegralSpec, offset
+from .quadrature import INF, Fixed, IntegralSpec, fraction_bits, offset
 
 _k_tables: dict = {}  # (column, mp.prec) -> {node: K}
 _tables_lock = threading.Lock()
@@ -104,38 +109,77 @@ def k_of_x(mp):
     return _k_column(mp, "K(2 sqrt(x(1-x)))", k_at)
 
 
-def generating_weight(mp, a, order: int = 0):
-    """(g, dg/da, ..., d^order g/da^order) of g = (1 - 2(2x-1)a + a^2)^(-1/2).
+def _magnitude(v):
+    """floor(log2 |v|) of a nonzero mpf: |v| lies in [2^m, 2^(m+1))."""
+    _, _, exp, bc = v._mpf_
+    return exp + bc - 1
 
-    Returns a function of (x, 1 - x): the caller supplies 1 - x, read from
-    a node's xc through offset(mp, 1), once for every weight at that node.
-    order is 0..3.  The closed-form algebraic derivatives share u, du/da
-    and sqrt(u); they are cross-checked against finite differences of g in
-    the test suite before use.
+
+def _weight_core(mp, a, order: int):
+    """(g, dg/da, ..., d^order g/da^order) of g = u^(-1/2) on integers.
+
+    u = (1-a)^2 + 4a(1-x) = 1 - 2(2x-1)a + a^2.  Returns a function of
+    1 - x giving (mantissas, s): derivative k is mantissas[k] 2^-s.  The
+    scale s is chosen per call, as agm1_mp chooses its wp from kc.  For
+    0 <= 1-x <= 1, u lies between (1-|a|)^2, or 4a(1-x) when a > 0, and
+    (1+|a|)^2: s = wp - log2 u keeps wp bits of u where it is small, and
+    s = wp + 2.5 log2 (1+|a|)^2 keeps wp bits of u^(-5/2) where it is
+    large.  At a = 1, u = 4(1-x) falls to 4 10^-2(digits+10) at the last
+    nodes, which one absolute scale would round to 0.  du/da =
+    2(a - 1 + 2(1-x)) is formed from 1 - x as well.
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be 0..3, got {order}")
-    shift = (1 - a) ** 2
-    four_a = 4 * a
-    fifteen_eighths = mp.mpf(15) / 8
-    nine_halves = mp.mpf(9) / 2
+    a = mp.convert(a)
+    wp = fraction_bits(mp)
+    above = 5 * max(0, _magnitude(1 + abs(a)) + 1)
+    # log2 of the two lower bounds of u, where they are not 0
+    shift_log = 2 * _magnitude(1 - abs(a)) if abs(a) != 1 else None
+    a_log = _magnitude(a) + 2 if a > 0 else None
 
-    def f(x, one_minus_x):
-        u = shift + four_a * one_minus_x  # 1 - 2(2x-1)a + a^2
-        g = 1 / mp.sqrt(u)
+    def f(one_minus_x):
+        below = shift_log
+        if a_log is not None and one_minus_x > 0:
+            prod_log = a_log + _magnitude(one_minus_x)
+            below = prod_log if below is None else max(below, prod_log)
+        s = wp + max(above, -(below or 0))
+        one = 1 << s
+        o = one_minus_x.to_fixed(s)
+        a_s = a.to_fixed(s)
+        d = one - a_s  # (1 - a) 2^s
+        u = (d * d + 4 * a_s * o) >> s
+        g = (one << s) // isqrt(u << s)  # u^(-1/2) 2^s
         if order == 0:
-            return (g,)
-        ua = 2 * (a - (2 * x - 1))  # du/da
-        g3 = g / u  # u^(-3/2)
-        d1 = -ua * g3 / 2
+            return (g,), s
+        ua = 4 * o - 2 * d  # du/da 2^s
+        g3 = (g << s) // u  # u^(-3/2) 2^s
+        d1 = -(ua * g3 >> s + 1)
         if order == 1:
-            return (g, d1)
-        g5 = g3 / u  # u^(-5/2)
-        d2 = 3 * ua * ua * g5 / 4 - g3
+            return (g, d1), s
+        g5 = (g3 << s) // u  # u^(-5/2) 2^s
+        d2 = (3 * ua * ua * g5 >> 2 * s + 2) - g3
         if order == 2:
-            return (g, d1, d2)
-        d3 = (nine_halves - fifteen_eighths * ua * ua / u) * ua * g5
-        return (g, d1, d2, d3)
+            return (g, d1, d2), s
+        q = ua * ua // u  # ua^2 / u 2^s
+        d3 = (36 * one - 15 * q) * ua * g5 >> 2 * s + 3  # (9/2 - 15/8 q) ua g5
+        return (g, d1, d2, d3), s
+    return f
+
+
+def generating_weight(mp, a, order: int = 0):
+    """(g, dg/da, ..., d^order g/da^order) of g = (1 - 2(2x-1)a + a^2)^(-1/2).
+
+    Returns a function of 1 - x, the mpf view of the integer core that
+    weighted_kernel integrates: each value rounded once into mp.  order is
+    0..3.  The closed-form algebraic derivatives share u, du/da and
+    sqrt(u); they are cross-checked against finite differences of g in the
+    test suite.
+    """
+    core = _weight_core(mp, a, order)
+
+    def f(one_minus_x):
+        values, s = core(one_minus_x)
+        return tuple(mp.mpf((v, -s)) for v in values)
     return f
 
 
@@ -144,16 +188,20 @@ def weighted_kernel(mp, order: int, *a_values):
 
     One component per (a, derivative) pair, a-major: params (order, a1, ...,
     an) give n (order + 1) components, all sharing one K value and one
-    1 - x per node.
+    1 - x per node.  Returns a quadrature.Fixed: K's exact mantissa times
+    each weight's integer, every a's scale shifted to the finest one.
     """
     k = k_of_x(mp)
     to_one = offset(mp, 1)
-    weights = [generating_weight(mp, a, order) for a in a_values]
+    cores = [_weight_core(mp, a, order) for a in a_values]
 
     def f(x, xc):
-        kx = k(x, xc)
+        _, k_man, k_exp, _ = k(x, xc)._mpf_  # K > 0
         one_minus_x = to_one(x, xc)
-        return tuple(kx * w for g in weights for w in g(x, one_minus_x))
+        weights = [core(one_minus_x) for core in cores]
+        top = max(s for _, s in weights)
+        return Fixed(tuple(k_man * w << top - s for values, s in weights for w in values),
+                     k_exp - top)
     return f
 
 

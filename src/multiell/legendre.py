@@ -1,6 +1,13 @@
 """Legendre polynomials: recurrence evaluation, generating function,
 orthogonality on (0, 1) after x -> 2x-1, and the even-index expansion of
 the elliptic kernel K(2 sqrt(x(1-x))).
+
+The three-term recurrence has two forms.  ``_legendre_values`` runs it in
+mpf for legendre_p, the generating-function check and the kernel
+expansion.  The Gram integrand runs it on ints scaled by 2^wp, wp =
+quadrature.fraction_bits, and returns every product P_n P_m as a
+quadrature.Fixed, so the orthogonality integral makes no mpf operation
+per node.
 """
 
 from __future__ import annotations
@@ -9,7 +16,7 @@ from itertools import count, islice
 
 from .errors import DomainError
 from .precision import PrecisionContext
-from .quadrature import IntegralSpec, integrate
+from .quadrature import Fixed, IntegralSpec, fraction_bits, integrate
 
 GRAM_MAX_ORDER = 20  # cost guard
 
@@ -59,11 +66,23 @@ def generating_function_check(a, x, n_terms: int, ctx: PrecisionContext):
 
 
 def _gram_factory(mp, order: int):
-    """P_n(2x-1) P_m(2x-1) for order >= n >= m >= 0, row by row, as one vector."""
+    """P_n(2x-1) P_m(2x-1) for order >= n >= m >= 0, row by row, as one Fixed.
+
+    The three-term recurrence runs on ints scaled by 2^wp, wp =
+    fraction_bits(mp): |P_n| <= 1 on [-1, 1], so one absolute scale keeps
+    P_n within about n(n+1) units of 2^-wp, and the products are returned
+    unshifted, at 2^-2wp.
+    """
     pairs = [(n, m) for n in range(order + 1) for m in range(n + 1)]
+    wp = fraction_bits(mp)
+    one = 1 << wp
+
     def f(x, _):
-        p = list(islice(_legendre_values(mp, 2 * x - 1), order + 1))
-        return tuple(p[n] * p[m] for n, m in pairs)
+        y = (x.to_fixed(wp) << 1) - one  # (2x - 1) 2^wp
+        p = [one, y]
+        for k in range(1, order):
+            p.append((((2 * k + 1) * y * p[k] >> wp) - k * p[k - 1]) // (k + 1))
+        return Fixed(tuple(p[n] * p[m] for n, m in pairs), -2 * wp)
     return f
 
 

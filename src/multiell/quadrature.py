@@ -47,18 +47,25 @@ converges.
 
 Fixed-point accumulation: a panel keeps one Python int per real component
 (two per mpc component), the sum of w f over every node so far scaled by
-2^wp, wp = engine precision + 20 bits.  Node tables hold each weight as its
-exact mpf (mantissa, exponent), and each term is the product of the two
-mantissas shifted once into place, so a term is rounded once, by at most
-2^-wp, and N terms by at most N 2^-wp; a panel's value moves by at most
-h scale N 2^-wp.  That is absolute, and far below the representation error
-(1 + |value|) 10^-digits that every returned estimate is floored at.  The
-weights themselves are never rounded to fixed point: tail weights reach
-10^-2(digits+10) and an x^(-1/2) endpoint gives integrand values near the
-inverse square root of that, so a weight rounded to 2^-wp would lose every
-digit of those terms.  A component that is neither mpf nor mpc passes once
-through mp.convert; an mpc component stays mpc when its imaginary sum
-cancels to 0.
+2^wp, wp = fraction_bits(mp) = engine precision + 20 bits.  Node tables
+hold each weight as its exact mpf (mantissa, exponent), and each term is
+the product of the two mantissas shifted once into place, so a term is
+rounded once, by at most 2^-wp, and N terms by at most N 2^-wp; a panel's
+value moves by at most h scale N 2^-wp.  That is absolute, and far below
+the representation error (1 + |value|) 10^-digits that every returned
+estimate is floored at.  The weights themselves are never rounded to fixed
+point: tail weights reach 10^-2(digits+10) and an x^(-1/2) endpoint gives
+integrand values near the inverse square root of that, so a weight rounded
+to 2^-wp would lose every digit of those terms.  A component that is
+neither mpf nor mpc passes once through mp.convert; an mpc component stays
+mpc when its imaginary sum cancels to 0.
+
+Fixed-point integrands: an integrand whose components are cheaper to build
+on integers returns Fixed(mantissas, exp), component j being
+mantissas[j] 2^exp, and never pays for an mpf.  The panel takes each
+m wm with the same single shift into the 2^wp sum, so the rounding-once
+rule is the one above.  The Legendre Gram and the weighted K kernel
+return Fixed; see IntegralSpec for the contract.
 
 Semi-infinite integrands must decay at least like x^(-2); every catalog
 form decays like x^(-3).
@@ -69,7 +76,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, IntegrandFailureError, NonConvergenceError
 from .precision import PrecisionContext
@@ -94,8 +101,27 @@ class IntegralSpec:
     (so x + xc = e).  Integrands singular at a panel end take their distance
     to that end from xc, through ``offset(mp, end)``, rather than subtracting
     the rounded x: nodes lie so close to the ends that x can round onto one.
-    f returns one mpf/mpc value or a tuple of them; a tuple's length is the
-    integral's number of components and must not change between calls.
+
+    f returns one mpf/mpc value, a tuple of them, or a Fixed; a tuple's
+    length is the integral's number of components and must not change
+    between calls.  Fixed(mantissas, exp) is a vector of real components in
+    fixed point: component j is mantissas[j] 2^exp, the mantissas signed
+    Python ints sharing one binary exponent.  Its contract:
+
+    * the number of mantissas is the number of components and must not
+      change between calls; exp may change from call to call;
+    * exp <= -fraction_bits(mp), and each component is correct to a few
+      units of 2^-fraction_bits(mp) times max(1, |component|); on the
+      tanh-sinh panels of a finite interval, whose weights are below 2, a
+      term w f then errs by a few units of the panel sum plus that share
+      of |w f|, and the panel rounds it once, as it does for an mpf;
+    * exp-sinh weights grow without bound, so an integrand over (lo, inf)
+      returns mpf;
+    * an integrand whose magnitudes span many binades (a power of a
+      quantity that tends to 0 at a panel end) chooses its working scale
+      per call, so that no intermediate value rounds to 0;
+    * a ZeroDivisionError or ValueError raised by the integer arithmetic
+      surfaces as IntegrandFailureError, like any failure of f.
     """
 
     integrand_id: str
@@ -122,6 +148,22 @@ class QuadResult:
     panels: int
     levels: int
     evaluations: int
+
+
+class Fixed(NamedTuple):
+    """A fixed-point integrand value: component j is mantissas[j] 2^exp."""
+
+    mantissas: tuple
+    exp: int
+
+
+def fraction_bits(mp) -> int:
+    """Bits below the binary point of the panel sum at mp's precision.
+
+    The panel sums every term w f as an int scaled by 2^fraction_bits(mp);
+    a Fixed integrand carries at least this many fraction bits.
+    """
+    return mp.prec + 20
 
 
 def _resolve(v, mp):
@@ -253,13 +295,13 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
 
     Returns (values, error estimates, level, calls, vector): one value and
     one estimate per component of f, the level reached, the integrand calls
-    made and whether f returned a tuple.  Each component's sum of w f over
-    every node so far is one int scaled by 2^wp (two for an mpc component);
-    level L's value is that sum times 2^-L scale.
+    made and whether f returned a tuple or a Fixed.  Each component's sum of
+    w f over every node so far is one int scaled by 2^wp (two for an mpc
+    component); level L's value is that sum times 2^-L scale.
     """
     _, scale_of, points = _TRANSFORMS[kind]
     scale = scale_of(lo, hi)
-    wp = mp.prec + 20
+    wp = fraction_bits(mp)
     # a term w f is negligible once scale |w f| is
     limit = int(mp.ldexp(negligible / scale, wp))
     re = im = err = None
@@ -276,12 +318,24 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
                     raise IntegrandFailureError(
                         f"integrand raised at x = {x}{_at_end(x, xc)}: {exc}") from exc
                 calls += 1
+                shift = we + wp
+                if type(v) is Fixed:
+                    vector = True
+                    mantissas, exp = v
+                    if re is None:
+                        re, im = [0] * len(mantissas), [None] * len(mantissas)
+                    e = exp + shift
+                    for j, m in enumerate(mantissas):
+                        t = m * wm << e if e >= 0 else m * wm >> -e
+                        re[j] += t
+                        if small and not -limit < t < limit:
+                            small = False
+                    continue
                 vector = type(v) is tuple
                 if not vector:
                     v = (v,)
                 if re is None:
                     re, im = [0] * len(v), [None] * len(v)
-                shift = we + wp
                 for j, c in enumerate(v):
                     try:
                         sign, man, exp, _ = c._mpf_

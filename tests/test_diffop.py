@@ -21,9 +21,9 @@ def test_weight_derivatives_match_finite_differences(ctx):
         x = mp.mpf(rng.uniform(0.05, 0.95))
         a = mp.mpf(rng.uniform(0.05, 0.9))
         for order in (1, 2, 3):
-            direct = generating_weight(mp, a, order)(x, 1 - x)[order]
+            direct = generating_weight(mp, a, order)(1 - x)[order]
             fd = richardson_derivative(
-                lambda t: generating_weight(mp, t, order - 1)(x, 1 - x)[order - 1], a, 1, h)
+                lambda t: generating_weight(mp, t, order - 1)(1 - x)[order - 1], a, 1, h)
             assert abs(direct - fd) <= mp.mpf(10) ** -30 * max(1, abs(direct))
 
 

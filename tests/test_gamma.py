@@ -1,3 +1,5 @@
+import time
+
 import mpmath
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
 from multiell import DomainError, PrecisionContext, gamma, pochhammer
+from multiell.gammafn import SHIFT_MAX
 
 
 def test_gamma_one(ctx):
@@ -88,3 +91,21 @@ def test_pochhammer_recurrence_exact(ctx):
 def test_pochhammer_rejects_negative_n(ctx):
     with pytest.raises(DomainError):
         pochhammer(1, -1, ctx)
+
+
+@pytest.mark.parametrize("digits", [50, 300])
+@pytest.mark.parametrize("x", [1234567.7, 1e12 + 0.7, 1e30])
+def test_gamma_at_large_x_is_accurate_and_bounded(digits, x):
+    # above SHIFT_MAX the series runs at x itself: no step per unit of x.
+    # The warm-up fills the coefficient tables, so the timed call is the
+    # evaluation alone, about 10 ms at 300 digits on a 2-core VM
+    ctx = PrecisionContext(digits)
+    gamma(SHIFT_MAX + 50.5, ctx)
+    start = time.perf_counter()
+    value = gamma(x, ctx)
+    elapsed = time.perf_counter() - start
+    ref = MPContext()
+    ref.dps = digits + 20
+    truth = ref.gamma(ref.mpf(x))
+    assert abs(ref.convert(value) - truth) <= ref.mpf(10) ** -digits * truth
+    assert elapsed < 0.2

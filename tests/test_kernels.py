@@ -1,9 +1,11 @@
 """The kernels' K tables: one per K column and engine precision, shared by
-every integral that reads the column.
+every integral that reads the column; and the weighted kernel's integer
+core against an mpf evaluation of its closed form.
 
-Each test starts from empty tables and counts calls of K's one entry point,
-``ellipk_real_mp``, as both kernels and elliptic (behind Re K) see it.
-Values read from a table must be bit-identical to values computed afresh.
+Each table test starts from empty tables and counts calls of K's one entry
+point, ``ellipk_real_mp``, as both kernels and elliptic (behind Re K) see
+it.  Values read from a table must be bit-identical to values computed
+afresh.
 """
 
 import sys
@@ -15,7 +17,7 @@ import pytest
 import multiell.elliptic as elliptic
 import multiell.kernels as kernels
 from multiell import IntegralSpec, PrecisionContext, integrate
-from multiell.quadrature import offset
+from multiell.quadrature import _TRANSFORMS, GUARD, Fixed, _level_nodes, fraction_bits, offset
 
 HALF = 0.5
 
@@ -141,3 +143,55 @@ def test_concurrent_integrals_return_their_serial_values(k_calls):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert threaded == serial
+
+
+def _unit_nodes(mp, levels):
+    """(x, xc) of every tanh-sinh node of levels 0..levels-1 on (0, 1/2) and (1/2, 1).
+
+    Each level's table runs down to the quadrature's weight cutoff, so the
+    nodes reach 1 - x near 10^-2(digits+10) and sit next to x = 1/2 from both sides.
+    """
+    _, scale_of, points = _TRANSFORMS["tanh-sinh"]
+    cutoff = mp.mpf(10) ** (-2 * (mp.dps - GUARD + 10))
+    half = mp.mpf(0.5)
+    for lo, hi in ((mp.zero, half), (half, mp.one)):
+        for level in range(levels):
+            for node in _level_nodes(mp, "tanh-sinh", level, cutoff)[0]:
+                for _, _, x, xc in points(node, lo, hi, scale_of(lo, hi)):
+                    yield x, xc
+
+
+@pytest.mark.parametrize("digits", [30, 100, 300])
+@pytest.mark.parametrize("a", ["0", "1e-3", "0.5", "0.95", "0.999", "1", "1.1", "4", "1e6"])
+def test_weighted_kernel_against_mpf_reference(digits, a):
+    # each component K d^j g/da^j against the closed form evaluated 40 digits
+    # above the engine from the same K, 1 - x and a; the integer core
+    # chooses its scale per node, so every component keeps wp bits
+    # relative to its size: a few units of 2^-wp times max(1, |value|)
+    emp = PrecisionContext(digits).boosted(GUARD).mp
+    ref = PrecisionContext(digits + GUARD + 40).mp
+    wp = fraction_bits(emp)
+    a = emp.mpf(a)
+    f = kernels.weighted_kernel(emp, 3, a)
+    k = kernels.k_of_x(emp)
+    to_one = offset(emp, 1)
+    ra = ref.convert(a)
+    nodes = list(_unit_nodes(emp, 3))
+    assert min(xc for _, xc in nodes if xc > 0) < emp.mpf(10) ** (-3 * digits // 2)
+    for x, xc in nodes:
+        value = f(x, xc)
+        assert type(value) is Fixed and value.exp <= -wp
+        kx = ref.convert(k(x, xc))
+        o = ref.convert(to_one(x, xc))
+        u = (1 - ra) ** 2 + 4 * ra * o
+        ua = 2 * (ra - 1 + 2 * o)
+        g = 1 / ref.sqrt(u)
+        g3 = g / u
+        g5 = g3 / u
+        exact = (g, -ua * g3 / 2, 3 * ua * ua * g5 / 4 - g3,
+                 (ref.mpf(9) / 2 - ref.mpf(15) / 8 * ua * ua / u) * ua * g5)
+        for j, (mantissa, w) in enumerate(zip(value.mantissas, exact)):
+            want = kx * w
+            got = ref.ldexp(mantissa, value.exp)
+            assert abs(got - want) <= ref.ldexp(64, -wp) * max(1, abs(want)), (x, xc, j)
+

@@ -1,12 +1,15 @@
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from multiell import (DomainError, IntegralSpec, kernel_expansion_partial_sum, ellipk,
-                      generating_function_check, integrate, legendre_p,
+from multiell import (DomainError, IntegralSpec, PrecisionContext, kernel_expansion_partial_sum,
+                      ellipk, generating_function_check, integrate, legendre_p,
                       orthogonality_gram)
 from multiell.kernels import k_of_x
-from multiell.legendre import legendre_p_mp
+from multiell.legendre import GRAM_MAX_ORDER, _gram_factory, legendre_p_mp
+from multiell.quadrature import GUARD, Fixed, fraction_bits
 
 
 def binomial_sum_oracle(mp, n, x):
@@ -153,3 +156,30 @@ def test_odd_index_projections_vanish(ctx, n):
                         singular_points=(0.5,))
     r = integrate(spec, ctx)
     assert abs(r.value) <= 10 * ctx.quad_target
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(x=st.floats(min_value=0, max_value=1))
+@example(x=0.0)
+@example(x=1.0)
+@example(x=1e-300)
+def test_gram_integrand_matches_mpf_products(digits, x):
+    # the Gram integrand's integer recurrence against P_n P_m from the mpf
+    # recurrence 40 digits above the engine, for every n <= GRAM_MAX_ORDER.
+    # 2x - 1 is truncated to 2^-wp, by at most 2 units, and |d(P_n P_m)/dy|
+    # <= (n(n+1) + m(m+1))/2 on [-1, 1]; the floor divisions of the
+    # recurrence add as much again
+    emp = PrecisionContext(digits).boosted(GUARD).mp
+    ref = PrecisionContext(digits + GUARD + 40).mp
+    wp = fraction_bits(emp)
+    x = emp.mpf(x)
+    value = _gram_factory(emp, GRAM_MAX_ORDER)(x, None)
+    assert type(value) is Fixed and value.exp <= -wp
+    y = 2 * ref.convert(x) - 1
+    p = [legendre_p_mp(ref, n, y) for n in range(GRAM_MAX_ORDER + 1)]
+    pairs = [(n, m) for n in range(GRAM_MAX_ORDER + 1) for m in range(n + 1)]
+    assert len(value.mantissas) == len(pairs)
+    for (n, m), mantissa in zip(pairs, value.mantissas):
+        tol = 2 * (n * (n + 1) + m * (m + 1) + 2)
+        assert abs(ref.ldexp(mantissa, value.exp) - p[n] * p[m]) <= ref.ldexp(tol, -wp), (n, m)

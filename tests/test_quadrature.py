@@ -411,3 +411,51 @@ def test_fixed_point_sum_against_mpf_sum(digits, panel, components, level):
     for v, u, (_, _, complex_) in zip(values, sums, components):
         assert isinstance(v, emp.mpc if complex_ else emp.mpf)
         assert abs(v - u * scale / 2 ** level) <= (1 + abs(v)) * emp.mpf(10) ** -digits + rounding
+
+
+def _mixed_sign_components(mp, x):
+    # mixed magnitudes and signs: 1e30, -1e-30 and -3 scales
+    return (mp.mpf(10) ** 30 * x * x, -mp.mpf(10) ** -30 / (1 + x), -3 * mp.exp(x))
+
+
+def _as_fixed(factory):
+    """factory's integrand returning Fixed, its exponent changing from call to call."""
+    def fixed_factory(mp):
+        f = factory(mp)
+        bits = [quadrature.fraction_bits(mp) + extra for extra in (0, 7, 31)]
+        calls = [0]
+
+        def g(x, xc):
+            calls[0] += 1
+            s = bits[calls[0] % 3]
+            return quadrature.Fixed(tuple(v.to_fixed(s) for v in f(x, xc)), -s)
+        return g
+    return fixed_factory
+
+
+def test_fixed_integrand_matches_its_mpf_form(ctx):
+    # the same integrand, once as mpf and once as Fixed with negative
+    # mantissas and a per-call exponent: one node set, and values within
+    # the rounding of the two sums, 2 units of 2^-wp per call, times scale 1/2
+    def mpf_factory(mp):
+        return lambda x, xc: _mixed_sign_components(mp, x)
+    spec = IntegralSpec("mixed_signs", (), (0, 1), mpf_factory)
+    plain = integrate(spec, ctx)
+    fixed = integrate(dataclasses.replace(spec, factory=_as_fixed(mpf_factory)), ctx)
+    assert (fixed.levels, fixed.evaluations) == (plain.levels, plain.evaluations)
+    mp = ctx.mp
+    wp = quadrature.fraction_bits(ctx.boosted(GUARD).mp)
+    rounding = fixed.evaluations * mp.ldexp(1, -wp)
+    assert [type(v) for v in fixed.value] == [mp.mpf] * 3
+    assert fixed.value[1] < 0 and fixed.value[2] < 0
+    for v, p in zip(fixed.value, plain.value):
+        assert abs(v - p) <= rounding + (1 + abs(p)) * mp.mpf(10) ** -ctx.digits
+
+
+def test_fixed_integrand_zero_division_is_an_integrand_failure(ctx):
+    # floor(16 x) is 0 for x < 1/16, where the integer division fails
+    def factory(mp):
+        wp = quadrature.fraction_bits(mp)
+        return lambda x, xc: quadrature.Fixed(((1 << 2 * wp) // (x.to_fixed(4)),), -wp)
+    with pytest.raises(IntegrandFailureError, match="integrand raised"):
+        integrate(IntegralSpec("fixed_division", (), (0, 1), factory), ctx)
