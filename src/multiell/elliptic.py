@@ -110,13 +110,17 @@ def ellipk(m, ctx: PrecisionContext):
 
 
 def ellipk_series(m, n_terms: int, ctx: PrecisionContext):
-    """Maclaurin partial sum of K through the m^N term, for |m| < 1.
+    """Maclaurin partial sum of K through the m^N term, for real |m| < 1.
 
-    K(m) = (pi/2) [1 + sum_{n>=1} ((1/2)_n / (1)_n)^2 m^n]
+    K(m) = (pi/2) [1 + sum_{n>=1} ((1/2)_n / (1)_n)^2 m^n], summed on
+    fixed-point integers by ``series._ratio_series`` with p = 2.  A complex
+    m raises DomainError.
     """
     hi = ctx.boosted(10)
     mp = hi.mp
     m = mp.convert(m)
+    if not isinstance(m, mp.mpf):
+        raise DomainError(f"the Maclaurin series requires a real m, got {m}")
     if not abs(m) < 1:
         raise DomainError(f"the Maclaurin series requires |m| < 1, got {m}")
     return ctx.reduce(mp.pi / 2 * _ratio_series(mp, m, n_terms, power=2))

@@ -5,14 +5,17 @@ chosen from the context's precision; coefficients are cached per order.
 Its alternating sum cancels about 0.13 digits per unit of order: the guard
 digits grow with the order.  For 2 <= x <= SHIFT_MAX, x is first shifted
 into [1, 2) by Gamma(x) = (x-1) Gamma(x-1), one integer product per unit
-of x.  Above SHIFT_MAX the series is applied at x itself, its error bound
-holding for every z >= 0, so the cost no longer grows with x.  There its
+of x; that product and ``pochhammer`` share one integer rising product,
+``_rising_mp``, whose factors are exact and which is rounded once.  Above
+SHIFT_MAX the series is applied at x itself, its error bound holding for
+every z >= 0, so the cost no longer grows with x.  There its
 sum cancels from its largest coefficient down to about sqrt(2 pi), and its
 factor za^(z+1/2) e^(-za) is the exponential of an argument near x ln x,
 whose rounding error becomes the factor's relative error; each is formed
 with one more guard digit per decimal digit it loses.
-Only positive real arguments are supported (every closed-form constant in
-the identity catalog needs rational positive arguments only).
+Gamma supports only positive real arguments (every closed-form constant in
+the identity catalog needs rational positive arguments only); the rising
+factorial takes any finite real x.
 """
 
 from __future__ import annotations
@@ -92,29 +95,45 @@ def gamma(x, ctx: PrecisionContext):
         spread = ctx.boosted(guard + int(mp.log10(x * mp.log(x))) + 1).mp
         return ctx.reduce(_spouge_factor(spread, spread.convert(x) - 1, order)
                           * _spouge_sum(summed, summed.convert(x) - 1, order))
-    # Gamma(x) = (z+1)(z+2)...(z+n) Gamma(z+1) with z = x-1-n in [0, 1); the
-    # product is an int mantissa man * 2^exp, cut back to wp bits per factor,
-    # which costs less than the subtraction and product of an mpf step
+    # Gamma(x) = (z+1)(z+2)...(z+n) Gamma(z+1) with z = x-1-n in [0, 1)
     n = int(x) - 1
-    z = x - 1 - n  # exact: z keeps x's last bit's place
-    wp = mp.prec
-    zf = z.to_fixed(wp)
-    man, exp = 1, 0
-    for k in range(1, n + 1):
-        man *= zf + (k << wp)  # (z+k) 2^wp
-        drop = man.bit_length() - wp
-        man >>= drop
-        exp += drop - wp
-    return ctx.reduce(mp.mpf((man, exp)) * _gamma_zp1(mp, z, order))
+    z = x - 1 - n  # exact: z keeps x's last bit's place, and so does z + 1
+    return ctx.reduce(_rising_mp(mp, z + 1, n) * _gamma_zp1(mp, z, order))
+
+
+def _rising_mp(mp, x, n: int):
+    """x (x+1) ... (x+n-1) for a finite mpf x, rounded once into context mp.
+
+    Every factor is an exact integer over x's binary point, and the product
+    is an int cut back to wp = prec + 10 + n.bit_length() bits after each
+    factor: n cuts of relative size below 2^(1-wp) each, which costs less
+    than the subtraction and product of an mpf step.  A product that is
+    exactly 0 (x a non-positive integer, n > -x) stays the int 0.
+    """
+    wp = mp.prec + 10 + n.bit_length()
+    sign, man, exp, _ = x._mpf_
+    xm = (-man if sign else man) << max(0, exp)
+    point = max(0, -exp)  # each factor is (xm + k 2^point) 2^-point
+    acc, acc_exp = 1, -point * n
+    for k in range(n):
+        acc *= xm + (k << point)
+        drop = acc.bit_length() - wp
+        if drop > 0:
+            acc >>= drop
+            acc_exp += drop
+    return mp.mpf((acc, acc_exp))
 
 
 def pochhammer(x, n: int, ctx: PrecisionContext):
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1); (x)_0 = 1."""
+    """Rising factorial (x)_n = x (x+1) ... (x+n-1); (x)_0 = 1.
+
+    x is a finite real; the value is the exact product rounded once to
+    ctx.digits, up to a relative 2^-(prec+9) from the integer product.
+    """
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"pochhammer requires a nonnegative integer n, got {n!r}")
     mp = ctx.mp
     x = mp.convert(x)
-    acc = mp.one
-    for k in range(n):
-        acc *= x + k
-    return +acc
+    if not (isinstance(x, mp.mpf) and mp.isfinite(x)):
+        raise DomainError(f"pochhammer requires a finite real x, got {x}")
+    return _rising_mp(mp, x, n)

@@ -4,8 +4,19 @@ combination bridging them back to the Clausen form.
 
 Every partial sum here (and the Maclaurin series of K) is one routine,
 ``_ratio_series``: sum_n ((1/2)_n / (1)_n)^p (A n + B) z^n on the ratio
-recurrence c_{n+1}/c_n = ((n + 1/2)/(n + 1))^p, one multiply per term and
-no factorials.  The series of this module use p = 3.  The public
+recurrence c_{n+1}/c_n = ((n + 1/2)/(n + 1))^p, with no factorials.  It
+runs on Python ints at a fixed binary point 2^-wp (Brent & Zimmermann,
+*Modern Computer Arithmetic*, 4.4, as mpmath's ``libhyper`` sums pFq):
+z, A and B are converted to fixed point once, each step is two integer
+multiplies, an exact integer ratio and a shift, and the sum becomes an
+mpf once.  wp = prec + 20 + N.bit_length(): the N.bit_length() bits cover
+N truncations of at most one unit each, the 20 bits cover their spread
+through the recurrence and z's one rounding, which moves the sum by at
+most sum n |z|^(n-1) <= 1/(1 - |z|)^2 units (about 105 at a = 0.95).  The
+loop sums B + z sum_{n>=1} c_n (A n + B) z^(n-1), whose inner sum starts
+from an O(1) term, so with B = 0 the result keeps its relative precision
+however small z is.  The series of this module use p = 3; their
+arguments are real, and a complex one raises DomainError.  The public
 functions share only that routine and never call one another.
 """
 
@@ -28,18 +39,23 @@ class SeriesId(str, Enum):
 
 
 def _ratio_series(mp, z, n_terms: int, power: int = 3, big_a=0, big_b=1):
-    """sum_{n=0..N} ((1/2)_n / (1)_n)^power (A n + B) z^n inside context mp."""
-    base = mp.one  # ((1/2)_n / (1)_n)^power z^n
-    acc = mp.convert(big_b)  # n = 0 term
+    """sum_{n=0..N} ((1/2)_n / (1)_n)^power (A n + B) z^n for real z, A, B in context mp."""
+    wp = mp.prec + 20 + n_terms.bit_length()
+    zf, af, bf = (mp.convert(v).to_fixed(wp) for v in (z, big_a, big_b))
+    base = 1 << wp  # c_{n-1} z^(n-1), then c_n z^(n-1)
+    acc = 0  # sum_{m=1..n} c_m (A m + B) z^(m-1)
     for n in range(1, n_terms + 1):
-        base *= z * ((2 * n - 1) / mp.mpf(2 * n)) ** power
-        acc += base * (big_a * n + big_b)
-    return acc
+        base = base * (2 * n - 1) ** power // (2 * n) ** power
+        acc += (base * (af * n + bf)) >> wp
+        base = (base * zf) >> wp
+    return big_b + z * mp.mpf((acc, -wp))
 
 
 def _clausen_arg(mp, a, name):
-    """(a, -a^2) for the a-dependent series, which require |a| < 1."""
+    """(a, -a^2) for the a-dependent series, which require a real |a| < 1."""
     a = mp.convert(a)
+    if not isinstance(a, mp.mpf):
+        raise DomainError(f"{name} requires a real a, got {a}")
     if not abs(a) < 1:
         raise DomainError(f"{name} requires |a| < 1, got {a}")
     return a, -a * a

@@ -10,6 +10,7 @@ imported or edited.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -27,12 +28,17 @@ def _referenced():
     return sorted(refs)
 
 
-def _hooks():
-    """bench/tracing.HOOKS as (module, attribute) pairs."""
+def _hook_entries():
+    """bench/tracing.HOOKS as (module, attribute, layer) triples."""
     for node in ast.parse((BENCH / "tracing.py").read_text()).body:
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["HOOKS"]:
-            return sorted((mod, attr) for mod, attr, _ in ast.literal_eval(node.value))
+            return ast.literal_eval(node.value)
     raise AssertionError("bench/tracing.py defines no HOOKS")
+
+
+def _hooks():
+    """bench/tracing.HOOKS as (module, attribute) pairs."""
+    return sorted((mod, attr) for mod, attr, _ in _hook_entries())
 
 
 def test_the_scan_sees_both_aliases():
@@ -46,3 +52,12 @@ def test_every_benchmark_name_resolves():
     missing = [f"{mod}.{attr}" for mod, attr in _referenced() + _hooks()
                if not hasattr(importlib.import_module(mod), attr)]
     assert not missing
+
+
+def test_series_hooks_take_n_terms_second():
+    # the traced run counts terms from args[1] or kwargs["n_terms"] of every series.sum hook
+    hooked = [(mod, attr) for mod, attr, layer in _hook_entries() if layer == "series.sum"]
+    assert hooked
+    for mod, attr in hooked:
+        params = list(inspect.signature(getattr(importlib.import_module(mod), attr)).parameters)
+        assert params[1] == "n_terms", f"{mod}.{attr}{params}"

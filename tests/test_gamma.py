@@ -109,3 +109,27 @@ def test_gamma_at_large_x_is_accurate_and_bounded(digits, x):
     truth = ref.gamma(ref.mpf(x))
     assert abs(ref.convert(value) - truth) <= ref.mpf(10) ** -digits * truth
     assert elapsed < 0.2
+
+
+@pytest.mark.parametrize("digits", [50, 300])
+@pytest.mark.parametrize("x,n", [(1.3, 20000), (0.1, 5000), ("-0.75", 20000), (-2.5, 100),
+                                 (1e-300, 50), (1e30, 1000)])
+def test_pochhammer_to_full_working_digits(digits, x, n):
+    ref = MPContext()
+    ref.dps = digits + 40
+    truth = ref.rf(ref.mpf(x), n)
+    value = ref.convert(pochhammer(x, n, PrecisionContext(digits)))
+    assert abs(value - truth) <= ref.mpf(10) ** -digits * abs(truth)
+
+
+def test_pochhammer_exact_zero_and_sign(ctx):
+    assert pochhammer(-3, 3, ctx) == -6
+    assert pochhammer(-3, 4, ctx) == 0
+    assert pochhammer(-3, 20000, ctx) == 0
+    assert pochhammer(0, 5, ctx) == 0
+
+
+@pytest.mark.parametrize("x", [0.3 + 0.2j, float("inf"), float("nan")])
+def test_pochhammer_rejects_non_finite_or_complex_x(ctx, x):
+    with pytest.raises(DomainError):
+        pochhammer(x, 3, ctx)

@@ -1,7 +1,10 @@
-import pytest
+import math
 
-from multiell import (DomainError, SeriesId,
-                      clausen_sum, clausen_sum_da, ellipk,
+import pytest
+from mpmath.ctx_mp import MPContext
+
+from multiell import (DomainError, PrecisionContext, SeriesId,
+                      clausen_sum, clausen_sum_da, ellipk, ellipk_series,
                       generating_integral_closed_form, integrate,
                       legendre_sum, linear_bridge, ramanujan_sum,
                       ramanujan_target)
@@ -138,3 +141,75 @@ def test_bridge_requires_negative_base(ctx):
 def test_legendre_sum_reduces_to_plain_value_at_zero(ctx):
     mp = ctx.mp
     assert abs(legendre_sum(0, 5, ctx) - mp.pi ** 2 / 4) <= mp.mpf(10) ** (-ctx.digits + 2)
+
+
+# The fixed-point loop at 300 digits against mpmath 20 digits higher.  The
+# partial sums take enough terms that their tail is below 10^-305.
+CTX300 = PrecisionContext(300)
+REF320 = MPContext()
+REF320.dps = 320
+TOL300 = REF320.mpf(10) ** -298
+
+
+def _terms_300(ratio):
+    return int(305 * math.log(10) / -REF320.log(abs(REF320.mpf(ratio)))) + 10
+
+
+def _rel_close(value, ref):
+    return abs(REF320.convert(value) - ref) <= TOL300 * abs(ref)
+
+
+def _hyp3f2(a):
+    return REF320.hyp3f2(0.5, 0.5, 0.5, 1, 1, -REF320.mpf(a) ** 2)
+
+
+@pytest.mark.parametrize("a", ["0.5", "0.95"])
+def test_clausen_sum_at_300_digits(a):
+    assert _rel_close(clausen_sum(a, _terms_300(REF320.mpf(a) ** 2), CTX300), _hyp3f2(a))
+
+
+@pytest.mark.parametrize("a", ["1e-237", "-0.5", "0.95"])
+def test_clausen_sum_da_at_300_digits(a):
+    # d/da 3F2(1/2,1/2,1/2; 1,1; -a^2) = -(a/4) 3F2(3/2,3/2,3/2; 2,2; -a^2),
+    # checked relative to its size: at a = 1e-237 the value is about -a/4
+    x = REF320.mpf(a)
+    ref = -x / 4 * REF320.hyp3f2(1.5, 1.5, 1.5, 2, 2, -x * x)
+    assert _rel_close(clausen_sum_da(a, _terms_300(REF320.mpf(a) ** 2), CTX300), ref)
+
+
+@pytest.mark.parametrize("series_id,ratio,target", [
+    (SeriesId.RAMANUJAN_2SQRT2, 1 / 8, lambda mp: 2 * mp.sqrt(2) / mp.pi),
+    (SeriesId.RAMANUJAN_4SQRT2, (26 - 15 * math.sqrt(3)) / 16, lambda mp: 4 * mp.sqrt(2) / mp.pi)])
+def test_ramanujan_sum_at_300_digits(series_id, ratio, target):
+    assert _rel_close(ramanujan_sum(series_id, _terms_300(ratio), CTX300), target(REF320))
+
+
+@pytest.mark.parametrize("m", ["-0.9", "0.5"])
+def test_ellipk_series_at_300_digits(m):
+    assert _rel_close(ellipk_series(m, _terms_300(m), CTX300), REF320.ellipk(REF320.mpf(m)))
+
+
+def test_no_terms_leave_the_leading_term(ctx):
+    mp = ctx.mp
+    a = mp.mpf("0.7")
+    assert clausen_sum(a, 0, ctx) == 1
+    assert clausen_sum_da(a, 0, ctx) == 0
+    assert legendre_sum(a, 0, ctx) == +(mp.pi ** 2 / 4)
+    assert ellipk_series(a, 0, ctx) == +(mp.pi / 2)
+    assert ramanujan_sum(SeriesId.RAMANUJAN_2SQRT2, 0, ctx) == 1
+
+
+def test_zero_argument_leaves_the_leading_term(ctx):
+    mp = ctx.mp
+    assert clausen_sum(0, 400, ctx) == 1
+    assert clausen_sum_da(0, 400, ctx) == 0
+    assert legendre_sum(0, 400, ctx) == +(mp.pi ** 2 / 4)
+    assert ellipk_series(0, 400, ctx) == +(mp.pi / 2)
+
+
+@pytest.mark.parametrize("series", [clausen_sum, clausen_sum_da, legendre_sum, ellipk_series])
+@pytest.mark.parametrize("arg", [lambda mp: 0.3 + 0.2j, lambda mp: 0.3 + 0j,
+                                 lambda mp: mp.mpc("0.3", "-0.1")], ids=["complex", "complex_real", "mpc"])
+def test_series_refuse_complex_arguments(ctx, series, arg):
+    with pytest.raises(DomainError, match="real"):
+        series(arg(ctx.mp), 50, ctx)
