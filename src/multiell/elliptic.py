@@ -21,9 +21,9 @@ scaled by 2^wp must keep all its bits, or K near m = 1 loses the digits
 that its logarithm magnifies.  Integer differences shrink strictly while
 they exceed 1, so the loop needs no iteration cap.
 
-The module-level functions take a PrecisionContext and a number m; the
-``*_mp`` helpers operate directly inside an mpmath context and exist for
-integrands that run at the quadrature engine's internal precision.
+The module-level functions take a PrecisionContext and a finite number m
+(inf or nan raises DomainError); the ``*_mp`` helpers operate inside an
+mpmath context, for integrands at the quadrature engine's precision.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .errors import DomainError, SingularityError
-from .precision import PrecisionContext
+from .precision import PrecisionContext, _finite
 from .series import _ratio_series
 
 
@@ -50,8 +50,7 @@ def agm1_mp(mp, kc):
 def agm(a, b, ctx: PrecisionContext):
     """Arithmetic-geometric mean of a, b > 0."""
     hi = ctx.boosted(10)
-    a = hi.mp.convert(a)
-    b = hi.mp.convert(b)
+    a, b = (_finite(hi.mp, v, "agm") for v in (a, b))
     if not (a > 0 and b > 0):
         raise DomainError(f"agm requires positive arguments, got {a}, {b}")
     return ctx.reduce(a * agm1_mp(hi.mp, b / a))
@@ -106,7 +105,7 @@ def ellipk(m, ctx: PrecisionContext):
     Returns an mpf for m < 1 and an mpc with im <= 0 for m > 1.
     """
     hi = ctx.boosted(10)
-    return ctx.reduce(ellipk_mp(hi.mp, hi.mp.convert(m)))
+    return ctx.reduce(ellipk_mp(hi.mp, _finite(hi.mp, m, "ellipk")))
 
 
 def ellipk_series(m, n_terms: int, ctx: PrecisionContext):
@@ -134,7 +133,7 @@ def ellipk_complementary(m, ctx: PrecisionContext):
     """
     hi = ctx.boosted(10)
     mp = hi.mp
-    m = mp.convert(m)
+    m = _finite(mp, m, "ellipk_complementary")
     value = ellipk_real_mp(mp, mp.sqrt(m)) if m >= 0 else ellipk_mp(mp, 1 - m)
     return ctx.reduce(value)
 
@@ -149,7 +148,7 @@ def generating_integral_closed_form(a, ctx: PrecisionContext):
     """
     hi = ctx.boosted(10)
     mp = hi.mp
-    a = mp.convert(a)
+    a = _finite(mp, a, "generating_integral_closed_form")
     if a < 0:
         raise DomainError(f"parameter must be nonnegative, got {a}")
     scale = max(a, mp.one)  # a/scale^2 is a up to a = 1, then 1/a

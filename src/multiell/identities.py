@@ -4,10 +4,10 @@ Each catalog row pairs a left-hand side (a quadrature or a series partial
 sum) with a closed-form right-hand side.  The I-numbering is this
 artifact's own labeling scheme.  A report passes when the absolute
 discrepancy sits below ctx.pass_tol * max(1, |rhs|); a complex (mpc)
-quadrature value additionally requires its imaginary part to sit below ten
-times the quadrature error estimate (the complex kernels are
-conjugate-symmetric, so the imaginary part must vanish -- tested, not
-assumed).
+left-hand side additionally requires its imaginary part to sit below ten
+times the quadrature error estimate (I4 and I5, points of I1 at an imaginary
+a, have a weight conjugate-symmetric about x = 1/2, so the imaginary part
+must vanish -- tested, not assumed).  I2-I5 and I10 are _WEIGHTED_POINTS.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from .errors import DomainError, OutOfDomainError
 from .precision import PrecisionContext
 from .quadrature import MAX_LEVEL, IntegralSpec, integrate
 from .series import (SeriesId, _ramanujan_data, clausen_sum, legendre_sum,
-                     ramanujan_sum, ramanujan_target)
+                     linear_bridge, ramanujan_sum, ramanujan_target)
 from .singular import rhs_constant
-
-_HALF = 0.5  # the singular abscissa of the K(2 sqrt(x(1-x))) family (exact binary)
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,8 @@ def _series_terms(ratio, digits: int) -> int:
     r = abs(ratio)
     if r == 0:
         return 1
-    return max(60, int((digits + 12) * math.log(10) / -math.log(r)) + 10)
+    # ln in r's own context: as a float, a^2 below 5e-324 is 0
+    return max(60, int((digits + 12) * math.log(10) / -r.context.ln(r)) + 10)
 
 
 def _quad_lhs(spec_builder):
@@ -130,17 +129,46 @@ def _quad_lhs(spec_builder):
     return lhs
 
 
-def _weighted_lhs(ctx, points, max_level):
-    """LHS of the weighted rows: every point's a in one vector integral."""
-    spec = kernels.weighted_kernel_spec(tuple(p["a"] for p in points))
-    result = integrate(spec, ctx, max_level=max_level)
-    return list(zip(result.value, result.err_estimate))
+def _weighted_lhs(point_of=lambda hi, p: (p["a"], (1,))):
+    """LHS of points (a, c) = point_of(hi, p) of the weighted K-kernel integral, I1's by default.
+
+    hi is the guard context.  Value sum_j c_j v_j, estimate sum_j |c_j| e_j, over the
+    components v_j at a (see kernels.weighted_kernel); all points' a in one vector integral.
+    """
+    def lhs(ctx, points, max_level):
+        data = [point_of(ctx.boosted(10), p) for p in points]
+        a, c = data[0]
+        order = 0 if hasattr(a, "_mpc_") else len(c) - 1
+        result = integrate(kernels.weighted_kernel_spec(tuple(a for a, _ in data), order),
+                           ctx, max_level=max_level)
+        values, errs = iter(result.value), iter(result.err_estimate)
+        return [(ctx.reduce(sum(cj * next(values) for cj in c)),
+                 ctx.reduce(sum(abs(cj) * next(errs) for cj in c))) for _, c in data]
+    return lhs
+
+
+def _bridged(series_id, scale, hi):
+    """A Ramanujan series as a weighted point: a* and scale (alpha, beta) of its bridge."""
+    bridge = linear_bridge(series_id, hi)
+    return bridge.a_star, (scale * bridge.alpha, scale * bridge.beta)
+
+
+# Rows the paper reduces to I1(a): I3 = I1(sqrt2/4); I4 = I1(i/2)/2 and I5 = I1(i/8)/8
+# at lambda*(3) and lambda*(7) (Borwein & Borwein, Pi and the AGM, ch. 9); I2 and I10
+# are I12's two series, bridged to I1 and I1' at a*, times 1/4 and -1/16.
+_WEIGHTED_POINTS = {
+    "I2": lambda hi, p: _bridged(SeriesId.RAMANUJAN_2SQRT2, 0.25, hi),
+    "I3": lambda hi, p: (hi.mp.sqrt(2) / 4, (1,)),
+    "I4": lambda hi, p: (hi.mp.j / 2, (0.5, hi.mp.j / 2)),
+    "I5": lambda hi, p: (hi.mp.j / 8, (0.125, hi.mp.j / 8)),
+    "I10": lambda hi, p: _bridged(SeriesId.RAMANUJAN_4SQRT2, -0.0625, hi),
+}
 
 
 def _unit_kernel_lhs(factory):
     """LHS of a parameter-free row: factory's K kernel integrated over (0, 1)."""
     return _quad_lhs(lambda ctx, p: IntegralSpec(
-        factory.__name__, (), (0, 1), factory, singular_points=(_HALF,)))
+        factory.__name__, (), (0, 1), factory, singular_points=(0.5,)))
 
 
 def _closed_form_rhs(value_of_mp):
@@ -159,29 +187,29 @@ def _build_catalog():
     log_half = "kernel log-singular at x=1/2"
     complex_root = "kernel log-singular at x=1/2; principal-branch root"
     add("I1", "weighted K-kernel integral vs squared-K closed form",
-        (unit_a,), log_half, _weighted_lhs,
+        (unit_a,), log_half, _weighted_lhs(),
         lambda ctx, p: generating_integral_closed_form(p["a"], ctx))
 
     add("I1-ext", "weighted K-kernel integral past the critical parameter",
         (ParamSpec("a", lo=1, lo_open=True),),
         "kernel log-singular at x=1/2; no smooth continuation across a=1",
-        _weighted_lhs,
+        _weighted_lhs(),
         lambda ctx, p: generating_integral_closed_form(p["a"], ctx))
 
     add("I2", "rational-weight K integral; value pi/(4 sqrt 2)",
-        (), log_half, _unit_kernel_lhs(kernels.ratio_kernel_2sqrt2),
+        (), log_half, _weighted_lhs(_WEIGHTED_POINTS["I2"]),
         _closed_form_rhs(lambda mp: mp.pi / (4 * mp.sqrt(2))))
 
     add("I3", "r=4 singular-value K integral; value Gamma(1/4)^4/(16 sqrt2 pi)",
-        (), log_half, _unit_kernel_lhs(kernels.singular_value_kernel_r4),
+        (), log_half, _weighted_lhs(_WEIGHTED_POINTS["I3"]),
         lambda ctx, p: rhs_constant("I3", ctx))
 
     add("I4", "complex-kernel K integral for the r=3 singular value",
-        (), complex_root, _unit_kernel_lhs(kernels.complex_kernel_r3),
+        (), complex_root, _weighted_lhs(_WEIGHTED_POINTS["I4"]),
         lambda ctx, p: rhs_constant("I4", ctx))
 
     add("I5", "complex-kernel K integral for the r=7 singular value",
-        (), complex_root, _unit_kernel_lhs(kernels.complex_kernel_r7),
+        (), complex_root, _weighted_lhs(_WEIGHTED_POINTS["I5"]),
         lambda ctx, p: rhs_constant("I5", ctx))
 
     add("I6", "axially symmetric K integral with two tunable parameters",
@@ -205,7 +233,7 @@ def _build_catalog():
         lambda ctx, p: _axial_rhs(ctx, {"b": 0, "c": p["c"]}))
 
     add("I10", "signed rational-weight K integral; value -pi/(8 sqrt 2)",
-        (), log_half, _unit_kernel_lhs(kernels.signed_kernel_4sqrt2),
+        (), log_half, _weighted_lhs(_WEIGHTED_POINTS["I10"]),
         _closed_form_rhs(lambda mp: -mp.pi / (8 * mp.sqrt(2))))
 
     add("I11", "Clausen-type series vs squared-K closed form",
@@ -218,7 +246,7 @@ def _build_catalog():
         _ramanujan_lhs, _ramanujan_rhs)
 
     add("I13", "quadrature route vs Legendre-projection series route",
-        (series_a,), log_half, _weighted_lhs,
+        (series_a,), log_half, _weighted_lhs(),
         lambda ctx, p: legendre_sum(p["a"], _series_terms(p["a"] ** 2, ctx.digits), ctx))
 
     return {rec.id: rec for rec in records}

@@ -3,10 +3,10 @@
 Each factory takes the quadrature engine's mpmath context plus the
 identity's parameters and returns the integrand f(x, xc) of the abscissa x
 and its signed distance xc to the nearer panel end (see quadrature).
-Kernels are transcribed as printed in the catalog's closed forms, so that
-shared code lives below the integrand layer (K itself, square roots) and
-nothing can drift in transcription, with two rewrites that keep the engine
-at digits + GUARD:
+Rows that the paper reduces to its generating integral (I2, I3, I4, I5,
+I10) are points of the one weighted kernel, at a real or imaginary a (see
+identities); the other kernels are transcribed as printed, with two
+rewrites that keep the engine at digits + GUARD:
 
 * K's one input is its complementary modulus kc = sqrt(1 - m); each kernel
   forms kc without cancellation and never forms the parameter m:
@@ -127,11 +127,30 @@ def _weight_core(mp, a, order: int):
     large.  At a = 1, u = 4(1-x) falls to 4 10^-2(digits+10) at the last
     nodes, which one absolute scale would round to 0.  du/da =
     2(a - 1 + 2(1-x)) is formed from 1 - x as well.
+
+    An imaginary a = ib, |b| < 1, gives (Re g, Im g) at order 0; any other
+    complex a raises ValueError.  |u| lies in [1 - b^2, 1 + b^2], so one
+    s = wp - log2(1 - b^2) serves; g = conj(sqrt u) / |u| from one isqrt
+    each for |u| and Re sqrt u, neither of which cancels next to x = 1/2.
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be 0..3, got {order}")
     a = mp.convert(a)
     wp = fraction_bits(mp)
+    if hasattr(a, "_mpc_"):
+        b = a.imag
+        if a.real or order or not abs(b) < 1:
+            raise ValueError(f"a complex a must be ib, |b| < 1, at order 0; got {a}, order {order}")
+        s = wp - _magnitude(1 - b * b)
+        b_s = b.to_fixed(s)
+        re_u = (1 << s) - (b_s * b_s >> s)
+
+        def f_imaginary(one_minus_x):
+            im_u = b_s * ((one_minus_x.to_fixed(s) << 2) - (2 << s)) >> s  # 2b(2(1-x) - 1)
+            abs_u = isqrt(re_u * re_u + im_u * im_u)
+            re_root = isqrt((abs_u + re_u) << s - 1)  # Re sqrt u; Im sqrt u = Im u / (2 re_root)
+            return ((re_root << s) // abs_u, (-im_u << 2 * s) // (2 * re_root * abs_u)), s
+        return f_imaginary
     above = 5 * max(0, _magnitude(1 + abs(a)) + 1)
     # log2 of the two lower bounds of u, where they are not 0
     shift_log = 2 * _magnitude(1 - abs(a)) if abs(a) != 1 else None
@@ -171,9 +190,9 @@ def generating_weight(mp, a, order: int = 0):
 
     Returns a function of 1 - x, the mpf view of the integer core that
     weighted_kernel integrates: each value rounded once into mp.  order is
-    0..3.  The closed-form algebraic derivatives share u, du/da and
-    sqrt(u); they are cross-checked against finite differences of g in the
-    test suite.
+    0..3; an imaginary a = ib, |b| < 1, gives (Re g, Im g) at order 0.  The
+    closed-form algebraic derivatives share u, du/da and sqrt(u); they are
+    cross-checked against finite differences of g in the test suite.
     """
     core = _weight_core(mp, a, order)
 
@@ -187,9 +206,9 @@ def weighted_kernel(mp, order: int, *a_values):
     """K(2 sqrt(x(1-x))) times the generating weight's a-derivatives 0..order.
 
     One component per (a, derivative) pair, a-major: params (order, a1, ...,
-    an) give n (order + 1) components, all sharing one K value and one
-    1 - x per node.  Returns a quadrature.Fixed: K's exact mantissa times
-    each weight's integer, every a's scale shifted to the finest one.
+    an) give order + 1 components per real a (Re and Im at an imaginary a),
+    all sharing one K value and one 1 - x per node.  Returns a Fixed: K's
+    exact mantissa times each weight's integer, at the finest a's scale.
     """
     k = k_of_x(mp)
     to_one = offset(mp, 1)
@@ -202,45 +221,6 @@ def weighted_kernel(mp, order: int, *a_values):
         top = max(s for _, s in weights)
         return Fixed(tuple(k_man * w << top - s for values, s in weights for w in values),
                      k_exp - top)
-    return f
-
-
-def ratio_kernel_2sqrt2(mp):
-    """K(2 sqrt(x(1-x))) (4x + 3 sqrt2 - 2) / (4 sqrt2 + 9 - 8 sqrt2 x)^(3/2)."""
-    k = k_of_x(mp)
-    s2 = mp.sqrt(2)
-    shift = 3 * s2 - 2
-    base = 4 * s2 + 9
-    slope = 8 * s2
-    def f(x, xc):
-        d = base - slope * x
-        return k(x, xc) * (4 * x + shift) / (d * mp.sqrt(d))
-    return f
-
-
-def singular_value_kernel_r4(mp):
-    """K(2 sqrt(x(1-x))) / sqrt(9/8 + (1-2x)/sqrt2)."""
-    k = k_of_x(mp)
-    s2 = mp.sqrt(2)
-    nine_eighth = mp.mpf(9) / 8
-    def f(x, xc):
-        return k(x, xc) / mp.sqrt(nine_eighth + (1 - 2 * x) / s2)
-    return f
-
-
-def complex_kernel_r3(mp):
-    """K(2 sqrt(x(1-x))) / sqrt(3 + 4i(1-2x)), principal branch."""
-    k = k_of_x(mp)
-    def f(x, xc):
-        return k(x, xc) / mp.sqrt(mp.mpc(3, 4 * (1 - 2 * x)))
-    return f
-
-
-def complex_kernel_r7(mp):
-    """K(2 sqrt(x(1-x))) / sqrt(63 + 16i(1-2x)), principal branch."""
-    k = k_of_x(mp)
-    def f(x, xc):
-        return k(x, xc) / mp.sqrt(mp.mpc(63, 16 * (1 - 2 * x)))
     return f
 
 
@@ -314,21 +294,6 @@ def axial_x_form_kernel(mp, c):
         p = 1 + x
         q = 1 + c2 * x * x
         return k(x, xc) * c * x / (p * q * mp.sqrt(q))
-    return f
-
-
-def signed_kernel_4sqrt2(mp):
-    """K kernel against the signed rational weight evaluating to -pi/(8 sqrt2)."""
-    k = k_of_x(mp)
-    s2 = mp.sqrt(2)
-    s3 = mp.sqrt(3)
-    num0, num1 = 24 - 18 * s3, s2 * (6 * s3 - 11)
-    den0, den1 = 42 - 15 * s3, 4 * s2 * (3 * s3 - 5)
-    def f(x, xc):
-        y = 2 * x - 1
-        num = num0 + num1 * y
-        den = den0 - den1 * y
-        return k(x, xc) * num / (den * mp.sqrt(den))
     return f
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import count, islice
 
 from .errors import DomainError
-from .precision import PrecisionContext
+from .precision import PrecisionContext, _finite
 from .quadrature import Fixed, IntegralSpec, fraction_bits, integrate
 
 GRAM_MAX_ORDER = 20  # cost guard
@@ -40,7 +40,7 @@ def legendre_p(n: int, x, ctx: PrecisionContext):
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"degree must be a nonnegative integer, got {n!r}")
     hi = ctx.boosted(10)
-    return ctx.reduce(legendre_p_mp(hi.mp, n, hi.mp.convert(x)))
+    return ctx.reduce(legendre_p_mp(hi.mp, n, _finite(hi.mp, x, "legendre_p")))
 
 
 def generating_function_check(a, x, n_terms: int, ctx: PrecisionContext):

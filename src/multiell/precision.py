@@ -63,6 +63,13 @@ class PrecisionContext:
         return f"PrecisionContext(digits={self.digits})"
 
 
+def _finite(mp, value, name: str):
+    """value converted into context mp; an infinite or nan value raises DomainError."""
+    if not mp.isfinite(v := mp.convert(value)):
+        raise DomainError(f"{name} requires a finite argument, got {v}")
+    return v
+
+
 def const_pi(ctx: PrecisionContext):
     """pi, correct to ctx.digits digits."""
     return +ctx.mp.pi

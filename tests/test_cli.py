@@ -10,11 +10,28 @@ def run(argv):
     return cli.main(argv)
 
 
+# every row's id, domain and description, verbatim
+LIST_LINES = [
+    "I1      a in [0, 1]                  weighted K-kernel integral vs squared-K closed form",
+    "I1-ext  a in (1, inf)                weighted K-kernel integral past the critical parameter",
+    "I2      no parameters                rational-weight K integral; value pi/(4 sqrt 2)",
+    "I3      no parameters                r=4 singular-value K integral; value Gamma(1/4)^4/(16 sqrt2 pi)",
+    "I4      no parameters                complex-kernel K integral for the r=3 singular value",
+    "I5      no parameters                complex-kernel K integral for the r=7 singular value",
+    "I6      b in [0, inf), c in [0, inf) axially symmetric K integral with two tunable parameters",
+    "I7      no parameters                axial special case on (0,1); value pi/(2 sqrt 2)",
+    "I8      no parameters                plain K-kernel integral; value pi^2/4",
+    "I9      c in (0, inf)                semi-infinite Re K integral; value pi/(2 sqrt(1+c^2))",
+    "I10     no parameters                signed rational-weight K integral; value -pi/(8 sqrt 2)",
+    "I11     a in [0, 0.95]               Clausen-type series vs squared-K closed form",
+    "I12     variant in {0, 1}            level-4 Ramanujan-type series vs algebraic multiple of 1/pi",
+    "I13     a in [0, 0.95]               quadrature route vs Legendre-projection series route",
+]
+
+
 def test_list(capsys):
     assert run(["list"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 14
-    assert lines[0].startswith("I1")
+    assert capsys.readouterr().out.splitlines() == LIST_LINES
 
 
 def test_verify_text(capsys):

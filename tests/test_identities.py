@@ -54,6 +54,16 @@ def test_complex_lhs_needs_a_vanishing_imaginary_part(ctx30):
         assert report.passed is passed
 
 
+@pytest.mark.parametrize("rid", ["I4", "I5"])
+def test_complex_rows_keep_their_imaginary_part_check(ctx, rid):
+    # an imaginary a gives an mpc left-hand side, so _verify_points checks
+    # its imaginary part; the weight is conjugate-symmetric about x = 1/2
+    report = verify(rid, {}, ctx)
+    assert hasattr(report.lhs_value, "_mpc_")
+    assert report.passed
+    assert abs(report.lhs_value.imag) <= 10 * report.err_estimate
+
+
 def test_axial_special_case_links(ctx):
     # at b=0, c=1 the axial identity evaluates to pi/(2 sqrt 2) and matches
     # the (0,1) rearrangement identity I7
@@ -265,6 +275,8 @@ DIGITS_AXIS = [("I1", {"a": "0.5"}), ("I1", {"a": "1"}), ("I1-ext", {"a": "2"}),
                ("I7", {}), ("I8", {}), ("I9", {"c": "1"}), ("I10", {}),
                ("I11", {"a": "0.5"}), ("I11", {"a": "0.95"}),
                ("I12", {"variant": 0}), ("I12", {"variant": 1}), ("I13", {"a": "0.95"}),
+               # a^2 below the float range: the term count must not round it to 0
+               ("I11", {"a": "1e-200"}), ("I13", {"a": "1e-200"}),
                # I6 integrates in t = tan th: the ends of its domain in b and c
                ("I6", {"b": "0", "c": "1e-8"}), ("I6", {"b": "1e-8", "c": "0"}),
                ("I6", {"b": "0", "c": "10"}), ("I6", {"b": "1000", "c": "1000"}),

@@ -1,6 +1,7 @@
 """The kernels' K tables: one per K column and engine precision, shared by
 every integral that reads the column; and the weighted kernel's integer
-core against an mpf evaluation of its closed form.
+core, at a real a against an mpf evaluation of its closed form and at an
+imaginary a against mpmath's mpc power.
 
 Each table test starts from empty tables and counts calls of K's one entry
 point, ``ellipk_real_mp``, as both kernels and elliptic (behind Re K) see
@@ -18,6 +19,7 @@ import multiell.elliptic as elliptic
 import multiell.kernels as kernels
 from multiell import IntegralSpec, PrecisionContext, integrate
 from multiell.quadrature import _TRANSFORMS, GUARD, Fixed, _level_nodes, fraction_bits, offset
+from printed_integrands import catalog_point
 
 HALF = 0.5
 
@@ -42,21 +44,31 @@ def unit_spec(factory):
 
 
 I8 = unit_spec(kernels.k_of_x)
-I2 = unit_spec(kernels.ratio_kernel_2sqrt2)
-I10 = unit_spec(kernels.signed_kernel_4sqrt2)
 
 
 def outcome(r):
     return r.value, r.err_estimate, r.evaluations
 
 
-@pytest.mark.parametrize("spec", [I2, I10], ids=["I2", "I10"])
-def test_rows_after_i8_read_its_k_column(k_calls, spec):
+def row_spec(rid, ctx):
+    """The one integral that row rid's LHS runs, at the catalog's own point."""
+    a, order, _ = catalog_point(rid, ctx)
+    return kernels.weighted_kernel_spec((a,), order)
+
+
+# at 50 digits I4 stops at level 6, one past I8, and the others at I8's level
+ROW_DEPTHS = [("I2", 2), ("I3", 2), ("I4", 6), ("I5", 2), ("I10", 2)]
+
+
+@pytest.mark.parametrize("rid, i8_min_level", ROW_DEPTHS, ids=[r for r, _ in ROW_DEPTHS])
+def test_rows_after_i8_read_its_k_column(k_calls, rid, i8_min_level):
+    # the weighted points read the K(2 sqrt(x(1-x))) column that I8 fills
     ctx = PrecisionContext(50)
+    spec = row_spec(rid, ctx)
     cold = integrate(spec, ctx)
     assert k_calls
     kernels._k_tables.clear()
-    integrate(I8, ctx)
+    integrate(I8, ctx, min_level=i8_min_level)
     k_calls.clear()
     warm = integrate(spec, ctx)
     assert not k_calls
@@ -121,7 +133,7 @@ def test_semi_infinite_columns_are_exact_and_shared_across_c(k_calls, memoised, 
 def test_concurrent_integrals_return_their_serial_values(k_calls):
     # more threads than cores, switching often, all on one cold K column
     ctx = PrecisionContext(50)
-    jobs = (("I8", I8), ("I10", I10), ("I2", I2), ("I8 again", I8))
+    jobs = (("I8", I8), ("I10", row_spec("I10", ctx)), ("I2", row_spec("I2", ctx)), ("I8 again", I8))
     serial = {}
     for name, spec in jobs:
         kernels._k_tables.clear()
@@ -195,3 +207,43 @@ def test_weighted_kernel_against_mpf_reference(digits, a):
             got = ref.ldexp(mantissa, value.exp)
             assert abs(got - want) <= ref.ldexp(64, -wp) * max(1, abs(want)), (x, xc, j)
 
+
+@pytest.mark.parametrize("digits", [30, 100, 300])
+@pytest.mark.parametrize("b", ["0.5", "0.125", "-0.9", "0.999", "1e-3", "0"])
+def test_imaginary_a_against_mpc_power(digits, b):
+    # a = ib: the components K Re g and K Im g against mpmath's principal
+    # (1 - 2(2x-1)a + a^2)^(-1/2) 40 digits above the engine, from the same
+    # K and 1 - x.  |g| >= (1 + b^2)^(-1/2) and one scale serves every
+    # node, so each part keeps a few units of 2^-wp times max(1, |K g|);
+    # next to x = 1/2, where Im g vanishes and K peaks, that bounds K Im g
+    # only through K
+    emp = PrecisionContext(digits).boosted(GUARD).mp
+    ref = PrecisionContext(digits + GUARD + 40).mp
+    wp = fraction_bits(emp)
+    a = emp.mpc(0, emp.mpf(b))
+    f = kernels.weighted_kernel(emp, 0, a)
+    k = kernels.k_of_x(emp)
+    to_one = offset(emp, 1)
+    ra = ref.convert(a)
+    for x, xc in _unit_nodes(emp, 3):
+        value = f(x, xc)
+        assert type(value) is Fixed and value.exp <= -wp and len(value.mantissas) == 2
+        y = 1 - 2 * ref.convert(to_one(x, xc))  # 2x - 1
+        want = ref.convert(k(x, xc)) * (1 - 2 * y * ra + ra * ra) ** -0.5
+        for mantissa, w in zip(value.mantissas, (want.real, want.imag)):
+            got = ref.ldexp(mantissa, value.exp)
+            assert abs(got - w) <= ref.ldexp(64, -wp) * max(1, abs(want)), (x, xc)
+
+
+@pytest.mark.parametrize("a, order", [
+    ("0.5j", 1), ("0.5j", 3),  # an imaginary a is taken at order 0 only
+    ("1j", 0), ("-1j", 0), ("1.5j", 0),  # |b| >= 1
+    ("0.5+0.5j", 0), ("0.5+0j", 0),  # a complex a with a real part
+])
+def test_imaginary_a_outside_the_core_raises(a, order):
+    emp = PrecisionContext(30).boosted(GUARD).mp
+    a = emp.mpc(complex(a))
+    with pytest.raises(ValueError):
+        kernels.generating_weight(emp, a, order)
+    with pytest.raises(ValueError):
+        kernels.weighted_kernel(emp, order, emp.mpf("0.5"), a)

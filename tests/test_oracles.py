@@ -8,7 +8,9 @@ precision for 50 working digits and compared with mpmath's ellipk at 200
 digits.  The integer AGM core behind K and the public agm is compared
 with mpmath's ellipk and agm over many decades of kc, a and b, at working
 precisions from 30 to 320 digits, and the complementary K at parameters
-down to 1e-300 with mpmath's ellipk at the digits that 1 - m needs.
+down to 1e-300 with mpmath's ellipk at the digits that 1 - m needs.  The
+printed integrands of I2, I3, I4, I5 and I10 equal K times the catalog's
+combination of generating weights at each row's a, at 50 digits.
 """
 
 import math
@@ -25,6 +27,7 @@ from multiell import (DomainError, IntegralSpec, PrecisionContext, agm,
 from multiell.elliptic import ellipk_real_mp, re_k_modulus_mp
 from multiell.kernels import k_of_x
 from multiell.quadrature import GUARD, offset
+from printed_integrands import PRINTED_WEIGHTS, catalog_point, printed_factory
 
 CTX = PrecisionContext(30)
 REF = CTX.boosted(10).mp
@@ -230,6 +233,43 @@ def test_axial_t_kernel_is_the_theta_form_over_its_jacobian(b, c, theta):
     in_t = kernels.axial_t_kernel(ENGINE, ENGINE.mpf(b), ENGINE.mpf(c))(t, ENGINE.convert(gap))
     value = in_t * (1 + t * t)
     assert abs(ref_mp.convert(value) - ref) <= K_TOL * abs(ref)
+
+
+# A node of (0, 1) as the quadrature passes it: anywhere, or s 10^-k from
+# x = 1/2 or from an end, with x rounded and xc its exact distance to the
+# nearer panel end.
+node_anywhere = st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True)
+node_near = st.tuples(st.sampled_from(("half", "zero", "one")),
+                      st.integers(min_value=1, max_value=140), sign)
+
+
+def unit_node(node):
+    if isinstance(node, tuple):
+        where, k, s = node
+        d = ENGINE.mpf(10) ** -k
+        if where == "half":
+            return ENGINE.mpf(0.5) - s * d, s * d
+        return (d, -d) if where == "zero" else (1 - d, d)
+    x = ENGINE.mpf(node)
+    assume(x != 0.5)
+    return x, round(2 * x) / 2 - x
+
+
+@oracle_settings
+@pytest.mark.parametrize("rid", sorted(PRINTED_WEIGHTS))
+@given(st.one_of(node_anywhere, node_near))
+@example(("half", 140, 1))
+@example(("half", 140, -1))
+@example(("one", 140, 1))
+def test_printed_integrands_are_weighted_points(rid, node):
+    # the row's printed integrand against K times sum_j c_j w_j from the
+    # catalog's (a, coefficients) and generating_weight, at 50 digits
+    x, xc = unit_node(node)
+    printed = printed_factory(rid)(ENGINE)(x, xc)
+    a, order, coefficients = catalog_point(rid, PrecisionContext(WORKING))
+    weights = kernels.generating_weight(ENGINE, a, order)(offset(ENGINE, 1)(x, xc))
+    point = k_of_x(ENGINE)(x, xc) * sum(c * w for c, w in zip(coefficients, weights))
+    assert abs(point - printed) <= ENGINE.mpf(10) ** -45 * abs(printed)
 
 
 # The integer AGM core: K from kc at `digits` working digits, against

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from multiell import DomainError, PrecisionContext, const_pi
+from multiell import (DomainError, PrecisionContext, agm, const_pi, ellipk,
+                      ellipk_complementary, gamma, generating_integral_closed_form,
+                      legendre_p, pochhammer)
 
 
 def machin_pi(mp):
@@ -97,3 +99,23 @@ def test_principal_sqrt_branch(ctx):
             assert root.imag >= 0
         # principal branch: arg of the root in (-pi/2, pi/2]
         assert -mp.pi / 2 < mp.arg(root) <= mp.pi / 2
+
+
+NONFINITE_CALLS = {
+    "ellipk": lambda v, ctx: ellipk(v, ctx),
+    "ellipk_complementary": lambda v, ctx: ellipk_complementary(v, ctx),
+    "agm_a": lambda v, ctx: agm(v, 1, ctx),
+    "agm_b": lambda v, ctx: agm(1, v, ctx),
+    "legendre_p": lambda v, ctx: legendre_p(3, v, ctx),
+    "generating_integral_closed_form": lambda v, ctx: generating_integral_closed_form(v, ctx),
+    "gamma": lambda v, ctx: gamma(v, ctx),
+    "pochhammer": lambda v, ctx: pochhammer(v, 3, ctx),
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", sorted(NONFINITE_CALLS))
+def test_nonfinite_arguments_raise_domain_error(ctx30, name, value):
+    # one shared check: none of these returns a value or raises another error
+    with pytest.raises(DomainError, match="requires a finite argument"):
+        NONFINITE_CALLS[name](ctx30.mp.mpf(value), ctx30)

@@ -8,11 +8,10 @@ from multiell import (DomainError, INF, IntegralSpec, IntegrandFailureError,
                       NonConvergenceError, PrecisionContext, integrate, rhs_constant, verify)
 from multiell import quadrature
 from multiell.quadrature import GUARD
-from multiell.kernels import (axial_kernel, axial_t_spec, complex_kernel_r3,
-                              complex_kernel_r7, k_of_x,
-                              ratio_kernel_2sqrt2, re_k_semi_infinite_kernel,
-                              signed_kernel_4sqrt2, singular_value_kernel_r4,
-                              special_case_kernel, weighted_kernel_spec)
+from multiell.kernels import (axial_kernel, axial_t_spec, k_of_x,
+                              re_k_semi_infinite_kernel, special_case_kernel,
+                              weighted_kernel_spec)
+from printed_integrands import catalog_point, printed_spec
 
 HALF = 0.5
 
@@ -59,24 +58,21 @@ def test_split_symmetry(ctx):
 
 
 def test_complex_kernel_r3_value(ctx):
-    spec = IntegralSpec("complex_kernel_r3", (), (0, 1),
-                        lambda mp: complex_kernel_r3(mp), singular_points=(HALF,))
-    r = integrate(spec, ctx)
+    # the printed I4 integrand, an mpc integrand
+    r = integrate(printed_spec("I4"), ctx)
     assert abs(r.value.real - rhs_constant("I4", ctx)) <= ctx.pass_tol
     assert abs(r.value.imag) <= 10 * r.err_estimate
 
 
 def test_complex_kernel_r7_value(ctx):
-    spec = IntegralSpec("complex_kernel_r7", (), (0, 1),
-                        lambda mp: complex_kernel_r7(mp), singular_points=(HALF,))
-    r = integrate(spec, ctx)
+    r = integrate(printed_spec("I5"), ctx)
     assert abs(r.value.real - rhs_constant("I5", ctx)) <= ctx.pass_tol
     assert abs(r.value.imag) <= 10 * r.err_estimate
 
 
 def test_degenerate_complex_part_reduces_to_real_kernel(ctx):
     # zeroing the imaginary coefficient in a complex-kernel form must
-    # reproduce the real r=4 integrand exactly
+    # reproduce the real r=4 integrand (the printed I3) exactly
     def zeroed_factory(mp):
         k = k_of_x(mp)
         s2 = mp.sqrt(2)
@@ -85,11 +81,8 @@ def test_degenerate_complex_part_reduces_to_real_kernel(ctx):
         return f
     zeroed = IntegralSpec("r4_zero_imag", (), (0, 1), zeroed_factory,
                           singular_points=(HALF,))
-    real_spec = IntegralSpec("singular_value_kernel_r4", (), (0, 1),
-                             lambda mp: singular_value_kernel_r4(mp),
-                             singular_points=(HALF,))
     rz = integrate(zeroed, ctx)
-    rr = integrate(real_spec, ctx)
+    rr = integrate(printed_spec("I3"), ctx)
     assert rz.value.imag == 0
     assert abs(rz.value.real - rr.value) <= ctx.quad_target
 
@@ -130,18 +123,15 @@ def _catalog_specs(ctx):
     mp = ctx.mp
     yield weighted_kernel_spec((mp.mpf("0.5"),), 3)
     yield plain_spec()
-    yield IntegralSpec("ratio_kernel_2sqrt2", (), (0, 1),
-                       lambda emp: ratio_kernel_2sqrt2(emp), singular_points=(HALF,))
-    yield IntegralSpec("singular_value_kernel_r4", (), (0, 1),
-                       lambda emp: singular_value_kernel_r4(emp), singular_points=(HALF,))
-    yield IntegralSpec("complex_kernel_r3", (), (0, 1),
-                       lambda emp: complex_kernel_r3(emp), singular_points=(HALF,))
-    yield IntegralSpec("complex_kernel_r7", (), (0, 1),
-                       lambda emp: complex_kernel_r7(emp), singular_points=(HALF,))
+    # the integrals of I2, I3, I4, I5 and I10 at the catalog's own points
+    # (I2 and I10: the weight and its a-derivative at a*; I4 and I5: the
+    # weight's real and imaginary parts at an imaginary a), and one mpc integrand
+    for rid in ("I2", "I3", "I4", "I5", "I10"):
+        a, order, _ = catalog_point(rid, ctx)
+        yield weighted_kernel_spec((a,), order)
+    yield printed_spec("I4")
     yield IntegralSpec("special_case_kernel", (), (0, 1),
                        lambda emp: special_case_kernel(emp), singular_points=(HALF,))
-    yield IntegralSpec("signed_kernel_4sqrt2", (), (0, 1),
-                       lambda emp: signed_kernel_4sqrt2(emp), singular_points=(HALF,))
     yield IntegralSpec("re_k_semi_infinite", (mp.one,), (0, INF),
                        re_k_semi_infinite_kernel, singular_points=(1,))
     yield IntegralSpec("axial_kernel", (mp.one, mp.one), (0, lambda emp: emp.pi / 2),
