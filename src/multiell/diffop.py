@@ -30,7 +30,7 @@ from . import kernels
 from .elliptic import generating_integral_closed_form
 from .errors import DomainError
 from .fd import richardson_derivative
-from .precision import PrecisionContext
+from .precision import PrecisionContext, _real
 from .quadrature import MAX_LEVEL, integrate
 
 _FD_BOOST = 20
@@ -150,8 +150,7 @@ def laplace_residual_of(func, b, c, ctx: PrecisionContext, *, corrupted: bool = 
     """
     work = ctx.boosted(_FD_BOOST)
     mp = work.mp
-    b = mp.convert(b)
-    c = mp.convert(c)
+    b, c = (_real(mp, v, "laplace_residual_of") for v in (b, c))
     h = mp.mpf(10) ** (-(ctx.digits // 5))
     if not (b - 2 * h > 0 and c - 2 * h > 0):
         raise DomainError("stencil point leaves valid region")
@@ -176,7 +175,7 @@ def laplace_residual(theta, b, c, ctx: PrecisionContext, *,
     """
     work = ctx.boosted(_FD_BOOST)
     mp = work.mp
-    theta, b, c = (mp.convert(v) for v in (theta, b, c))
+    theta, b, c = (_real(mp, v, "laplace_residual") for v in (theta, b, c))
     if not 0 < theta < mp.pi / 2:
         raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
     if not (b > 0 and c > 0):

@@ -12,14 +12,21 @@ takes m, and it serves every regime:
   m > 1          complex value, continuous from im(m) < 0, so im(K) <= 0;
                  K(m) = (K(1/m) - i K(1 - 1/m)) / sqrt(m)
 
-Every AGM runs in one integer core, ``agm1_mp``: agm(1, kc) on Python ints
-scaled by 2^wp, with one ``math.isqrt`` per step (Brent & Zimmermann,
-*Modern Computer Arithmetic*, 4.8).  kc is converted in once and the mean
-out once, so no step pays for mpf objects.  wp is the context's precision
-plus 20 guard bits plus the binary exponent of 1/kc when kc < 1: a small kc
-scaled by 2^wp must keep all its bits, or K near m = 1 loses the digits
-that its logarithm magnifies.  Integer differences shrink strictly while
-they exceed 1, so the loop needs no iteration cap.
+Every AGM runs in one integer core, ``agm_int``: the mean of two positive
+Python ints at a shared binary scale, with one ``math.isqrt`` per step
+(Brent & Zimmermann, *Modern Computer Arithmetic*, 4.8).  Integer
+differences shrink strictly while they exceed 1, so the loop needs no
+iteration cap.  It has two callers, each of which converts its inputs in
+once and the mean out once, so no step pays for mpf objects:
+
+* ``agm1_mp``, agm(1, kc) behind every K here, scales by 2^wp, wp being
+  the context's precision plus 20 guard bits plus the binary exponent of
+  1/kc when kc < 1: a small kc scaled by 2^wp must keep all its bits, or K
+  near m = 1 loses the digits that its logarithm magnifies;
+* the axial kernel (kernels.axial_t_kernel), which forms no kc at all: by
+  homogeneity K(kc)/sqrt(den2) = (pi/2) / agm(sqrt(den2), sqrt(den2) kc),
+  and it takes both means' arguments as ints at a scale chosen from the
+  smaller one, as agm1_mp chooses wp from kc.
 
 The module-level functions take a PrecisionContext and a finite number m
 (inf or nan raises DomainError); the ``*_mp`` helpers operate inside an
@@ -31,8 +38,19 @@ from __future__ import annotations
 from math import isqrt
 
 from .errors import DomainError, SingularityError
-from .precision import PrecisionContext, _finite
+from .precision import PrecisionContext, _real
 from .series import _ratio_series
+
+
+def agm_int(a: int, b: int) -> int:
+    """agm(a, b) of two ints a, b > 0 at one binary scale, as an int at that scale.
+
+    Each step truncates by at most one unit, so the mean is within a few
+    units of the exact one; the caller's scale sets how many bits it has.
+    """
+    while abs(a - b) > 1:
+        a, b = (a + b) >> 1, isqrt(a * b)
+    return a
 
 
 def agm1_mp(mp, kc):
@@ -40,17 +58,14 @@ def agm1_mp(mp, kc):
     _, man, exp, bc = kc._mpf_
     wp = mp.prec + 20 + max(0, -(exp + bc))
     shift = wp + exp
-    a = 1 << wp
     b = man << shift if shift >= 0 else man >> -shift
-    while abs(a - b) > 1:
-        a, b = (a + b) >> 1, isqrt(a * b)
-    return mp.mpf((a, -wp))
+    return mp.mpf((agm_int(1 << wp, b), -wp))
 
 
 def agm(a, b, ctx: PrecisionContext):
     """Arithmetic-geometric mean of a, b > 0."""
     hi = ctx.boosted(10)
-    a, b = (_finite(hi.mp, v, "agm") for v in (a, b))
+    a, b = (_real(hi.mp, v, "agm") for v in (a, b))
     if not (a > 0 and b > 0):
         raise DomainError(f"agm requires positive arguments, got {a}, {b}")
     return ctx.reduce(a * agm1_mp(hi.mp, b / a))
@@ -100,12 +115,13 @@ def re_k_modulus_mp(mp, x, one_minus_x):
 
 
 def ellipk(m, ctx: PrecisionContext):
-    """Complete elliptic integral K at parameter m.
+    """Complete elliptic integral K at a real parameter m != 1.
 
-    Returns an mpf for m < 1 and an mpc with im <= 0 for m > 1.
+    Returns an mpf for m < 1 and an mpc with im <= 0 for m > 1.  A complex
+    m raises DomainError.
     """
     hi = ctx.boosted(10)
-    return ctx.reduce(ellipk_mp(hi.mp, _finite(hi.mp, m, "ellipk")))
+    return ctx.reduce(ellipk_mp(hi.mp, _real(hi.mp, m, "ellipk")))
 
 
 def ellipk_series(m, n_terms: int, ctx: PrecisionContext):
@@ -133,7 +149,7 @@ def ellipk_complementary(m, ctx: PrecisionContext):
     """
     hi = ctx.boosted(10)
     mp = hi.mp
-    m = _finite(mp, m, "ellipk_complementary")
+    m = _real(mp, m, "ellipk_complementary")
     value = ellipk_real_mp(mp, mp.sqrt(m)) if m >= 0 else ellipk_mp(mp, 1 - m)
     return ctx.reduce(value)
 
@@ -148,7 +164,7 @@ def generating_integral_closed_form(a, ctx: PrecisionContext):
     """
     hi = ctx.boosted(10)
     mp = hi.mp
-    a = _finite(mp, a, "generating_integral_closed_form")
+    a = _real(mp, a, "generating_integral_closed_form")
     if a < 0:
         raise DomainError(f"parameter must be nonnegative, got {a}")
     scale = max(a, mp.one)  # a/scale^2 is a up to a = 1, then 1/a

@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 
 from .errors import DomainError
-from .precision import PrecisionContext, _finite
+from .precision import PrecisionContext, _real
 
 SHIFT_MAX = 100  # above this x, Spouge's series runs at x itself, unshifted
 
@@ -81,7 +81,7 @@ def gamma(x, ctx: PrecisionContext):
     guard = order * 13 // 100 + 10
     hi = ctx.boosted(guard)
     mp = hi.mp
-    x = _finite(mp, x, "gamma")
+    x = _real(mp, x, "gamma")
     if not x > 0:
         raise DomainError(f"gamma requires x > 0, got {x}")
     if x < 1:
@@ -133,7 +133,5 @@ def pochhammer(x, n: int, ctx: PrecisionContext):
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"pochhammer requires a nonnegative integer n, got {n!r}")
     mp = ctx.mp
-    x = _finite(mp, x, "pochhammer")
-    if not isinstance(x, mp.mpf):
-        raise DomainError(f"pochhammer requires a real x, got {x}")
+    x = _real(mp, x, "pochhammer")
     return _rising_mp(mp, x, n)

@@ -11,8 +11,8 @@ rewrites that keep the engine at digits + GUARD:
 * K's one input is its complementary modulus kc = sqrt(1 - m); each kernel
   forms kc without cancellation and never forms the parameter m:
   2|1/2 - x| for K(2 sqrt(x(1-x))); sqrt((1-x)(1+x)) and
-  sqrt((x-1)(x+1))/x for Re K at modulus x; sqrt((b^2+(c-t)^2)/den2)
-  for the axial kernel in t = tan th; |1-x|/(1+x) for K(2 sqrt(x)/(1+x)).
+  sqrt((x-1)(x+1))/x for Re K at modulus x; |1-x|/(1+x) for
+  K(2 sqrt(x)/(1+x)).  The axial kernel forms no kc at all (below).
 * Next to a panel end at a kernel's singular abscissa, the distance to it
   (1/2 - x, 1 - x, c - t) is read from xc through
   quadrature.offset, exact where the rounded x is not; the generating
@@ -21,7 +21,23 @@ rewrites that keep the engine at digits + GUARD:
 The axial kernel: axial_t_kernel is its one body, the integrand that I6
 integrates over (0, inf) split at t = c and that the Laplace check
 differentiates in (b, c); axial_kernel is only its Jacobian adapter to
-th = atan t, kept for the benchmark's theta substitution chain.
+th = atan t, kept for the benchmark's theta substitution chain.  Its K
+depends on (b, c) as well as the node, so it is not tabulated; instead
+the AGM's homogeneity folds K's 1/sqrt(den2) into its arguments,
+K(kc)/sqrt(den2) = (pi/2) / agm(sqrt(den2), sqrt(b^2 + (c-t)^2)), and the
+node runs on ints through elliptic.agm_int, the integer AGM core behind
+every K, at a scale chosen per node from the smaller argument.  It makes
+no mpf sqrt or division and no K call.
+
+Semi-infinite integrands run on ints too and return one mpf, rounded
+once: an exp-sinh panel's weights grow without bound, so quadrature asks
+its integrands for an mpf, relative to itself, rather than a Fixed.  The
+rational factor c x / (1 + c^2 x^2)^(3/2) of the axial kernel, of the Re
+K kernel and of the x form (with 1/(1+x) there) is built from one
+math.isqrt at a scale chosen per node from the magnitude of c x, and so
+holds a few units of 2^-wp relative to itself however small or large c x
+is; K's exact mantissa multiplies it, and one integer division gives the
+value.  The I7 kernel is built the same way on (0, 1).
 
 K columns: the K factor of the kernels K(2 sqrt(x(1-x))), Re K(x) and
 K(2 sqrt(x)/(1+x)) depends on the node alone, not on the integral's
@@ -35,8 +51,7 @@ precision reads it, skipping both the kc arithmetic and the AGM.  K is a
 pure function of (x, xc) at a fixed precision, so a value read from the
 table is bit-identical to one computed afresh.  A table holds one entry
 per distinct node, at most nodes x intervals integrated at its
-precision: a few thousand entries for the catalog at 50 digits.  The
-axial kernel's K depends on (b, c) and is not tabulated.
+precision: a few thousand entries for the catalog at 50 digits.
 
 ``weighted_kernel`` is a vector integrand (see quadrature): it evaluates K
 and 1 - x once per node and returns K times the generating weight's
@@ -60,7 +75,10 @@ from __future__ import annotations
 import threading
 from math import isqrt
 
-from .elliptic import ellipk_real_mp, re_k_modulus_mp
+from mpmath.libmp import pi_fixed
+
+from .elliptic import agm_int, ellipk_real_mp, re_k_modulus_mp
+from .errors import SingularityError
 from .quadrature import INF, Fixed, IntegralSpec, fraction_bits, offset
 
 _k_tables: dict = {}  # (column, mp.prec) -> {node: K}
@@ -224,20 +242,68 @@ def weighted_kernel(mp, order: int, *a_values):
     return f
 
 
+def _shift(v: int, n: int) -> int:
+    """v 2^n, truncated toward minus infinity when n < 0."""
+    return v << n if n >= 0 else v >> -n
+
+
+def _one_plus(man: int, exp: int, bits: int):
+    """1 + man 2^exp for an int man >= 0, as (d, e): d 2^e within 2^(1-bits) relative.
+
+    The scale 2^-e is chosen from man 2^exp's magnitude, so d has about
+    bits bits whether the sum is 1 or 2^1000; e is even.
+    """
+    e = max(0, exp + man.bit_length()) - bits
+    e -= e & 1
+    return _shift(1, -e) + _shift(man, exp - e), e
+
+
+def _cube_half(man: int, exp: int, bits: int):
+    """(1 + y^2)^(3/2) of y = man 2^exp as (d, e): d 2^e within a few units of 2^-bits relative."""
+    q, e = _one_plus(man * man, 2 * exp, bits)
+    k = bits + (bits & 1)  # e - k even: sqrt(q 2^e) = isqrt(q 2^k) 2^((e-k)/2)
+    return q * isqrt(q << k), e + (e - k) // 2
+
+
+def _ratio(mp, num: int, den: int, exp: int, bits: int):
+    """num/den 2^exp for den > 0, as an mpf of mp: one integer division to
+    bits + 2 bits, then rounded once into mp."""
+    k = max(0, bits + 2 + den.bit_length() - abs(num).bit_length())
+    return mp.mpf(((num << k) // den, exp - k))
+
+
 def axial_t_kernel(mp, b, c):
     """The axial kernel in t = tan th on (0, inf), with no trig at any node.
 
     K(sqrt(4ct / den2)) t / ((1+t^2)^(3/2) sqrt(den2)), den2 = b^2+(c+t)^2;
     the gap c - t in K's complementary modulus is read from xc next to t = c.
+    It runs on ints, by homogeneity of the AGM:
+    K / sqrt(den2) = (pi/2) / agm(sqrt(den2), sqrt(b^2 + gap^2)), both
+    arguments at a scale 2^s that gives the smaller wp bits, so no kc is
+    formed.  At b = 0 a node with gap exactly 0 raises SingularityError.
     """
     to_peak = offset(mp, c)
-    b2 = b * b
+    wp = fraction_bits(mp)
+    _, bm, be, bbc = mp.convert(b)._mpf_
+    _, cm, ce, _ = mp.convert(c)._mpf_
+    b_top = be + bbc if bm else -INF  # |b| < 2^b_top
+    half_pi = pi_fixed(wp)  # (pi/2) 2^(wp+1)
+
     def f(t, xc):
-        q = 1 + t * t
-        gap = to_peak(t, xc)
-        den2 = b2 + (c + t) ** 2
-        kc = mp.sqrt((b2 + gap * gap) / den2)
-        return ellipk_real_mp(mp, kc) * (t / mp.sqrt(q)) / mp.sqrt(den2) / q
+        _, gm, ge, gbc = to_peak(t, xc)._mpf_
+        if gm:
+            top = max(b_top, ge + gbc)
+        elif bm:
+            top = b_top
+        else:
+            raise SingularityError("the axial kernel's K is singular at t = c when b = 0")
+        s = wp - top  # sqrt(b^2 + gap^2) 2^s >= 2^(wp-1)
+        b_s, g_s = _shift(bm, be + s), _shift(gm, ge + s)
+        _, tm, te, _ = t._mpf_
+        ct_s = _shift(cm, ce + s) + _shift(tm, te + s)
+        mean = agm_int(isqrt(b_s * b_s + ct_s * ct_s), isqrt(b_s * b_s + g_s * g_s))
+        d, e = _cube_half(tm, te, wp)
+        return _ratio(mp, half_pi * tm, d * mean, te - e + s - wp - 1, wp)
     return f
 
 
@@ -258,12 +324,43 @@ def axial_kernel(mp, b, c):
 
 
 def special_case_kernel(mp):
-    """K(2 sqrt(x(1-x))) x(1-x) / (1 - 2x(1-x))^(3/2)."""
+    """K(2 sqrt(x(1-x))) x(1-x) / (1 - 2x(1-x))^(3/2), on ints.
+
+    K's exact mantissa from its column times p = x(1-x), an exact integer
+    product (x = xm 2^xe < 1 gives 1 - x = (2^-xe - xm) 2^xe); q = 1 - 2p
+    lies in [1/2, 1], so one scale 2^wp serves q and sqrt(q).
+    """
     k = k_of_x(mp)
+    wp = fraction_bits(mp)
+    one = 1 << wp
+
     def f(x, xc):
-        p = x * (1 - x)
-        q = 1 - 2 * p
-        return k(x, xc) * p / (q * mp.sqrt(q))
+        _, k_man, k_exp, _ = k(x, xc)._mpf_
+        _, xm, xe, _ = x._mpf_
+        pm = xm * ((1 << -xe) - xm)  # p = pm 2^(2 xe)
+        q = one - _shift(pm, 2 * xe + wp + 1)  # (1 - 2p) 2^wp
+        return _ratio(mp, k_man * pm, q * isqrt(q << wp), k_exp + 2 * xe + 2 * wp, wp)
+    return f
+
+
+def _k_times_rational(mp, c, k, over_one_plus_x: bool):
+    """k(x, xc) c x / (1 + c^2 x^2)^(3/2), over 1 + x as well if asked, on ints.
+
+    K's exact mantissa times c x over _cube_half(c x) (times _one_plus(x))
+    is one integer division.
+    """
+    wp = fraction_bits(mp)
+    sign, cm, ce, _ = mp.convert(c)._mpf_
+    cm = -cm if sign else cm
+
+    def f(x, xc):
+        _, k_man, k_exp, _ = k(x, xc)._mpf_
+        _, xm, xe, _ = x._mpf_
+        d, e = _cube_half(cm * xm, ce + xe, wp)
+        if over_one_plus_x:
+            p, ep = _one_plus(xm, xe, wp)
+            d, e = d * p, e + ep
+        return _ratio(mp, k_man * cm * xm, d, k_exp + ce + xe - e, wp)
     return f
 
 
@@ -274,11 +371,7 @@ def re_k_semi_infinite_kernel(mp, c):
     """
     to_one = offset(mp, 1)
     re_k = _k_column(mp, "Re K(x)", lambda x, xc: re_k_modulus_mp(mp, x, to_one(x, xc)))
-    c2 = c * c
-    def f(x, xc):
-        q = 1 + c2 * x * x
-        return re_k(x, xc) * c * x / (q * mp.sqrt(q))
-    return f
+    return _k_times_rational(mp, c, re_k, False)
 
 
 def axial_x_form_kernel(mp, c):
@@ -289,12 +382,7 @@ def axial_x_form_kernel(mp, c):
     to_one = offset(mp, 1)
     k = _k_column(mp, "K(2 sqrt(x)/(1+x))",
                   lambda x, xc: ellipk_real_mp(mp, abs(to_one(x, xc)) / (1 + x)))
-    c2 = c * c
-    def f(x, xc):
-        p = 1 + x
-        q = 1 + c2 * x * x
-        return k(x, xc) * c * x / (p * q * mp.sqrt(q))
-    return f
+    return _k_times_rational(mp, c, k, True)
 
 
 def weighted_kernel_spec(a_values, order: int = 0):

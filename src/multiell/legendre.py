@@ -51,8 +51,7 @@ def generating_function_check(a, x, n_terms: int, ctx: PrecisionContext):
     """
     hi = ctx.boosted(10)
     mp = hi.mp
-    a = mp.convert(a)
-    x = mp.convert(x)
+    a, x = (_finite(mp, v, "generating_function_check") for v in (a, x))
     if not abs(a) < 1:
         raise DomainError(f"generating function requires |a| < 1, got {a}")
     y = 2 * x - 1
@@ -114,8 +113,7 @@ def kernel_expansion_partial_sum(x, n_terms: int, ctx: PrecisionContext):
     """
     hi = ctx.boosted(10)
     mp = hi.mp
-    x = mp.convert(x)
-    y = 2 * x - 1
+    y = 2 * _finite(mp, x, "kernel_expansion_partial_sum") - 1
     acc = mp.zero
     q = mp.one  # (-1)^n ((1/2)_n/(1)_n)^3
     for n, p in zip(range(n_terms + 1), islice(_legendre_values(mp, y), 0, None, 2)):

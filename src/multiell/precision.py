@@ -70,6 +70,13 @@ def _finite(mp, value, name: str):
     return v
 
 
+def _real(mp, value, name: str):
+    """_finite(mp, value, name), which must also be real: an mpc raises DomainError."""
+    if not isinstance(v := _finite(mp, value, name), mp.mpf):
+        raise DomainError(f"{name} requires a real argument, got {v}")
+    return v
+
+
 def const_pi(ctx: PrecisionContext):
     """pi, correct to ctx.digits digits."""
     return +ctx.mp.pi

@@ -1,7 +1,9 @@
 """The kernels' K tables: one per K column and engine precision, shared by
 every integral that reads the column; and the weighted kernel's integer
 core, at a real a against an mpf evaluation of its closed form and at an
-imaginary a against mpmath's mpc power.
+imaginary a against mpmath's mpc power; and the integer Re K and x-form
+kernels against their printed mpf form, and the integer axial kernel
+against mpmath's agm, 40 digits above the engine.
 
 Each table test starts from empty tables and counts calls of K's one entry
 point, ``ellipk_real_mp``, as both kernels and elliptic (behind Re K) see
@@ -91,43 +93,124 @@ def test_a_table_is_read_only_at_its_own_precision(k_calls):
     assert calls == len(k_calls) > 0
 
 
+def re_k_rest(mp, c, x):
+    """The printed Re K kernel's factor beside K: c x / (1 + c^2 x^2)^(3/2)."""
+    q = 1 + c * c * x * x
+    return c * x / (q * mp.sqrt(q))
+
+
+def x_form_rest(mp, c, x):
+    """The printed x-form kernel's factor beside K: c x / ((1+x)(1 + c^2 x^2)^(3/2))."""
+    return re_k_rest(mp, c, x) / (1 + x)
+
+
+def re_k_at(mp, x, xc):
+    return elliptic.re_k_modulus_mp(mp, x, offset(mp, 1)(x, xc))
+
+
+def x_form_k_at(mp, x, xc):
+    return elliptic.ellipk_real_mp(mp, abs(offset(mp, 1)(x, xc)) / (1 + x))
+
+
 def re_k_unmemoised(mp, c):
-    to_one = offset(mp, 1)
-    c2 = c * c
-    def f(x, xc):
-        re_k = elliptic.re_k_modulus_mp(mp, x, to_one(x, xc))
-        q = 1 + c2 * x * x
-        return re_k * c * x / (q * mp.sqrt(q))
-    return f
+    return lambda x, xc: re_k_at(mp, x, xc) * re_k_rest(mp, c, x)
 
 
 def x_form_unmemoised(mp, c):
-    to_one = offset(mp, 1)
-    c2 = c * c
-    def f(x, xc):
-        p = 1 + x
-        q = 1 + c2 * x * x
-        return elliptic.ellipk_real_mp(mp, abs(to_one(x, xc)) / p) * c * x / (p * q * mp.sqrt(q))
-    return f
+    return lambda x, xc: x_form_k_at(mp, x, xc) * x_form_rest(mp, c, x)
 
 
-@pytest.mark.parametrize("memoised, unmemoised", [
-    (kernels.re_k_semi_infinite_kernel, re_k_unmemoised),
-    (kernels.axial_x_form_kernel, x_form_unmemoised),
-], ids=["re_k", "x_form"])
-def test_semi_infinite_columns_are_exact_and_shared_across_c(k_calls, memoised, unmemoised):
+SEMI_INFINITE = [(kernels.re_k_semi_infinite_kernel, re_k_unmemoised, re_k_at, re_k_rest),
+                 (kernels.axial_x_form_kernel, x_form_unmemoised, x_form_k_at, x_form_rest)]
+
+
+@pytest.mark.parametrize("memoised, unmemoised, _k, _rest", SEMI_INFINITE, ids=["re_k", "x_form"])
+def test_semi_infinite_columns_are_exact_and_shared_across_c(k_calls, memoised, unmemoised,
+                                                             _k, _rest):
+    # the integer kernel equals the printed mpf form after rounding, on the
+    # same nodes; a value read from the table is bit-identical to one
+    # computed afresh from empty tables
     ctx = PrecisionContext(50)
     misses, evaluations = [], []
     for c in ("0.5", "1.75"):
         plain = integrate(kernels.semi_infinite_spec(unmemoised, c), ctx)
         k_calls.clear()
         table = integrate(kernels.semi_infinite_spec(memoised, c), ctx)
-        assert outcome(table) == outcome(plain)
+        assert (table.value, table.evaluations) == (plain.value, plain.evaluations)
         misses.append(len(k_calls))
         evaluations.append(table.evaluations)
     assert len(kernels._k_tables) == 1
     assert misses[0] == evaluations[0]  # cold: every node is new
     assert misses[1] < evaluations[1]  # the second c reads the first's nodes
+    kernels._k_tables.clear()
+    assert outcome(integrate(kernels.semi_infinite_spec(memoised, c), ctx)) == outcome(table)
+
+
+def _nodes(mp, levels, *panels):
+    """(x, xc) of every node of levels 0..levels-1 on each panel (lo, hi), as
+    the quadrature passes them: tanh-sinh on a finite panel, exp-sinh on
+    (lo, inf).
+
+    Each level's table runs down to the quadrature's weight cutoff, so the
+    nodes reach 10^-2(digits+10) from a finite end, and an exp-sinh panel
+    reaches about the inverse of that.
+    """
+    cutoff = mp.mpf(10) ** (-2 * (mp.dps - GUARD + 10))
+    for lo, hi in panels:
+        lo, hi = mp.convert(lo), mp.convert(hi)
+        kind = "exp-sinh" if mp.isinf(hi) else "tanh-sinh"
+        _, scale_of, points = _TRANSFORMS[kind]
+        for level in range(levels):
+            for node in _level_nodes(mp, kind, level, cutoff)[0]:
+                for _, _, x, xc in points(node, lo, hi, scale_of(lo, hi)):
+                    yield x, xc
+
+
+@pytest.mark.parametrize("digits", [30, 100, 300])
+@pytest.mark.parametrize("c", ["1e-3", "0.5", "1.75", "40"])
+@pytest.mark.parametrize("memoised, _, k_at, rest", SEMI_INFINITE, ids=["re_k", "x_form"])
+def test_semi_infinite_kernels_against_mpf_reference(digits, c, memoised, _, k_at, rest):
+    # K as the kernel's column computes it times the printed factor beside it,
+    # 40 digits above the engine: the integer quotient is correct to a few
+    # units of 2^-wp relative and is rounded once, by at most 2^-prec,
+    # where the printed mpf form rounds at each of its operations
+    emp = PrecisionContext(digits).boosted(GUARD).mp
+    ref = PrecisionContext(digits + GUARD + 40).mp
+    tol = ref.ldexp(1, -emp.prec) + ref.ldexp(64, -fraction_bits(emp))
+    c = emp.mpf(c)
+    f = memoised(emp, c)
+    rc = ref.convert(c)
+    nodes = list(_nodes(emp, 3, (0, 1), (1, emp.inf)))
+    assert max(x for x, _ in nodes) > emp.mpf(10) ** (digits * 3 // 2)
+    for x, xc in nodes:
+        value = f(x, xc)
+        assert type(value) is emp.mpf
+        want = ref.convert(k_at(emp, x, xc)) * rest(ref, rc, ref.convert(x))
+        assert abs(ref.convert(value) - want) <= tol * abs(want), (x, xc)
+
+
+@pytest.mark.parametrize("digits", [30, 100, 300])
+@pytest.mark.parametrize("b, c", [("0", "0"), ("0", "1"), ("0.5", "0"), ("1e-3", "1.95"),
+                                  ("2", "0.85")])
+def test_axial_t_kernel_against_agm_reference(digits, b, c):
+    # (pi/2) t / ((1+t^2)^(3/2) agm(sqrt(den2), sqrt(b^2 + gap^2))) from
+    # mpmath's agm 40 digits above the engine, at I6's nodes as the
+    # quadrature passes them (t from about 10^-2(digits+10) to its inverse,
+    # and next to t = c from both sides): the integer kernel holds a few
+    # units of 2^-wp relative and is rounded once
+    emp = PrecisionContext(digits).boosted(GUARD).mp
+    ref = PrecisionContext(digits + GUARD + 40).mp
+    tol = ref.ldexp(1, -emp.prec) + ref.ldexp(64, -fraction_bits(emp))
+    b, c = emp.mpf(b), emp.mpf(c)
+    f = kernels.axial_t_kernel(emp, b, c)
+    to_peak = offset(emp, c)
+    rb, rc = ref.convert(b), ref.convert(c)
+    panels = ((0, c), (c, emp.inf)) if c else ((0, emp.inf),)
+    for t, xc in _nodes(emp, 3, *panels):
+        rt, gap = ref.convert(t), ref.convert(to_peak(t, xc))
+        mean = ref.agm(ref.sqrt(rb * rb + (rc + rt) ** 2), ref.sqrt(rb * rb + gap * gap))
+        want = ref.pi / 2 * rt / ((1 + rt * rt) ** 1.5 * mean)
+        assert abs(ref.convert(f(t, xc)) - want) <= tol * abs(want), (t, xc)
 
 
 def test_concurrent_integrals_return_their_serial_values(k_calls):
@@ -157,22 +240,6 @@ def test_concurrent_integrals_return_their_serial_values(k_calls):
     assert threaded == serial
 
 
-def _unit_nodes(mp, levels):
-    """(x, xc) of every tanh-sinh node of levels 0..levels-1 on (0, 1/2) and (1/2, 1).
-
-    Each level's table runs down to the quadrature's weight cutoff, so the
-    nodes reach 1 - x near 10^-2(digits+10) and sit next to x = 1/2 from both sides.
-    """
-    _, scale_of, points = _TRANSFORMS["tanh-sinh"]
-    cutoff = mp.mpf(10) ** (-2 * (mp.dps - GUARD + 10))
-    half = mp.mpf(0.5)
-    for lo, hi in ((mp.zero, half), (half, mp.one)):
-        for level in range(levels):
-            for node in _level_nodes(mp, "tanh-sinh", level, cutoff)[0]:
-                for _, _, x, xc in points(node, lo, hi, scale_of(lo, hi)):
-                    yield x, xc
-
-
 @pytest.mark.parametrize("digits", [30, 100, 300])
 @pytest.mark.parametrize("a", ["0", "1e-3", "0.5", "0.95", "0.999", "1", "1.1", "4", "1e6"])
 def test_weighted_kernel_against_mpf_reference(digits, a):
@@ -188,7 +255,7 @@ def test_weighted_kernel_against_mpf_reference(digits, a):
     k = kernels.k_of_x(emp)
     to_one = offset(emp, 1)
     ra = ref.convert(a)
-    nodes = list(_unit_nodes(emp, 3))
+    nodes = list(_nodes(emp, 3, (0, HALF), (HALF, 1)))
     assert min(xc for _, xc in nodes if xc > 0) < emp.mpf(10) ** (-3 * digits // 2)
     for x, xc in nodes:
         value = f(x, xc)
@@ -225,7 +292,7 @@ def test_imaginary_a_against_mpc_power(digits, b):
     k = kernels.k_of_x(emp)
     to_one = offset(emp, 1)
     ra = ref.convert(a)
-    for x, xc in _unit_nodes(emp, 3):
+    for x, xc in _nodes(emp, 3, (0, HALF), (HALF, 1)):
         value = f(x, xc)
         assert type(value) is Fixed and value.exp <= -wp and len(value.mantissas) == 2
         y = 1 - 2 * ref.convert(to_one(x, xc))  # 2x - 1

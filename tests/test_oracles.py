@@ -5,9 +5,10 @@ independent mpmath function evaluated 10 digits higher.  Partial sums take
 enough terms that their truncated tail sits below the tolerance.  K near
 its logarithmic singularity is evaluated at the quadrature engine's
 precision for 50 working digits and compared with mpmath's ellipk at 200
-digits.  The integer AGM core behind K and the public agm is compared
-with mpmath's ellipk and agm over many decades of kc, a and b, at working
-precisions from 30 to 320 digits, and the complementary K at parameters
+digits, and the integer axial kernel with mp.ellipk at t from 1e-300 to
+1e300 for 50, 100 and 300 working digits.  The integer AGM core behind K
+and the public agm is compared with mpmath's ellipk and agm over many
+decades of kc, a and b, at working precisions from 30 to 320 digits, and the complementary K at parameters
 down to 1e-300 with mpmath's ellipk at the digits that 1 - m needs.  The
 printed integrands of I2, I3, I4, I5 and I10 equal K times the catalog's
 combination of generating weights at each row's a, at 50 digits.
@@ -21,12 +22,13 @@ from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
 import multiell.kernels as kernels
-from multiell import (DomainError, IntegralSpec, PrecisionContext, agm,
-                      clausen_sum, clausen_sum_da, ellipk_complementary,
-                      ellipk_series, integrate, legendre_p, legendre_sum)
+from multiell import (DomainError, IntegralSpec, IntegrandFailureError, PrecisionContext,
+                      SingularityError, agm, clausen_sum, clausen_sum_da,
+                      ellipk_complementary, ellipk_series, integrate, legendre_p,
+                      legendre_sum)
 from multiell.elliptic import ellipk_real_mp, re_k_modulus_mp
 from multiell.kernels import k_of_x
-from multiell.quadrature import GUARD, offset
+from multiell.quadrature import GUARD, INF, offset
 from printed_integrands import PRINTED_WEIGHTS, catalog_point, printed_factory
 
 CTX = PrecisionContext(30)
@@ -133,40 +135,63 @@ def test_re_k_modulus_next_to_modulus_one(k, s):
     assert k_close(re_k_modulus_mp(ENGINE, x, 1 - x), ref)  # 1 - x is exact here
 
 
-# t near c: the gap c - t is s 10^-k, down to 1e-30 from the log singularity at b = 0
+# t near c: the gap c - t is s 10^-k, down to 1e-30 from the log singularity at b = 0;
+# t anywhere up to 50, or at any decade from 1e-300 to 1e300
 t_near_c = st.tuples(st.integers(min_value=1, max_value=30), sign)
 t_anywhere = st.floats(min_value=0, max_value=50, exclude_min=True)
+t_decades = st.floats(min_value=-300, max_value=300).map(lambda e: 10.0 ** e)
+ENGINES = {d: PrecisionContext(d).boosted(GUARD).mp for d in (WORKING, 100, 300)}
 
 
 @oracle_settings
 @given(st.floats(min_value=0, max_value=3), st.floats(min_value=0, max_value=3),
-       st.one_of(t_anywhere, t_near_c))
-@example(0, 1, (30, 1))
-@example(0, 1, (30, -1))
-@example(0, 0, 50)
-def test_axial_t_kernel_against_ellipk(b, c, t):
+       st.one_of(t_anywhere, t_near_c, t_decades), st.sampled_from(sorted(ENGINES)))
+@example(0, 1, (30, 1), WORKING)
+@example(0, 1, (30, -1), WORKING)
+@example(0, 0, 50, WORKING)
+@example(0, 1, 1e-300, 300)
+@example(0, 0, 1e-300, 100)
+@example(0, 1, 1e300, 300)
+@example(2, 0, 1e300, 100)
+@example(0, 1, (30, 1), 300)
+def test_axial_t_kernel_against_ellipk(b, c, t, digits):
     # a node next to the panel end t = c, as the quadrature passes it: t is
     # rounded and xc = c - t exact, so the node is c - xc.  The reference
     # is taken 40 digits higher, plus the digits that 1 - m spends on
-    # holding m there.
-    b, c = ENGINE.mpf(b), ENGINE.mpf(c)
+    # holding m there.  The engine carries digits + GUARD, so every value
+    # must hold 10^-(digits + 10) relative.
+    engine = ENGINES[digits]
+    b, c = engine.mpf(b), engine.mpf(c)
     if isinstance(t, tuple):
         k, s = t
-        xc = s * ENGINE.mpf(10) ** -k
+        xc = s * engine.mpf(10) ** -k
         if xc >= c:
             xc = -abs(xc)
         t = c - xc
     else:
-        t = ENGINE.mpf(t)
+        t = engine.mpf(t)
         xc = c - t
     assume(b > 0 or xc != 0)
-    ref_mp = context(WORKING + 40 + 2 * max(0, math.ceil(-ENGINE.log10(abs(xc) + b))))
+    ref_mp = context(digits + 40 + 2 * max(0, math.ceil(-engine.log10(abs(xc) + b))))
     be, ce = ref_mp.convert(b), ref_mp.convert(c)
     te = ce - ref_mp.convert(xc) if abs(xc) < c / 2 else ref_mp.convert(t)
     den2 = be * be + (ce + te) ** 2
     ref = ref_mp.ellipk(4 * ce * te / den2) * te / ((1 + te * te) ** 1.5 * ref_mp.sqrt(den2))
-    value = kernels.axial_t_kernel(ENGINE, b, c)(t, xc)
-    assert abs(ref_mp.convert(value) - ref) <= K_TOL * abs(ref)
+    value = kernels.axial_t_kernel(engine, b, c)(t, xc)
+    assert abs(ref_mp.convert(value) - ref) <= ref_mp.mpf(10) ** -(digits + 10) * abs(ref)
+
+
+def test_axial_t_kernel_at_its_singular_node():
+    # at b = 0 a node exactly at t = c has K(1): the kernel refuses rather
+    # than let the integer AGM of (a, 0) run down to a finite value, and a
+    # panel that places a node there fails; the level-0 exp-sinh node of
+    # (0, inf) is x = 1
+    one = ENGINE.one
+    with pytest.raises(SingularityError):
+        kernels.axial_t_kernel(ENGINE, 0, one)(one, ENGINE.zero)
+    spec = IntegralSpec("axial_t_kernel", (0, 1), (0, INF), kernels.axial_t_kernel)
+    with pytest.raises(IntegrandFailureError, match="singular"):
+        integrate(spec, PrecisionContext(WORKING))
 
 
 # theta near atan c: the distance atan c - th is s 10^-k, down to 1e-30

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from multiell import (DomainError, PrecisionContext, agm, const_pi, ellipk,
-                      ellipk_complementary, gamma, generating_integral_closed_form,
-                      legendre_p, pochhammer)
+                      ellipk_complementary, gamma, generating_function_check,
+                      generating_integral_closed_form, kernel_expansion_partial_sum,
+                      laplace_residual, legendre_p, pochhammer)
 
 
 def machin_pi(mp):
@@ -110,6 +111,10 @@ NONFINITE_CALLS = {
     "generating_integral_closed_form": lambda v, ctx: generating_integral_closed_form(v, ctx),
     "gamma": lambda v, ctx: gamma(v, ctx),
     "pochhammer": lambda v, ctx: pochhammer(v, 3, ctx),
+    "laplace_residual_b": lambda v, ctx: laplace_residual(1, v, 1, ctx),
+    "laplace_residual_c": lambda v, ctx: laplace_residual(1, 1, v, ctx),
+    "generating_function_check_x": lambda v, ctx: generating_function_check(0.5, v, 10, ctx),
+    "kernel_expansion_partial_sum": lambda v, ctx: kernel_expansion_partial_sum(v, 5, ctx),
 }
 
 
@@ -119,3 +124,17 @@ def test_nonfinite_arguments_raise_domain_error(ctx30, name, value):
     # one shared check: none of these returns a value or raises another error
     with pytest.raises(DomainError, match="requires a finite argument"):
         NONFINITE_CALLS[name](ctx30.mp.mpf(value), ctx30)
+
+
+# the real-only entry points: a complex argument is outside their domain,
+# not a comparison that Python cannot make
+REAL_CALLS = {name: NONFINITE_CALLS[name] for name in (
+    "ellipk", "ellipk_complementary", "agm_a", "agm_b", "generating_integral_closed_form",
+    "gamma", "pochhammer", "laplace_residual_b")}
+
+
+@pytest.mark.parametrize("value", [(2, 1), (0, 1)])
+@pytest.mark.parametrize("name", sorted(REAL_CALLS))
+def test_complex_arguments_raise_domain_error(ctx30, name, value):
+    with pytest.raises(DomainError, match="requires a real argument"):
+        REAL_CALLS[name](ctx30.mp.mpc(*value), ctx30)
