@@ -31,7 +31,7 @@ from .elliptic import generating_integral_closed_form
 from .errors import DomainError
 from .fd import richardson_derivative
 from .precision import PrecisionContext, _real
-from .quadrature import MAX_LEVEL, integrate
+from .quadrature import integrate
 
 _FD_BOOST = 20
 
@@ -51,27 +51,27 @@ def _verdict(mp, residual, scale, ctx: PrecisionContext, k: int) -> Residual:
     return Residual(ctx.reduce(residual), ctx.reduce(scale), ctx.reduce(tol), residual <= tol)
 
 
-def _ode_combine(mp, a, derivs, zeroth_factor):
+def _ode_combine(mp, a, derivs, corrupted):
     terms = (
         a * a * (1 + a * a) * derivs[3],
         3 * a * (1 + 2 * a * a) * derivs[2],
         (1 + 7 * a * a) * derivs[1],
-        zeroth_factor * a * derivs[0],
+        (2 if corrupted else 1) * a * derivs[0],
     )
     residual = abs(terms[0] + terms[1] + terms[2] + terms[3])
     scale = max(abs(t) for t in terms)
     return residual, scale
 
 
-def _ode_point(a, ctx: PrecisionContext):
+def _ode_point(a, ctx: PrecisionContext, name: str):
     """a in ctx's precision, checked to lie in the operator checks' domain (0, 1)."""
-    a = ctx.mp.convert(a)
+    a = _real(ctx.mp, a, name)
     if not 0 < a < 1:
-        raise DomainError(f"operator check requires a in (0, 1), got {a}")
+        raise DomainError(f"{name} requires a in (0, 1), got {a}")
     return a
 
 
-def weighted_derivatives(a_values, ctx: PrecisionContext, *, max_level: int = MAX_LEVEL):
+def weighted_derivatives(a_values, ctx: PrecisionContext):
     """The weighted K-kernel integral and its first three a-derivatives at each a.
 
     One vector quadrature of the analytically differentiated weight over
@@ -79,7 +79,7 @@ def weighted_derivatives(a_values, ctx: PrecisionContext, *, max_level: int = MA
     values per a, in the order of a_values.
     """
     mp = ctx.mp
-    result = integrate(kernels.weighted_kernel_spec(a_values, 3), ctx, max_level=max_level)
+    result = integrate(kernels.weighted_kernel_spec(a_values, 3), ctx)
     values = [mp.convert(v) for v in result.value]
     return [values[4 * i:4 * i + 4] for i in range(len(a_values))]
 
@@ -90,12 +90,11 @@ def ode_residual_of(a, derivs, ctx: PrecisionContext, *, corrupted: bool = False
     The tolerance is quadrature-limited, 10^(-digits/2) relative to scale.
     With ``corrupted`` the zeroth-order coefficient a is replaced by 2a.
     """
-    residual, scale = _ode_combine(ctx.mp, a, derivs, 2 if corrupted else 1)
+    residual, scale = _ode_combine(ctx.mp, a, derivs, corrupted)
     return _verdict(ctx.mp, residual, scale, ctx, 2)
 
 
-def ode_annihilator_residual(a, ctx: PrecisionContext, *, corrupted: bool = False,
-                             max_level: int = MAX_LEVEL) -> Residual:
+def ode_annihilator_residual(a, ctx: PrecisionContext, *, corrupted: bool = False) -> Residual:
     """Apply the third-order operator to the weighted K-kernel integral.
 
     The integral and its first three a-derivatives come from one vector
@@ -104,12 +103,12 @@ def ode_annihilator_residual(a, ctx: PrecisionContext, *, corrupted: bool = Fals
     (negative control: the residual must then blow up by many orders of
     magnitude).
     """
-    a = _ode_point(a, ctx)
-    derivs, = weighted_derivatives((a,), ctx, max_level=max_level)
+    a = _ode_point(a, ctx, "ode_annihilator_residual")
+    derivs, = weighted_derivatives((a,), ctx)
     return ode_residual_of(a, derivs, ctx, corrupted=corrupted)
 
 
-def apply_annihilator_fd(f, a, ctx: PrecisionContext, *, zeroth_factor=1):
+def apply_annihilator_fd(f, a, ctx: PrecisionContext):
     """(residual, scale) of the third-order operator applied to f by FD.
 
     f maps an mpf (at ctx precision boosted for FD) to a value; derivatives
@@ -118,13 +117,13 @@ def apply_annihilator_fd(f, a, ctx: PrecisionContext, *, zeroth_factor=1):
     """
     work = ctx.boosted(_FD_BOOST)
     mp = work.mp
-    a = mp.convert(a)
+    a = _real(mp, a, "apply_annihilator_fd")
     h = mp.mpf(10) ** (-(ctx.digits // 5))
     f = cache(f)
     derivs = [mp.convert(f(a))]
     for order in (1, 2, 3):
         derivs.append(richardson_derivative(f, a, order, h))
-    return _ode_combine(mp, a, derivs, zeroth_factor)
+    return _ode_combine(mp, a, derivs, False)
 
 
 def ode_annihilator_residual_closed_form(a, ctx: PrecisionContext) -> Residual:
@@ -133,7 +132,7 @@ def ode_annihilator_residual_closed_form(a, ctx: PrecisionContext) -> Residual:
     Certifies that the closed form solves the homogeneous equation; the
     tolerance is FD-truncation-limited, 10^(-digits/3) relative to scale.
     """
-    a = _ode_point(a, ctx)
+    a = _ode_point(a, ctx, "ode_annihilator_residual_closed_form")
     work = ctx.boosted(_FD_BOOST)
     residual, scale = apply_annihilator_fd(
         lambda t: generating_integral_closed_form(t, work), a, ctx)

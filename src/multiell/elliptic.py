@@ -133,11 +133,9 @@ def ellipk_series(m, n_terms: int, ctx: PrecisionContext):
     """
     hi = ctx.boosted(10)
     mp = hi.mp
-    m = mp.convert(m)
-    if not isinstance(m, mp.mpf):
-        raise DomainError(f"the Maclaurin series requires a real m, got {m}")
+    m = _real(mp, m, "ellipk_series")
     if not abs(m) < 1:
-        raise DomainError(f"the Maclaurin series requires |m| < 1, got {m}")
+        raise DomainError(f"ellipk_series requires |m| < 1, got {m}")
     return ctx.reduce(mp.pi / 2 * _ratio_series(mp, m, n_terms, power=2))
 
 

@@ -86,7 +86,6 @@ class IdentityRecord:
     id: str
     description: str
     params: tuple
-    singular_notes: str
     lhs: object
     rhs: object
 
@@ -176,82 +175,6 @@ def _closed_form_rhs(value_of_mp):
     return lambda ctx, p: ctx.reduce(value_of_mp(ctx.boosted(10).mp))
 
 
-def _build_catalog():
-    records = []
-
-    def add(*args, **kw):
-        records.append(IdentityRecord(*args, **kw))
-
-    unit_a = ParamSpec("a", lo=0, hi=1)
-    series_a = ParamSpec("a", lo=0, hi="0.95")
-    log_half = "kernel log-singular at x=1/2"
-    complex_root = "kernel log-singular at x=1/2; principal-branch root"
-    add("I1", "weighted K-kernel integral vs squared-K closed form",
-        (unit_a,), log_half, _weighted_lhs(),
-        lambda ctx, p: generating_integral_closed_form(p["a"], ctx))
-
-    add("I1-ext", "weighted K-kernel integral past the critical parameter",
-        (ParamSpec("a", lo=1, lo_open=True),),
-        "kernel log-singular at x=1/2; no smooth continuation across a=1",
-        _weighted_lhs(),
-        lambda ctx, p: generating_integral_closed_form(p["a"], ctx))
-
-    add("I2", "rational-weight K integral; value pi/(4 sqrt 2)",
-        (), log_half, _weighted_lhs(_WEIGHTED_POINTS["I2"]),
-        _closed_form_rhs(lambda mp: mp.pi / (4 * mp.sqrt(2))))
-
-    add("I3", "r=4 singular-value K integral; value Gamma(1/4)^4/(16 sqrt2 pi)",
-        (), log_half, _weighted_lhs(_WEIGHTED_POINTS["I3"]),
-        lambda ctx, p: rhs_constant("I3", ctx))
-
-    add("I4", "complex-kernel K integral for the r=3 singular value",
-        (), complex_root, _weighted_lhs(_WEIGHTED_POINTS["I4"]),
-        lambda ctx, p: rhs_constant("I4", ctx))
-
-    add("I5", "complex-kernel K integral for the r=7 singular value",
-        (), complex_root, _weighted_lhs(_WEIGHTED_POINTS["I5"]),
-        lambda ctx, p: rhs_constant("I5", ctx))
-
-    add("I6", "axially symmetric K integral with two tunable parameters",
-        (ParamSpec("b", lo=0), ParamSpec("c", lo=0)),
-        "singular at t = c when b = 0",
-        _quad_lhs(lambda ctx, p: kernels.axial_t_spec(p["b"], p["c"])), _axial_rhs)
-
-    add("I7", "axial special case on (0,1); value pi/(2 sqrt 2)",
-        (), log_half, _unit_kernel_lhs(kernels.special_case_kernel),
-        _closed_form_rhs(lambda mp: mp.pi / (2 * mp.sqrt(2))))
-
-    add("I8", "plain K-kernel integral; value pi^2/4",
-        (), log_half, _unit_kernel_lhs(kernels.k_of_x),
-        _closed_form_rhs(lambda mp: mp.pi ** 2 / 4))
-
-    add("I9", "semi-infinite Re K integral; value pi/(2 sqrt(1+c^2))",
-        (ParamSpec("c", lo=0, lo_open=True),),
-        "Re K switches branch formula at x=1 (log-singular there)",
-        _quad_lhs(lambda ctx, p: kernels.semi_infinite_spec(
-            kernels.re_k_semi_infinite_kernel, p["c"])),
-        lambda ctx, p: _axial_rhs(ctx, {"b": 0, "c": p["c"]}))
-
-    add("I10", "signed rational-weight K integral; value -pi/(8 sqrt 2)",
-        (), log_half, _weighted_lhs(_WEIGHTED_POINTS["I10"]),
-        _closed_form_rhs(lambda mp: -mp.pi / (8 * mp.sqrt(2))))
-
-    add("I11", "Clausen-type series vs squared-K closed form",
-        (series_a,), "series converges like a^(2n)",
-        _clausen_lhs, _clausen_rhs)
-
-    add("I12", "level-4 Ramanujan-type series vs algebraic multiple of 1/pi",
-        (ParamSpec("variant", choices=(0, 1)),),
-        "variant 0 sums to 2 sqrt2/pi, variant 1 to 4 sqrt2/pi",
-        _ramanujan_lhs, _ramanujan_rhs)
-
-    add("I13", "quadrature route vs Legendre-projection series route",
-        (series_a,), log_half, _weighted_lhs(),
-        lambda ctx, p: legendre_sum(p["a"], _series_terms(p["a"] ** 2, ctx.digits), ctx))
-
-    return {rec.id: rec for rec in records}
-
-
 def _axial_rhs(ctx, p):
     hi = ctx.boosted(10)
     mp = hi.mp
@@ -287,7 +210,57 @@ def _ramanujan_rhs(ctx, p):
     return ramanujan_target(_variant_series(p["variant"]), ctx)
 
 
-_CATALOG = _build_catalog()
+def _generating_rhs(ctx, p):
+    return generating_integral_closed_form(p["a"], ctx)
+
+
+def _legendre_rhs(ctx, p):
+    return legendre_sum(p["a"], _series_terms(p["a"] ** 2, ctx.digits), ctx)
+
+
+# I6's and I9's bounds are measured: past them the semi-infinite panel can
+# converge falsely (see integrate), so a point there raises OutOfDomainError
+_CATALOG = {rec.id: rec for rec in (
+    IdentityRecord("I1", "weighted K-kernel integral vs squared-K closed form",
+                   (ParamSpec("a", lo=0, hi=1),), _weighted_lhs(), _generating_rhs),
+    IdentityRecord("I1-ext", "weighted K-kernel integral past the critical parameter",
+                   (ParamSpec("a", lo=1, lo_open=True),), _weighted_lhs(), _generating_rhs),
+    IdentityRecord("I2", "rational-weight K integral; value pi/(4 sqrt 2)",
+                   (), _weighted_lhs(_WEIGHTED_POINTS["I2"]),
+                   _closed_form_rhs(lambda mp: mp.pi / (4 * mp.sqrt(2)))),
+    IdentityRecord("I3", "r=4 singular-value K integral; value Gamma(1/4)^4/(16 sqrt2 pi)",
+                   (), _weighted_lhs(_WEIGHTED_POINTS["I3"]),
+                   lambda ctx, p: rhs_constant("I3", ctx)),
+    IdentityRecord("I4", "complex-kernel K integral for the r=3 singular value",
+                   (), _weighted_lhs(_WEIGHTED_POINTS["I4"]),
+                   lambda ctx, p: rhs_constant("I4", ctx)),
+    IdentityRecord("I5", "complex-kernel K integral for the r=7 singular value",
+                   (), _weighted_lhs(_WEIGHTED_POINTS["I5"]),
+                   lambda ctx, p: rhs_constant("I5", ctx)),
+    IdentityRecord("I6", "axially symmetric K integral with two tunable parameters",
+                   (ParamSpec("b", lo=0, hi="1e10"), ParamSpec("c", lo=0, hi="1e10")),
+                   _quad_lhs(lambda ctx, p: kernels.axial_t_spec(p["b"], p["c"])), _axial_rhs),
+    IdentityRecord("I7", "axial special case on (0,1); value pi/(2 sqrt 2)",
+                   (), _unit_kernel_lhs(kernels.special_case_kernel),
+                   _closed_form_rhs(lambda mp: mp.pi / (2 * mp.sqrt(2)))),
+    IdentityRecord("I8", "plain K-kernel integral; value pi^2/4",
+                   (), _unit_kernel_lhs(kernels.k_of_x),
+                   _closed_form_rhs(lambda mp: mp.pi ** 2 / 4)),
+    IdentityRecord("I9", "semi-infinite Re K integral; value pi/(2 sqrt(1+c^2))",
+                   (ParamSpec("c", lo="1e-10", hi="1e10"),),
+                   _quad_lhs(lambda ctx, p: kernels.semi_infinite_spec(
+                       kernels.re_k_semi_infinite_kernel, p["c"])),
+                   lambda ctx, p: _axial_rhs(ctx, {"b": 0, "c": p["c"]})),
+    IdentityRecord("I10", "signed rational-weight K integral; value -pi/(8 sqrt 2)",
+                   (), _weighted_lhs(_WEIGHTED_POINTS["I10"]),
+                   _closed_form_rhs(lambda mp: -mp.pi / (8 * mp.sqrt(2)))),
+    IdentityRecord("I11", "Clausen-type series vs squared-K closed form",
+                   (ParamSpec("a", lo=0, hi="0.95"),), _clausen_lhs, _clausen_rhs),
+    IdentityRecord("I12", "level-4 Ramanujan-type series vs algebraic multiple of 1/pi",
+                   (ParamSpec("variant", choices=(0, 1)),), _ramanujan_lhs, _ramanujan_rhs),
+    IdentityRecord("I13", "quadrature route vs Legendre-projection series route",
+                   (ParamSpec("a", lo=0, hi="0.95"),), _weighted_lhs(), _legendre_rhs),
+)}
 CATALOG_ORDER = tuple(_CATALOG)
 
 

@@ -122,6 +122,10 @@ class IntegralSpec:
       per call, so that no intermediate value rounds to 0;
     * a ZeroDivisionError or ValueError raised by the integer arithmetic
       surfaces as IntegrandFailureError, like any failure of f.
+
+    The integrand's mass must lie where the nodes can see it: within the
+    exp-sinh node range of a semi-infinite panel, and not in a sliver of a
+    long finite one.  Otherwise integrate may converge falsely (see there).
     """
 
     integrand_id: str
@@ -380,6 +384,14 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
     Raises NonConvergenceError if any panel hits the level cap with an
     error estimate above target, and IntegrandFailureError if the integrand
     raises or returns a non-finite value.
+
+    Convergence is judged from the nodes alone, so an integrand whose mass
+    lies far beyond the exp-sinh node range, or in a sliver of a long
+    tanh-sinh panel far from its middle, can converge falsely: a wrong
+    value with a small estimate, which integrate does not detect.  I9's
+    Re K integrand at c = 1e-100 peaks near x = 1/c and reads 0.  At
+    c = 1e20 and 30 digits, it and the axial t form at b = 0.5 both err
+    by 1.5 quad_target, with an estimate 26 times smaller.
     """
     mp = ctx.boosted(GUARD).mp
     negligible = mp.mpf(10) ** (-(ctx.digits + 10))

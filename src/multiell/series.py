@@ -16,8 +16,9 @@ most sum n |z|^(n-1) <= 1/(1 - |z|)^2 units (about 105 at a = 0.95).  The
 loop sums B + z sum_{n>=1} c_n (A n + B) z^(n-1), whose inner sum starts
 from an O(1) term, so with B = 0 the result keeps its relative precision
 however small z is.  The series of this module use p = 3; their
-arguments are real, and a complex one raises DomainError.  The public
-functions share only that routine and never call one another.
+arguments are real, and a complex, infinite or nan one raises
+DomainError.  The public functions share only that routine and never
+call one another.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BridgeInconsistencyError, DomainError
-from .precision import PrecisionContext
+from .precision import PrecisionContext, _real
 
 
 class SeriesId(str, Enum):
@@ -53,9 +54,7 @@ def _ratio_series(mp, z, n_terms: int, power: int = 3, big_a=0, big_b=1):
 
 def _clausen_arg(mp, a, name):
     """(a, -a^2) for the a-dependent series, which require a real |a| < 1."""
-    a = mp.convert(a)
-    if not isinstance(a, mp.mpf):
-        raise DomainError(f"{name} requires a real a, got {a}")
+    a = _real(mp, a, name)
     if not abs(a) < 1:
         raise DomainError(f"{name} requires |a| < 1, got {a}")
     return a, -a * a
@@ -123,27 +122,25 @@ class BridgeCoefficients:
     a_star: object
 
 
-def bridge_from_data(big_a, big_b, z, ctx: PrecisionContext, checked_terms: int = 5):
+def bridge_from_data(big_a, big_b, z, ctx: PrecisionContext):
     """Solve the coefficient match alpha + (2 beta / a*) n = A n + B.
 
     The n-th term of alpha*clausen + beta*clausen_da at a* is
     c_n (-a*^2)^n (alpha + 2 beta n / a*), so matching against
     c_n (A n + B) z^n requires a* = sqrt(-z), and the constant and
     n-coefficients give the 2x2 system {alpha = B, 2 beta / a* = A}.
-    The match is then re-verified termwise through n = checked_terms.
+    The match is then re-verified termwise through n = 5.
     """
     hi = ctx.boosted(10)
     mp = hi.mp
-    z = mp.convert(z)
-    big_a = mp.convert(big_a)
-    big_b = mp.convert(big_b)
+    big_a, big_b, z = (_real(mp, v, "bridge_from_data") for v in (big_a, big_b, z))
     if not z < 0:
         raise DomainError(f"bridge requires a negative series base, got z = {z}")
     a_star = mp.sqrt(-z)
     alpha = big_b
     beta = big_a * a_star / 2
     tol = mp.mpf(10) ** (-(ctx.digits - 8))
-    for n in range(1, checked_terms + 1):
+    for n in range(1, 6):
         lhs = alpha * (-a_star * a_star) ** n + beta * 2 * n * (-1) ** n * a_star ** (2 * n - 1)
         rhs = (big_a * n + big_b) * z ** n
         if abs(lhs - rhs) > tol * max(mp.one, abs(rhs)):

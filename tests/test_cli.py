@@ -18,10 +18,10 @@ LIST_LINES = [
     "I3      no parameters                r=4 singular-value K integral; value Gamma(1/4)^4/(16 sqrt2 pi)",
     "I4      no parameters                complex-kernel K integral for the r=3 singular value",
     "I5      no parameters                complex-kernel K integral for the r=7 singular value",
-    "I6      b in [0, inf), c in [0, inf) axially symmetric K integral with two tunable parameters",
+    "I6      b in [0, 1e10], c in [0, 1e10] axially symmetric K integral with two tunable parameters",
     "I7      no parameters                axial special case on (0,1); value pi/(2 sqrt 2)",
     "I8      no parameters                plain K-kernel integral; value pi^2/4",
-    "I9      c in (0, inf)                semi-infinite Re K integral; value pi/(2 sqrt(1+c^2))",
+    "I9      c in [1e-10, 1e10]           semi-infinite Re K integral; value pi/(2 sqrt(1+c^2))",
     "I10     no parameters                signed rational-weight K integral; value -pi/(8 sqrt 2)",
     "I11     a in [0, 0.95]               Clausen-type series vs squared-K closed form",
     "I12     variant in {0, 1}            level-4 Ramanujan-type series vs algebraic multiple of 1/pi",

@@ -1,12 +1,13 @@
 import dataclasses
+import itertools
 import json
 
 import pytest
 
 from multiell import (DomainError, OutOfDomainError, PrecisionContext,
-                      SeriesId, clausen_sum, clausen_sum_da, export,
-                      legendre_sum, linear_bridge, list_identities, sweep,
-                      verify)
+                      SeriesId, clausen_sum, clausen_sum_da, export, integrate,
+                      kernels, legendre_sum, linear_bridge, list_identities,
+                      sweep, verify)
 from multiell.identities import _verify_points, get_identity
 from multiell.quadrature import MAX_LEVEL
 
@@ -23,7 +24,8 @@ def test_catalog_shape():
 
 def test_catalog_domains():
     rows = {r.id: r for r in list_identities()}
-    assert [p.describe() for p in rows["I6"].params] == ["b in [0, inf)", "c in [0, inf)"]
+    assert [p.describe() for p in rows["I6"].params] == ["b in [0, 1e10]", "c in [0, 1e10]"]
+    assert [p.describe() for p in rows["I9"].params] == ["c in [1e-10, 1e10]"]
     assert [p.describe() for p in rows["I1"].params] == ["a in [0, 1]"]
     assert rows["I12"].params[0].describe() == "variant in {0, 1}"
 
@@ -156,7 +158,7 @@ def test_sweep_validation(ctx):
     with pytest.raises(OutOfDomainError):
         sweep("I1", "b", 0, 1, 3, ctx)  # no such parameter
     with pytest.raises(OutOfDomainError):
-        sweep("I9", "c", 0, 2, 3, ctx)  # endpoint outside the open domain
+        sweep("I9", "c", 0, 2, 3, ctx)  # endpoint below the domain
 
 
 def test_export_csv_shape(ctx30):
@@ -247,14 +249,23 @@ def test_cross_route_agreement(ctx, a_str):
     assert abs(series_value - closed_route.rhs_value) <= ctx.pass_tol
 
 
-ENDPOINTS = [("I1", {"a": "0"}), ("I1", {"a": "1"}),
-             ("I6", {"b": "0", "c": "0"}), ("I6", {"b": "0", "c": "1"}),
-             ("I6", {"b": "0", "c": "2"}), ("I6", {"b": "1", "c": "0"}),
-             ("I11", {"a": "0"}), ("I11", {"a": "0.95"}),
-             ("I13", {"a": "0"}), ("I13", {"a": "0.95"}),
-             ("I12", {"variant": 0}), ("I12", {"variant": 1}),
-             # the near-singular band of I6: K sharply peaked at t = c
-             ("I6", {"b": "0.01", "c": "1"}), ("I6", {"b": "0.01", "c": "2"})]
+def _closed_ends(spec):
+    """spec's choices, or its finite closed interval endpoints, as verify takes them."""
+    if spec.choices is not None:
+        return list(spec.choices)
+    return [str(end) for end, is_open in ((spec.lo, spec.lo_open), (spec.hi, spec.hi_open))
+            if end is not None and not is_open]
+
+
+# every combination of each row's finite closed endpoints, read from its
+# ParamSpecs, so that a domain edit moves the endpoints tested with it
+ENDPOINTS = [(rec.id, dict(zip(rec.param_names(), ends)))
+             for rec in list_identities() if rec.params
+             for ends in itertools.product(*map(_closed_ends, rec.params))]
+ENDPOINTS += [("I6", {"b": "0", "c": "1"}), ("I6", {"b": "0", "c": "2"}),
+              ("I6", {"b": "1", "c": "0"}),
+              # the near-singular band of I6: K sharply peaked at t = c
+              ("I6", {"b": "0.01", "c": "1"}), ("I6", {"b": "0.01", "c": "2"})]
 
 
 @pytest.mark.parametrize("rid, params", ENDPOINTS,
@@ -265,6 +276,39 @@ def test_every_closed_endpoint_verifies(ctx, rid, params):
     assert report.passed
     if report.err_estimate is not None:
         assert report.abs_err <= 10 * report.err_estimate
+
+
+@pytest.mark.parametrize("rid, params", [
+    ("I9", {"c": "1e-100"}), ("I9", {"c": "9.9e-11"}), ("I9", {"c": "1e20"}),
+    ("I6", {"b": "1e15", "c": "1"}), ("I6", {"b": "0", "c": "1.01e10"})])
+def test_semi_infinite_rows_refuse_points_past_their_measured_domain(ctx30, rid, params):
+    # past these bounds the exp-sinh panel can converge to a wrong value
+    with pytest.raises(OutOfDomainError, match="above domain|below domain"):
+        verify(rid, params, ctx30)
+
+
+# I6 and I9 over their domains, integrate's value against the closed form
+# 30 digits higher: verify's abs_err compares two values already rounded to
+# the working precision, so only this sees the quadrature's own error
+MAGNITUDES = ("1e-10", "1e-5", "1", "1e5", "1e10")
+AXIAL_GRID = [("I9", "0", c) for c in MAGNITUDES]
+AXIAL_GRID += [("I6", b, c) for b in ("0", "1", "1e10") for c in MAGNITUDES]
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+@pytest.mark.parametrize("rid, b, c", AXIAL_GRID,
+                         ids=[f"{r}-{b}-{c}" for r, b, c in AXIAL_GRID])
+def test_axial_error_before_rounding_is_within_estimate_and_target(digits, rid, b, c):
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    b, c = mp.mpf(b), mp.mpf(c)
+    spec = (kernels.axial_t_spec(b, c) if rid == "I6" else
+            kernels.semi_infinite_spec(kernels.re_k_semi_infinite_kernel, c))
+    result = integrate(spec, ctx)
+    ref = ctx.boosted(30).mp
+    error = abs(ref.convert(result.value) - ref.pi / (2 * ref.sqrt((b + 1) ** 2 + c * c)))
+    assert error <= 10 * result.err_estimate
+    assert error <= ctx.quad_target
 
 
 # Every catalog row once at a low and a high working precision, endpoints

@@ -2,10 +2,14 @@ import random
 
 import pytest
 
-from multiell import (DomainError, PrecisionContext, agm, const_pi, ellipk,
-                      ellipk_complementary, gamma, generating_function_check,
-                      generating_integral_closed_form, kernel_expansion_partial_sum,
-                      laplace_residual, legendre_p, pochhammer)
+from multiell import (DomainError, PrecisionContext, agm, apply_annihilator_fd,
+                      clausen_sum, clausen_sum_da, const_pi, ellipk,
+                      ellipk_complementary, ellipk_series, gamma,
+                      generating_function_check, generating_integral_closed_form,
+                      kernel_expansion_partial_sum, laplace_residual, legendre_p,
+                      legendre_sum, ode_annihilator_residual,
+                      ode_annihilator_residual_closed_form, pochhammer)
+from multiell.series import bridge_from_data
 
 
 def machin_pi(mp):
@@ -115,6 +119,17 @@ NONFINITE_CALLS = {
     "laplace_residual_c": lambda v, ctx: laplace_residual(1, 1, v, ctx),
     "generating_function_check_x": lambda v, ctx: generating_function_check(0.5, v, 10, ctx),
     "kernel_expansion_partial_sum": lambda v, ctx: kernel_expansion_partial_sum(v, 5, ctx),
+    "ode_annihilator_residual": lambda v, ctx: ode_annihilator_residual(v, ctx),
+    "ode_annihilator_residual_closed_form":
+        lambda v, ctx: ode_annihilator_residual_closed_form(v, ctx),
+    "apply_annihilator_fd": lambda v, ctx: apply_annihilator_fd(lambda t: t, v, ctx),
+    "bridge_from_data_A": lambda v, ctx: bridge_from_data(v, 1, "-0.125", ctx),
+    "bridge_from_data_B": lambda v, ctx: bridge_from_data(6, v, "-0.125", ctx),
+    "bridge_from_data_z": lambda v, ctx: bridge_from_data(6, 1, v, ctx),
+    "clausen_sum": lambda v, ctx: clausen_sum(v, 10, ctx),
+    "clausen_sum_da": lambda v, ctx: clausen_sum_da(v, 10, ctx),
+    "legendre_sum": lambda v, ctx: legendre_sum(v, 10, ctx),
+    "ellipk_series": lambda v, ctx: ellipk_series(v, 10, ctx),
 }
 
 
@@ -130,7 +145,10 @@ def test_nonfinite_arguments_raise_domain_error(ctx30, name, value):
 # not a comparison that Python cannot make
 REAL_CALLS = {name: NONFINITE_CALLS[name] for name in (
     "ellipk", "ellipk_complementary", "agm_a", "agm_b", "generating_integral_closed_form",
-    "gamma", "pochhammer", "laplace_residual_b")}
+    "gamma", "pochhammer", "laplace_residual_b", "ode_annihilator_residual",
+    "ode_annihilator_residual_closed_form", "apply_annihilator_fd", "bridge_from_data_A",
+    "bridge_from_data_B", "bridge_from_data_z", "clausen_sum", "clausen_sum_da",
+    "legendre_sum", "ellipk_series")}
 
 
 @pytest.mark.parametrize("value", [(2, 1), (0, 1)])
