@@ -28,6 +28,21 @@ once and the mean out once, so no step pays for mpf objects:
   and it takes both means' arguments as ints at a scale chosen from the
   smaller one, as agm1_mp chooses wp from kc.
 
+K's Maclaurin series is the p = 2 case of ``_ratio_series``, the one
+routine that also sums every series of the series module (p = 3):
+sum_n ((1/2)_n / (1)_n)^p (A n + B) z^n on the ratio recurrence
+c_{n+1}/c_n = ((n + 1/2)/(n + 1))^p, with no factorials.  It runs on
+Python ints at a fixed binary point 2^-wp (Brent & Zimmermann, 4.4, as
+mpmath's ``libhyper`` sums pFq): z, A and B are converted to fixed point
+once, each step is two integer multiplies, an exact integer ratio and a
+shift, and the sum becomes an mpf once.  wp = prec + 20 + N.bit_length():
+the N.bit_length() bits cover N truncations of at most one unit each, the
+20 bits cover their spread through the recurrence and z's one rounding,
+which moves the sum by at most sum n |z|^(n-1) <= 1/(1 - |z|)^2 units
+(about 105 at a = 0.95).  The loop sums B + z sum_{n>=1} c_n (A n + B)
+z^(n-1), whose inner sum starts from an O(1) term, so with B = 0 the
+result keeps its relative precision however small z is.
+
 The module-level functions take a PrecisionContext and a finite number m
 (inf or nan raises DomainError); the ``*_mp`` helpers operate inside an
 mpmath context, for integrands at the quadrature engine's precision.
@@ -38,8 +53,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .errors import DomainError, SingularityError
-from .precision import PrecisionContext, _real
-from .series import _ratio_series
+from .precision import PrecisionContext, _count, _real
 
 
 def agm_int(a: int, b: int) -> int:
@@ -124,19 +138,32 @@ def ellipk(m, ctx: PrecisionContext):
     return ctx.reduce(ellipk_mp(hi.mp, _real(hi.mp, m, "ellipk")))
 
 
+def _ratio_series(mp, z, n_terms: int, power: int = 3, big_a=0, big_b=1):
+    """sum_{n=0..N} ((1/2)_n / (1)_n)^power (A n + B) z^n for real z, A, B in context mp."""
+    wp = mp.prec + 20 + n_terms.bit_length()
+    zf, af, bf = (mp.convert(v).to_fixed(wp) for v in (z, big_a, big_b))
+    base = 1 << wp  # c_{n-1} z^(n-1), then c_n z^(n-1)
+    acc = 0  # sum_{m=1..n} c_m (A m + B) z^(m-1)
+    for n in range(1, n_terms + 1):
+        base = base * (2 * n - 1) ** power // (2 * n) ** power
+        acc += (base * (af * n + bf)) >> wp
+        base = (base * zf) >> wp
+    return big_b + z * mp.mpf((acc, -wp))
+
+
 def ellipk_series(m, n_terms: int, ctx: PrecisionContext):
     """Maclaurin partial sum of K through the m^N term, for real |m| < 1.
 
     K(m) = (pi/2) [1 + sum_{n>=1} ((1/2)_n / (1)_n)^2 m^n], summed on
-    fixed-point integers by ``series._ratio_series`` with p = 2.  A complex
-    m raises DomainError.
+    fixed-point integers by ``_ratio_series`` with p = 2.  A complex m, or
+    a term count that is not a nonnegative int, raises DomainError.
     """
     hi = ctx.boosted(10)
     mp = hi.mp
     m = _real(mp, m, "ellipk_series")
     if not abs(m) < 1:
         raise DomainError(f"ellipk_series requires |m| < 1, got {m}")
-    return ctx.reduce(mp.pi / 2 * _ratio_series(mp, m, n_terms, power=2))
+    return ctx.reduce(mp.pi / 2 * _ratio_series(mp, m, _count(n_terms, "ellipk_series"), power=2))
 
 
 def ellipk_complementary(m, ctx: PrecisionContext):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 
 from .errors import DomainError
-from .precision import PrecisionContext, _real
+from .precision import PrecisionContext, _count, _real
 
 SHIFT_MAX = 100  # above this x, Spouge's series runs at x itself, unshifted
 
@@ -130,8 +130,4 @@ def pochhammer(x, n: int, ctx: PrecisionContext):
     x is a finite real; the value is the exact product rounded once to
     ctx.digits, up to a relative 2^-(prec+9) from the integer product.
     """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"pochhammer requires a nonnegative integer n, got {n!r}")
-    mp = ctx.mp
-    x = _real(mp, x, "pochhammer")
-    return _rising_mp(mp, x, n)
+    return _rising_mp(ctx.mp, _real(ctx.mp, x, "pochhammer"), _count(n, "pochhammer"))

@@ -7,7 +7,7 @@ discrepancy sits below ctx.pass_tol * max(1, |rhs|); a complex (mpc)
 left-hand side additionally requires its imaginary part to sit below ten
 times the quadrature error estimate (I4 and I5, points of I1 at an imaginary
 a, have a weight conjugate-symmetric about x = 1/2, so the imaginary part
-must vanish -- tested, not assumed).  I2-I5 and I10 are _WEIGHTED_POINTS.
+must vanish -- tested, not assumed).  I2-I5 and I10 are _WEIGHTED_ROWS.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .elliptic import generating_integral_closed_form
 from .errors import DomainError, OutOfDomainError
 from .precision import PrecisionContext
 from .quadrature import MAX_LEVEL, IntegralSpec, integrate
-from .series import (SeriesId, _ramanujan_data, clausen_sum, legendre_sum,
-                     linear_bridge, ramanujan_sum, ramanujan_target)
-from .singular import rhs_constant
+from .series import (SERIES_R, SeriesId, clausen_sum, legendre_sum, linear_bridge,
+                     ramanujan_sum, ramanujan_target)
+from .singular import SINGULAR_VALUES, rhs_constant
 
 
 @dataclass(frozen=True)
@@ -146,22 +146,44 @@ def _weighted_lhs(point_of=lambda hi, p: (p["a"], (1,))):
     return lhs
 
 
-def _bridged(series_id, scale, hi):
-    """A Ramanujan series as a weighted point: a* and scale (alpha, beta) of its bridge."""
-    bridge = linear_bridge(series_id, hi)
-    return bridge.a_star, (scale * bridge.alpha, scale * bridge.beta)
+def _bridged(series_id, scale):
+    """(point, rhs) of scale (alpha I1 + beta I1')(a*), with (alpha, beta, a*) the bridge of a
+    Ramanujan series to T/pi: the Clausen series is (4/pi^2) I1, so the value is scale pi T/4."""
+    def point(hi, p):
+        bridge = linear_bridge(series_id, hi)
+        return bridge.a_star, (scale * bridge.alpha, scale * bridge.beta)
+    return point, _closed_form_rhs(
+        lambda mp: scale * mp.pi / 4 * SINGULAR_VALUES[SERIES_R[series_id]].series(mp)[3])
 
 
-# Rows the paper reduces to I1(a): I3 = I1(sqrt2/4); I4 = I1(i/2)/2 and I5 = I1(i/8)/8
-# at lambda*(3) and lambda*(7) (Borwein & Borwein, Pi and the AGM, ch. 9); I2 and I10
-# are I12's two series, bridged to I1 and I1' at a*, times 1/4 and -1/16.
-_WEIGHTED_POINTS = {
-    "I2": lambda hi, p: _bridged(SeriesId.RAMANUJAN_2SQRT2, 0.25, hi),
-    "I3": lambda hi, p: (hi.mp.sqrt(2) / 4, (1,)),
-    "I4": lambda hi, p: (hi.mp.j / 2, (0.5, hi.mp.j / 2)),
-    "I5": lambda hi, p: (hi.mp.j / 8, (0.125, hi.mp.j / 8)),
-    "I10": lambda hi, p: _bridged(SeriesId.RAMANUJAN_4SQRT2, -0.0625, hi),
+def _imaginary(hi, r):
+    """Point i beta and coefficients (beta, i beta) of beta I1(i beta), at r's beta."""
+    beta = SINGULAR_VALUES[r].beta(hi.mp)
+    return hi.mp.j * beta, (beta, hi.mp.j * beta)
+
+
+def _closed_form_rhs(value_of_mp):
+    """RHS constant value_of_mp(mp), evaluated at guard precision."""
+    return lambda ctx, p: ctx.reduce(value_of_mp(ctx.boosted(10).mp))
+
+
+# Rows the paper reduces to I1(a), as (point, rhs), their data read from the
+# singular-value table: I3 = I1(sqrt(-z)) at r = 4; I4 and I5 are beta I1(i beta)
+# at r = 3 and 7; I2 and I10 are I12's two series, bridged to I1 and I1' at a*,
+# times 1/4 and -1/16.
+_WEIGHTED_ROWS = {
+    "I2": _bridged(SeriesId.RAMANUJAN_2SQRT2, 0.25),
+    "I3": (lambda hi, p: (hi.mp.sqrt(-SINGULAR_VALUES[4].series(hi.mp)[0]), (1,)),
+           lambda ctx, p: rhs_constant("I3", ctx)),
+    "I4": (lambda hi, p: _imaginary(hi, 3), lambda ctx, p: rhs_constant("I4", ctx)),
+    "I5": (lambda hi, p: _imaginary(hi, 7), lambda ctx, p: rhs_constant("I5", ctx)),
+    "I10": _bridged(SeriesId.RAMANUJAN_4SQRT2, -0.0625),
 }
+
+
+def _weighted_row(rid):
+    """(lhs, rhs) of a _WEIGHTED_ROWS row."""
+    return _weighted_lhs(_WEIGHTED_ROWS[rid][0]), _WEIGHTED_ROWS[rid][1]
 
 
 def _unit_kernel_lhs(factory):
@@ -170,20 +192,11 @@ def _unit_kernel_lhs(factory):
         factory.__name__, (), (0, 1), factory, singular_points=(0.5,)))
 
 
-def _closed_form_rhs(value_of_mp):
-    """RHS constant value_of_mp(mp), evaluated at guard precision."""
-    return lambda ctx, p: ctx.reduce(value_of_mp(ctx.boosted(10).mp))
-
-
 def _axial_rhs(ctx, p):
     hi = ctx.boosted(10)
     mp = hi.mp
     b, c = mp.convert(p["b"]), mp.convert(p["c"])
     return ctx.reduce(mp.pi / (2 * mp.sqrt((b + 1) ** 2 + c * c)))
-
-
-def _variant_series(variant: int):
-    return SeriesId.RAMANUJAN_2SQRT2 if variant == 0 else SeriesId.RAMANUJAN_4SQRT2
 
 
 def _clausen_lhs(ctx, points, max_level):
@@ -200,14 +213,14 @@ def _clausen_rhs(ctx, p):
 def _ramanujan_lhs(ctx, points, max_level):
     out = []
     for p in points:
-        sid = _variant_series(p["variant"])
-        z = _ramanujan_data(sid, ctx.boosted(10).mp)[0]
+        sid = tuple(SeriesId)[p["variant"]]  # I12's variants are the SeriesIds in order
+        z = SINGULAR_VALUES[SERIES_R[sid]].series(ctx.boosted(10).mp)[0]
         out.append((ramanujan_sum(sid, _series_terms(z, ctx.digits), ctx), None))
     return out
 
 
 def _ramanujan_rhs(ctx, p):
-    return ramanujan_target(_variant_series(p["variant"]), ctx)
+    return ramanujan_target(tuple(SeriesId)[p["variant"]], ctx)
 
 
 def _generating_rhs(ctx, p):
@@ -226,17 +239,13 @@ _CATALOG = {rec.id: rec for rec in (
     IdentityRecord("I1-ext", "weighted K-kernel integral past the critical parameter",
                    (ParamSpec("a", lo=1, lo_open=True),), _weighted_lhs(), _generating_rhs),
     IdentityRecord("I2", "rational-weight K integral; value pi/(4 sqrt 2)",
-                   (), _weighted_lhs(_WEIGHTED_POINTS["I2"]),
-                   _closed_form_rhs(lambda mp: mp.pi / (4 * mp.sqrt(2)))),
+                   (), *_weighted_row("I2")),
     IdentityRecord("I3", "r=4 singular-value K integral; value Gamma(1/4)^4/(16 sqrt2 pi)",
-                   (), _weighted_lhs(_WEIGHTED_POINTS["I3"]),
-                   lambda ctx, p: rhs_constant("I3", ctx)),
+                   (), *_weighted_row("I3")),
     IdentityRecord("I4", "complex-kernel K integral for the r=3 singular value",
-                   (), _weighted_lhs(_WEIGHTED_POINTS["I4"]),
-                   lambda ctx, p: rhs_constant("I4", ctx)),
+                   (), *_weighted_row("I4")),
     IdentityRecord("I5", "complex-kernel K integral for the r=7 singular value",
-                   (), _weighted_lhs(_WEIGHTED_POINTS["I5"]),
-                   lambda ctx, p: rhs_constant("I5", ctx)),
+                   (), *_weighted_row("I5")),
     IdentityRecord("I6", "axially symmetric K integral with two tunable parameters",
                    (ParamSpec("b", lo=0, hi="1e10"), ParamSpec("c", lo=0, hi="1e10")),
                    _quad_lhs(lambda ctx, p: kernels.axial_t_spec(p["b"], p["c"])), _axial_rhs),
@@ -252,8 +261,7 @@ _CATALOG = {rec.id: rec for rec in (
                        kernels.re_k_semi_infinite_kernel, p["c"])),
                    lambda ctx, p: _axial_rhs(ctx, {"b": 0, "c": p["c"]})),
     IdentityRecord("I10", "signed rational-weight K integral; value -pi/(8 sqrt 2)",
-                   (), _weighted_lhs(_WEIGHTED_POINTS["I10"]),
-                   _closed_form_rhs(lambda mp: -mp.pi / (8 * mp.sqrt(2)))),
+                   (), *_weighted_row("I10")),
     IdentityRecord("I11", "Clausen-type series vs squared-K closed form",
                    (ParamSpec("a", lo=0, hi="0.95"),), _clausen_lhs, _clausen_rhs),
     IdentityRecord("I12", "level-4 Ramanujan-type series vs algebraic multiple of 1/pi",

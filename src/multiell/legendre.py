@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import count, islice
 
 from .errors import DomainError
-from .precision import PrecisionContext, _finite
+from .precision import PrecisionContext, _count, _finite
 from .quadrature import Fixed, IntegralSpec, fraction_bits, integrate
 
 GRAM_MAX_ORDER = 20  # cost guard
@@ -37,9 +37,7 @@ def legendre_p_mp(mp, n: int, x):
 
 def legendre_p(n: int, x, ctx: PrecisionContext):
     """P_n(x) for n >= 0."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"degree must be a nonnegative integer, got {n!r}")
-    hi = ctx.boosted(10)
+    n, hi = _count(n, "legendre_p"), ctx.boosted(10)
     return ctx.reduce(legendre_p_mp(hi.mp, n, _finite(hi.mp, x, "legendre_p")))
 
 
@@ -58,7 +56,7 @@ def generating_function_check(a, x, n_terms: int, ctx: PrecisionContext):
     closed = 1 / mp.sqrt(1 - 2 * y * a + a * a)
     acc = mp.zero
     apow = mp.one
-    for p in islice(_legendre_values(mp, y), n_terms + 1):
+    for p in islice(_legendre_values(mp, y), _count(n_terms, "generating_function_check") + 1):
         acc += p * apow
         apow *= a
     return ctx.reduce(abs(closed - acc))
@@ -93,7 +91,7 @@ def orthogonality_gram(order: int, ctx: PrecisionContext):
     the n >= m products, so that P_0..P_order are evaluated once per node;
     exact values are delta_nm / (2n+1).
     """
-    if not isinstance(order, int) or order < 0 or order > GRAM_MAX_ORDER:
+    if _count(order, "orthogonality_gram") > GRAM_MAX_ORDER:
         raise DomainError(f"order must be an integer in [0, {GRAM_MAX_ORDER}], got {order!r}")
     spec = IntegralSpec(f"legendre_gram_{order}", (order,), (0, 1), _gram_factory)
     values = iter(integrate(spec, ctx).value)
@@ -116,6 +114,7 @@ def kernel_expansion_partial_sum(x, n_terms: int, ctx: PrecisionContext):
     y = 2 * _finite(mp, x, "kernel_expansion_partial_sum") - 1
     acc = mp.zero
     q = mp.one  # (-1)^n ((1/2)_n/(1)_n)^3
+    n_terms = _count(n_terms, "kernel_expansion_partial_sum")
     for n, p in zip(range(n_terms + 1), islice(_legendre_values(mp, y), 0, None, 2)):
         acc += q * (4 * n + 1) * p
         r = (2 * n + 1) / mp.mpf(2 * n + 2)

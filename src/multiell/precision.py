@@ -77,6 +77,21 @@ def _real(mp, value, name: str):
     return v
 
 
+def _count(n, name: str) -> int:
+    """n, which must be a nonnegative int (a term count, degree or order); else DomainError."""
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"{name} requires a nonnegative integer count, got {n!r}")
+    return n
+
+
+def _choice(table, key, name: str):
+    """table[key]; a key the table lacks, or an unhashable one, raises DomainError."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        raise DomainError(f"{name}: {key!r} is not one of {', '.join(map(str, table))}") from None
+
+
 def const_pi(ctx: PrecisionContext):
     """pi, correct to ctx.digits digits."""
     return +ctx.mp.pi

@@ -12,7 +12,7 @@ data from the catalog.
 """
 
 from multiell import IntegralSpec
-from multiell.identities import _WEIGHTED_POINTS
+from multiell.identities import _WEIGHTED_ROWS
 from multiell.kernels import k_of_x
 
 
@@ -83,5 +83,6 @@ def catalog_point(rid, ctx):
     An imaginary a takes the weight's real and imaginary parts at order 0;
     a real a takes its a-derivatives 0..order, one coefficient each.
     """
-    a, coefficients = _WEIGHTED_POINTS[rid](ctx.boosted(10), {})
+    point, _ = _WEIGHTED_ROWS[rid]
+    a, coefficients = point(ctx.boosted(10), {})
     return a, 0 if hasattr(a, "_mpc_") else len(coefficients) - 1, coefficients

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from multiell import (DomainError, PrecisionContext, agm, apply_annihilator_fd,
+from multiell import (DomainError, PrecisionContext, SeriesId, agm, apply_annihilator_fd,
                       clausen_sum, clausen_sum_da, const_pi, ellipk,
                       ellipk_complementary, ellipk_series, gamma,
                       generating_function_check, generating_integral_closed_form,
                       kernel_expansion_partial_sum, laplace_residual, legendre_p,
                       legendre_sum, ode_annihilator_residual,
-                      ode_annihilator_residual_closed_form, pochhammer)
+                      ode_annihilator_residual_closed_form, orthogonality_gram,
+                      pochhammer, ramanujan_sum)
 from multiell.series import bridge_from_data
 
 
@@ -156,3 +157,31 @@ REAL_CALLS = {name: NONFINITE_CALLS[name] for name in (
 def test_complex_arguments_raise_domain_error(ctx30, name, value):
     with pytest.raises(DomainError, match="requires a real argument"):
         REAL_CALLS[name](ctx30.mp.mpc(*value), ctx30)
+
+
+# every public function that takes a count (terms, degree or order), with its other
+# arguments valid; each checks the count through precision._count
+COUNTED = {
+    "clausen_sum": lambda n, ctx: clausen_sum(0.5, n, ctx),
+    "clausen_sum_da": lambda n, ctx: clausen_sum_da(0.5, n, ctx),
+    "legendre_sum": lambda n, ctx: legendre_sum(0.5, n, ctx),
+    "ramanujan_sum": lambda n, ctx: ramanujan_sum(SeriesId.RAMANUJAN_2SQRT2, n, ctx),
+    "ellipk_series": lambda n, ctx: ellipk_series(0.5, n, ctx),
+    "generating_function_check": lambda n, ctx: generating_function_check(0.5, 0.3, n, ctx),
+    "kernel_expansion_partial_sum": lambda n, ctx: kernel_expansion_partial_sum(0.3, n, ctx),
+    "legendre_p": lambda n, ctx: legendre_p(n, 0.3, ctx),
+    "pochhammer": lambda n, ctx: pochhammer(0.5, n, ctx),
+    "orthogonality_gram": lambda n, ctx: orthogonality_gram(n, ctx),
+}
+
+
+@pytest.mark.parametrize("count", [-3, 2.5, "4"], ids=repr)
+@pytest.mark.parametrize("name", COUNTED)
+def test_counts_must_be_nonnegative_ints(ctx, name, count):
+    with pytest.raises(DomainError):
+        COUNTED[name](count, ctx)
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_count_zero_is_accepted(ctx, name):
+    COUNTED[name](0, ctx)

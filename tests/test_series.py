@@ -95,7 +95,7 @@ def test_ramanujan_4sqrt2_value(ctx):
 
 def test_ramanujan_rejects_other_ids(ctx):
     with pytest.raises(DomainError):
-        ramanujan_sum(SeriesId.CLAUSEN, 100, ctx)
+        ramanujan_sum("clausen", 100, ctx)
 
 
 def test_bridge_coefficients_2sqrt2(ctx):

@@ -5,6 +5,7 @@ from multiell import (DomainError, PrecisionContext, ellipk,
                       generating_integral_closed_form, integrate, lambda_star,
                       rhs_constant, singular_value_residual)
 from multiell.kernels import weighted_kernel_spec
+from multiell.singular import SINGULAR_VALUES, SUPPORTED_R
 
 # frozen from the reflection/multiplication-verified library gamma at 70 digits
 FROZEN = {
@@ -32,7 +33,7 @@ def test_unsupported_r(ctx):
         lambda_star(5, ctx)
 
 
-@pytest.mark.parametrize("r", [3, 4, 7])
+@pytest.mark.parametrize("r", SUPPORTED_R)
 def test_defining_property_residuals(ctx, r):
     assert singular_value_residual(r, ctx) <= ctx.pass_tol
 
@@ -107,3 +108,63 @@ def test_squared_k_bridge_r7(ctx):
     mp = ctx.mp
     m = lambda_star(7, ctx) ** 2
     assert abs(ellipk(m, ctx) ** 2 / 8 - rhs_constant("I5", ctx)) <= ctx.pass_tol
+
+
+# Entry rule of the singular-value table: every entry's closed forms, taken at
+# 300 digits, against references mpmath computes 20 digits higher.  A mistyped
+# digit in any entry fails one of these.
+ENTRY_DIGITS = 300
+
+
+def _entry(r):
+    """(entry, mp at 300 digits, reference mp 20 digits higher, lambda*(r) in the reference)."""
+    ctx = PrecisionContext(ENTRY_DIGITS)
+    ref = ctx.boosted(20).mp
+    entry = SINGULAR_VALUES[r]
+    return entry, ctx.mp, ref, ref.convert(entry.lam(ctx.mp))
+
+
+def _close(ref, value, truth):
+    return abs(ref.convert(value) - truth) <= ref.mpf(10) ** (3 - ENTRY_DIGITS) * abs(truth)
+
+
+def test_table_keys_are_the_supported_r():
+    assert SUPPORTED_R == tuple(SINGULAR_VALUES)
+    assert {3, 4, 7, 12} <= set(SUPPORTED_R)
+
+
+@pytest.mark.parametrize("r", sorted(SINGULAR_VALUES))
+def test_entry_lambda_is_the_theta_quotient(r):
+    # lambda*(r) = theta_2^2 / theta_3^2 at the nome q = exp(-pi sqrt r)
+    _, _, ref, lam = _entry(r)
+    q = ref.exp(-ref.pi * ref.sqrt(r))
+    assert _close(ref, lam, (ref.jtheta(2, 0, q) / ref.jtheta(3, 0, q)) ** 2)
+
+
+@pytest.mark.parametrize("r", [r for r, e in SINGULAR_VALUES.items() if e.series])
+def test_entry_series_base_and_sum(r):
+    # z = -4 lambda^2 / (1 - lambda^2)^2, and
+    # B 3F2(1/2,1/2,1/2; 1,1; z) + (A z / 8) 3F2(3/2,3/2,3/2; 2,2; z) = T / pi
+    entry, mp, ref, lam = _entry(r)
+    z, big_a, big_b, t = (ref.convert(v) for v in entry.series(mp))
+    assert _close(ref, z, -4 * lam ** 2 / (1 - lam ** 2) ** 2)
+    half, three_halves = ref.mpf(1) / 2, ref.mpf(3) / 2
+    total = (big_b * ref.hyp3f2(half, half, half, 1, 1, z)
+             + big_a * z / 8 * ref.hyp3f2(three_halves, three_halves, three_halves, 2, 2, z))
+    assert _close(ref, total, t / ref.pi)
+
+
+@pytest.mark.parametrize("r", [r for r, e in SINGULAR_VALUES.items() if e.beta])
+def test_entry_beta_from_lambda(r):
+    # beta^2 = 1 - (1 - 2 lambda^2)^2, so that I1(i beta) = K(lambda^2)^2
+    entry, mp, ref, lam = _entry(r)
+    assert _close(ref, entry.beta(mp), ref.sqrt(1 - (1 - 2 * lam ** 2) ** 2))
+
+
+@pytest.mark.parametrize("r", [r for r, e in SINGULAR_VALUES.items() if e.gamma])
+def test_entry_gamma_form_is_squared_k(r):
+    # the row's Gamma form is beta K(lambda^2)^2 at an imaginary point i beta
+    # (r = 3, 7) and (1 - lambda^2) K(lambda^2)^2 at the real point sqrt(-z) (r = 4)
+    entry, mp, ref, lam = _entry(r)
+    factor = ref.convert(entry.beta(mp)) if entry.beta else 1 - lam ** 2
+    assert _close(ref, entry.gamma(mp, mp.gamma), factor * ref.ellipk(lam ** 2) ** 2)
