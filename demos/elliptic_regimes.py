@@ -4,15 +4,14 @@ regime, the Maclaurin series, and the squared-K closed form.
 Run:  python demos/elliptic_regimes.py
 """
 
-from multiell import (PrecisionContext, agm, const_pi, ellipk,
-                      ellipk_complementary, ellipk_series,
-                      generating_integral_closed_form)
+from multiell import (PrecisionContext, agm, ellipk, ellipk_complementary,
+                      ellipk_series, generating_integral_closed_form)
 
 ctx = PrecisionContext(40)
 mp = ctx.mp
 show = lambda x: mp.nstr(x, 30)
 
-print("pi to 40 digits:", mp.nstr(const_pi(ctx), 40))
+print("pi to 40 digits:", mp.nstr(+mp.pi, 40))
 print()
 
 print("The arithmetic-geometric mean drives every K evaluation:")

@@ -16,12 +16,11 @@ from .elliptic import (agm, ellipk, ellipk_complementary, ellipk_series,
 from .errors import (BridgeInconsistencyError, DomainError,
                      IntegrandFailureError, NonConvergenceError,
                      OutOfDomainError, SingularityError)
-from .gammafn import gamma, pochhammer
+from .gammafn import gamma
 from .identities import (IdentityRecord, ParamSpec, VerificationReport,
                          export, get_identity, list_identities, sweep, verify)
-from .legendre import (kernel_expansion_partial_sum, generating_function_check,
-                       legendre_p, orthogonality_gram)
-from .precision import PrecisionContext, const_pi
+from .legendre import orthogonality_gram
+from .precision import PrecisionContext
 from .quadrature import INF, MAX_LEVEL, IntegralSpec, QuadResult, integrate
 from .selftest import CheckResult, run_selftest
 from .series import (BridgeCoefficients, SeriesId, clausen_sum, clausen_sum_da,
@@ -31,14 +30,11 @@ from .singular import lambda_star, rhs_constant, singular_value_residual
 __version__ = "0.1.0"
 
 __all__ = [
-    "PrecisionContext", "const_pi",
-    "gamma", "pochhammer",
+    "PrecisionContext", "gamma",
     "agm", "ellipk", "ellipk_series",
     "ellipk_complementary", "generating_integral_closed_form",
     "IntegralSpec", "QuadResult", "integrate",
-    "INF", "MAX_LEVEL",
-    "legendre_p", "generating_function_check", "orthogonality_gram",
-    "kernel_expansion_partial_sum",
+    "INF", "MAX_LEVEL", "orthogonality_gram",
     "SeriesId", "BridgeCoefficients", "clausen_sum",
     "clausen_sum_da", "legendre_sum", "ramanujan_sum", "ramanujan_target",
     "linear_bridge",

@@ -22,4 +22,8 @@ class IntegrandFailureError(RuntimeError):
 
 
 class BridgeInconsistencyError(RuntimeError):
-    """Termwise matching of a series linear combination failed."""
+    """Termwise matching of a series linear combination failed.
+
+    The package raises it nowhere: the one bridge it builds,
+    series.bridge_from_data, matches every term by an algebraic identity.
+    """

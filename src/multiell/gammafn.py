@@ -1,21 +1,19 @@
-"""Gamma function for positive real arguments, plus the rising factorial.
+"""Gamma function for positive real arguments.
 
 Gamma is evaluated with a Spouge-class convergent series whose order is
 chosen from the context's precision; coefficients are cached per order.
 Its alternating sum cancels about 0.13 digits per unit of order: the guard
 digits grow with the order.  For 2 <= x <= SHIFT_MAX, x is first shifted
-into [1, 2) by Gamma(x) = (x-1) Gamma(x-1), one integer product per unit
-of x; that product and ``pochhammer`` share one integer rising product,
-``_rising_mp``, whose factors are exact and which is rounded once.  Above
-SHIFT_MAX the series is applied at x itself, its error bound holding for
-every z >= 0, so the cost no longer grows with x.  There its
-sum cancels from its largest coefficient down to about sqrt(2 pi), and its
+into [1, 2) by Gamma(x) = (x-1) Gamma(x-1): ``_rising_mp`` takes the shift
+as one integer product of exact factors, one per unit of x, rounded once.
+Above SHIFT_MAX the series is applied at x itself, its error bound holding
+for every z >= 0, so the cost no longer grows with x.  There its sum
+cancels from its largest coefficient down to about sqrt(2 pi), and its
 factor za^(z+1/2) e^(-za) is the exponential of an argument near x ln x,
 whose rounding error becomes the factor's relative error; each is formed
-with one more guard digit per decimal digit it loses.
-Gamma supports only positive real arguments (every closed-form constant in
-the identity catalog needs rational positive arguments only); the rising
-factorial takes any finite real x.
+with one more guard digit per decimal digit it loses.  Gamma supports only
+positive real arguments (every closed-form constant in the identity
+catalog needs rational positive arguments only).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from __future__ import annotations
 import threading
 
 from .errors import DomainError
-from .precision import PrecisionContext, _count, _real
+from .precision import PrecisionContext, _real
 
 SHIFT_MAX = 100  # above this x, Spouge's series runs at x itself, unshifted
 
@@ -102,32 +100,20 @@ def gamma(x, ctx: PrecisionContext):
 
 
 def _rising_mp(mp, x, n: int):
-    """x (x+1) ... (x+n-1) for a finite mpf x, rounded once into context mp.
+    """x (x+1) ... (x+n-1) for an mpf x in [1, 2), rounded once into context mp.
 
     Every factor is an exact integer over x's binary point, and the product
     is an int cut back to wp = prec + 10 + n.bit_length() bits after each
     factor: n cuts of relative size below 2^(1-wp) each, which costs less
-    than the subtraction and product of an mpf step.  A product that is
-    exactly 0 (x a non-positive integer, n > -x) stays the int 0.
+    than the subtraction and product of an mpf step.
     """
     wp = mp.prec + 10 + n.bit_length()
-    sign, man, exp, _ = x._mpf_
-    xm = (-man if sign else man) << max(0, exp)
-    point = max(0, -exp)  # each factor is (xm + k 2^point) 2^-point
-    acc, acc_exp = 1, -point * n
+    _, xm, exp, _ = x._mpf_  # x in [1, 2): sign 0, exp <= 0
+    acc, acc_exp = 1, exp * n  # each factor is (xm + k 2^-exp) 2^exp
     for k in range(n):
-        acc *= xm + (k << point)
+        acc *= xm + (k << -exp)
         drop = acc.bit_length() - wp
         if drop > 0:
             acc >>= drop
             acc_exp += drop
     return mp.mpf((acc, acc_exp))
-
-
-def pochhammer(x, n: int, ctx: PrecisionContext):
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1); (x)_0 = 1.
-
-    x is a finite real; the value is the exact product rounded once to
-    ctx.digits, up to a relative 2^-(prec+9) from the integer product.
-    """
-    return _rising_mp(ctx.mp, _real(ctx.mp, x, "pochhammer"), _count(n, "pochhammer"))

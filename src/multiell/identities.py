@@ -52,7 +52,8 @@ class ParamSpec:
         if self.choices is not None:
             try:
                 as_int = int(value)
-                if as_int != (float(value) if not isinstance(value, str) else as_int):
+                if isinstance(value, bool) or as_int != (
+                        float(value) if not isinstance(value, str) else as_int):
                     raise ValueError
             except (TypeError, ValueError, OverflowError):
                 raise OutOfDomainError(f"{self.name} must be an integer choice, got {value!r}")
@@ -117,7 +118,7 @@ def _series_terms(ratio, digits: int) -> int:
     if r == 0:
         return 1
     # ln in r's own context: as a float, a^2 below 5e-324 is 0
-    return max(60, int((digits + 12) * math.log(10) / -r.context.ln(r)) + 10)
+    return int((digits + 12) * math.log(10) / -r.context.ln(r)) + 10
 
 
 def _quad_lhs(spec_builder):

@@ -1,65 +1,18 @@
-"""Legendre polynomials: recurrence evaluation, generating function,
-orthogonality on (0, 1) after x -> 2x-1, and the even-index expansion of
-the elliptic kernel K(2 sqrt(x(1-x))).
+"""Orthogonality of the Legendre polynomials on (0, 1) after x -> 2x-1.
 
-The three-term recurrence has two forms.  ``_legendre_values`` runs it in
-mpf for legendre_p, the generating-function check and the kernel
-expansion.  The Gram integrand runs it on ints scaled by 2^wp, wp =
-quadrature.fraction_bits, and returns every product P_n P_m as a
-quadrature.Fixed, so the orthogonality integral makes no mpf operation
-per node.
+The Gram integrand runs the three-term recurrence on ints and returns
+every product P_n P_m as one quadrature.Fixed, so the orthogonality
+integral makes no mpf operation per node.  P_n at a single point is
+mpmath's ``legendre``.
 """
 
 from __future__ import annotations
 
-from itertools import count, islice
-
 from .errors import DomainError
-from .precision import PrecisionContext, _count, _finite
+from .precision import PrecisionContext, _count
 from .quadrature import Fixed, IntegralSpec, fraction_bits, integrate
 
 GRAM_MAX_ORDER = 20  # cost guard
-
-
-def _legendre_values(mp, x):
-    """P_0(x), P_1(x), ... by the three-term recurrence, without end."""
-    p_prev, p_cur = mp.one, x
-    yield p_prev
-    for k in count(1):
-        yield p_cur
-        p_prev, p_cur = p_cur, ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
-
-
-def legendre_p_mp(mp, n: int, x):
-    """P_n(x) by the three-term recurrence inside context mp."""
-    return next(islice(_legendre_values(mp, x), n, None))
-
-
-def legendre_p(n: int, x, ctx: PrecisionContext):
-    """P_n(x) for n >= 0."""
-    n, hi = _count(n, "legendre_p"), ctx.boosted(10)
-    return ctx.reduce(legendre_p_mp(hi.mp, n, _finite(hi.mp, x, "legendre_p")))
-
-
-def generating_function_check(a, x, n_terms: int, ctx: PrecisionContext):
-    """|closed form - partial sum| for the Legendre generating function.
-
-    Closed form 1/sqrt(1 - 2(2x-1)a + a^2) against sum_{n<=N} P_n(2x-1) a^n;
-    the gap must decay geometrically in N since |P_n| <= 1 on [-1, 1].
-    """
-    hi = ctx.boosted(10)
-    mp = hi.mp
-    a, x = (_finite(mp, v, "generating_function_check") for v in (a, x))
-    if not abs(a) < 1:
-        raise DomainError(f"generating function requires |a| < 1, got {a}")
-    y = 2 * x - 1
-    closed = 1 / mp.sqrt(1 - 2 * y * a + a * a)
-    acc = mp.zero
-    apow = mp.one
-    for p in islice(_legendre_values(mp, y), _count(n_terms, "generating_function_check") + 1):
-        acc += p * apow
-        apow *= a
-    return ctx.reduce(abs(closed - acc))
 
 
 def _gram_factory(mp, order: int):
@@ -100,23 +53,3 @@ def orthogonality_gram(order: int, ctx: PrecisionContext):
         for m in range(n + 1):
             gram[n][m] = gram[m][n] = next(values)
     return gram
-
-
-def kernel_expansion_partial_sum(x, n_terms: int, ctx: PrecisionContext):
-    """Partial sum of the even-index Legendre expansion of the K kernel.
-
-    sum_{n<=N} (-1)^n ((1/2)_n / (1)_n)^3 (4n+1) P_{2n}(2x-1), which
-    converges (slowly, pointwise, away from x = 1/2) to
-    4 K(2 sqrt(x(1-x))) / pi^2.
-    """
-    hi = ctx.boosted(10)
-    mp = hi.mp
-    y = 2 * _finite(mp, x, "kernel_expansion_partial_sum") - 1
-    acc = mp.zero
-    q = mp.one  # (-1)^n ((1/2)_n/(1)_n)^3
-    n_terms = _count(n_terms, "kernel_expansion_partial_sum")
-    for n, p in zip(range(n_terms + 1), islice(_legendre_values(mp, y), 0, None, 2)):
-        acc += q * (4 * n + 1) * p
-        r = (2 * n + 1) / mp.mpf(2 * n + 2)
-        q *= -(r * r * r)
-    return ctx.reduce(acc)

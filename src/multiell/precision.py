@@ -78,8 +78,8 @@ def _real(mp, value, name: str):
 
 
 def _count(n, name: str) -> int:
-    """n, which must be a nonnegative int (a term count, degree or order); else DomainError."""
-    if not isinstance(n, int) or n < 0:
+    """n, which must be a nonnegative int (a term count or order), not a bool; else DomainError."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"{name} requires a nonnegative integer count, got {n!r}")
     return n
 
@@ -90,8 +90,3 @@ def _choice(table, key, name: str):
         return table[key]
     except (KeyError, TypeError):
         raise DomainError(f"{name}: {key!r} is not one of {', '.join(map(str, table))}") from None
-
-
-def const_pi(ctx: PrecisionContext):
-    """pi, correct to ctx.digits digits."""
-    return +ctx.mp.pi

@@ -1,6 +1,6 @@
 """Each narrative demo in demos/ runs to completion against the package.
 
-The demos call public names (``ellipk_complementary``, ``const_pi``,
+The demos call public names (``ellipk_complementary``, ``agm``,
 ``sweep``, ...) that nothing else exercises end to end; a renamed or
 removed name fails here rather than in a reader's terminal.
 """

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
-from multiell import DomainError, PrecisionContext, gamma, pochhammer
+from multiell import DomainError, PrecisionContext, gamma
 from multiell.gammafn import SHIFT_MAX
 
 
@@ -72,27 +72,6 @@ def test_gamma_domain(ctx):
         gamma(-2.5, ctx)
 
 
-def test_pochhammer_base_cases(ctx):
-    mp = ctx.mp
-    assert pochhammer(mp.mpf("0.37"), 0, ctx) == 1
-    assert pochhammer(mp.mpf("0.5"), 2, ctx) == mp.mpf(3) / 4
-    # rising factorial of 1 is n!
-    assert pochhammer(1, 6, ctx) == 720
-
-
-def test_pochhammer_recurrence_exact(ctx):
-    mp = ctx.mp
-    for s in ("0.5", "1.25", "3"):
-        x = mp.mpf(s)
-        for n in range(1, 12):
-            assert pochhammer(x, n, ctx) == +(pochhammer(x, n - 1, ctx) * (x + n - 1))
-
-
-def test_pochhammer_rejects_negative_n(ctx):
-    with pytest.raises(DomainError):
-        pochhammer(1, -1, ctx)
-
-
 @pytest.mark.parametrize("digits", [50, 300])
 @pytest.mark.parametrize("x", [1234567.7, 1e12 + 0.7, 1e30])
 def test_gamma_at_large_x_is_accurate_and_bounded(digits, x):
@@ -109,27 +88,3 @@ def test_gamma_at_large_x_is_accurate_and_bounded(digits, x):
     truth = ref.gamma(ref.mpf(x))
     assert abs(ref.convert(value) - truth) <= ref.mpf(10) ** -digits * truth
     assert elapsed < 0.2
-
-
-@pytest.mark.parametrize("digits", [50, 300])
-@pytest.mark.parametrize("x,n", [(1.3, 20000), (0.1, 5000), ("-0.75", 20000), (-2.5, 100),
-                                 (1e-300, 50), (1e30, 1000)])
-def test_pochhammer_to_full_working_digits(digits, x, n):
-    ref = MPContext()
-    ref.dps = digits + 40
-    truth = ref.rf(ref.mpf(x), n)
-    value = ref.convert(pochhammer(x, n, PrecisionContext(digits)))
-    assert abs(value - truth) <= ref.mpf(10) ** -digits * abs(truth)
-
-
-def test_pochhammer_exact_zero_and_sign(ctx):
-    assert pochhammer(-3, 3, ctx) == -6
-    assert pochhammer(-3, 4, ctx) == 0
-    assert pochhammer(-3, 20000, ctx) == 0
-    assert pochhammer(0, 5, ctx) == 0
-
-
-@pytest.mark.parametrize("x", [0.3 + 0.2j, float("inf"), float("nan")])
-def test_pochhammer_rejects_non_finite_or_complex_x(ctx, x):
-    with pytest.raises(DomainError):
-        pochhammer(x, 3, ctx)

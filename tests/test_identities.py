@@ -115,6 +115,9 @@ def test_param_validation(ctx):
         verify("I12", {"variant": 2}, ctx)
     with pytest.raises(OutOfDomainError):
         verify("I12", {"variant": "0.5"}, ctx)
+    for flag in (True, False):  # a bool is no integer choice
+        with pytest.raises(OutOfDomainError):
+            verify("I12", {"variant": flag}, ctx)
     with pytest.raises(OutOfDomainError):
         verify("I1-ext", {"a": 1}, ctx)  # excluded critical point
     with pytest.raises(DomainError):
@@ -126,6 +129,34 @@ def test_param_validation(ctx):
                         ("I12", {"variant": float("inf")}), ("I12", {"variant": float("nan")})]:
         with pytest.raises(OutOfDomainError):
             verify(rid, params, ctx)
+
+
+# (row, params, summed function): series rows whose term count used to be floored at 60
+SERIES_ROWS = [("I12", {"variant": 1}, "ramanujan_sum"), ("I11", {"a": "0.05"}, "clausen_sum"),
+               ("I13", {"a": "0.05"}, "legendre_sum")]
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+@pytest.mark.parametrize("rid,params,name", SERIES_ROWS, ids=[r[0] for r in SERIES_ROWS])
+def test_series_rows_sum_only_the_terms_their_digits_need(monkeypatch, digits, rid, params, name):
+    # the row's value is the sum at its own count, and equals the sum at 60 terms
+    import multiell.identities as identities
+    summed, counts = getattr(identities, name), []
+
+    def recording(first, n_terms, ctx):
+        counts.append(n_terms)
+        return summed(first, n_terms, ctx)
+    monkeypatch.setattr(identities, name, recording)
+    ctx = PrecisionContext(digits)
+    report = verify(rid, params, ctx)
+    assert report.passed
+    [n_terms] = counts
+    assert n_terms < 60
+    if (rid, digits) == ("I12", 50):
+        assert n_terms == 31
+    first = tuple(SeriesId)[1] if rid == "I12" else ctx.mp.mpf(params["a"])
+    value = report.rhs_value if rid == "I13" else report.lhs_value
+    assert value == summed(first, n_terms, ctx) == summed(first, 60, ctx)
 
 
 def test_sweep_grid(ctx30):

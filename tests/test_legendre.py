@@ -1,78 +1,11 @@
-from math import comb
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multiell import (DomainError, IntegralSpec, PrecisionContext, kernel_expansion_partial_sum,
-                      ellipk, generating_function_check, integrate, legendre_p,
-                      orthogonality_gram)
+from multiell import DomainError, IntegralSpec, PrecisionContext, integrate, orthogonality_gram
 from multiell.kernels import k_of_x
-from multiell.legendre import GRAM_MAX_ORDER, _gram_factory, legendre_p_mp
+from multiell.legendre import GRAM_MAX_ORDER, _gram_factory
 from multiell.quadrature import GUARD, Fixed, fraction_bits
-
-
-def binomial_sum_oracle(mp, n, x):
-    """P_n(x) = 2^-n sum_k C(n,k)^2 (x-1)^(n-k) (x+1)^k, evaluated directly."""
-    acc = mp.zero
-    for k in range(n + 1):
-        acc += comb(n, k) ** 2 * (x - 1) ** (n - k) * (x + 1) ** k
-    return acc / 2 ** n
-
-
-def test_p0_and_p1(ctx):
-    mp = ctx.mp
-    for x_str in ("-1", "0.3", "7"):
-        x = mp.mpf(x_str)
-        assert legendre_p(0, x, ctx) == 1
-        assert legendre_p(1, x, ctx) == x
-
-
-def test_recurrence_matches_binomial_sum(ctx):
-    mp = ctx.mp
-    tol = mp.mpf(10) ** (-ctx.digits + 8)
-    for n in range(13):
-        for x_str in ("-1", "-0.5", "0", "0.3", "1"):
-            x = mp.mpf(x_str)
-            assert abs(legendre_p(n, x, ctx) - binomial_sum_oracle(mp, n, x)) <= tol
-
-
-def test_p6_at_03_frozen_value(ctx):
-    # exact rational value 2066899/16000000, frozen from the binomial oracle
-    mp = ctx.mp
-    expected = mp.mpf(2066899) / 16000000
-    assert abs(legendre_p(6, mp.mpf("0.3"), ctx) - expected) <= mp.mpf(10) ** (-ctx.digits + 5)
-    assert abs(binomial_sum_oracle(mp, 6, mp.mpf("0.3")) - expected) <= mp.mpf(10) ** (-ctx.digits + 5)
-
-
-def test_degree_validation(ctx):
-    with pytest.raises(DomainError):
-        legendre_p(-1, 0.5, ctx)
-
-
-def test_generating_function_zero_parameter(ctx):
-    assert generating_function_check(0, ctx.mp.mpf("0.3"), 0, ctx) == 0
-
-
-def test_generating_function_geometric_decay(ctx):
-    mp = ctx.mp
-    gap = generating_function_check(mp.mpf("0.5"), mp.mpf("0.3"), 100, ctx)
-    assert gap <= mp.mpf(2) ** -95
-
-
-def test_generating_function_at_endpoint(ctx):
-    # P_n(1) = 1, so the partial sum is geometric and the gap is a^(N+1)/(1-a)
-    mp = ctx.mp
-    a = mp.mpf("0.9")
-    n_terms = 50
-    gap = generating_function_check(a, mp.one, n_terms, ctx)
-    expected = a ** (n_terms + 1) / (1 - a)
-    assert abs(gap - expected) <= mp.mpf(10) ** (-ctx.digits + 8)
-
-
-def test_generating_function_domain(ctx):
-    with pytest.raises(DomainError):
-        generating_function_check(1, 0.3, 10, ctx)
 
 
 def test_gram_matrix(ctx):
@@ -108,19 +41,6 @@ def test_gram_cost_guard(ctx):
         orthogonality_gram(21, ctx)
 
 
-def test_kernel_expansion_slow_pointwise_convergence(ctx):
-    mp = ctx.mp
-    x = mp.mpf("0.25")
-    target = 4 * ellipk(4 * x * (1 - x), ctx) / mp.pi ** 2
-    assert abs(kernel_expansion_partial_sum(x, 2000, ctx) - target) <= mp.mpf("1e-3")
-
-
-def test_kernel_expansion_at_origin(ctx):
-    # modulus zero: 4 K(0)/pi^2 = 2/pi; endpoint convergence is the slowest
-    mp = ctx.mp
-    assert abs(kernel_expansion_partial_sum(0, 4000, ctx) - 2 / mp.pi) <= mp.mpf("0.012")
-
-
 def test_kernel_expansion_integrates_to_one(ctx):
     # only the constant term survives integration over (0,1)
     def factory(mp, n_terms):
@@ -150,7 +70,7 @@ def test_odd_index_projections_vanish(ctx, n):
     def factory(mp, degree):
         k = k_of_x(mp)
         def f(x, xc):
-            return legendre_p_mp(mp, degree, 2 * x - 1) * k(x, xc)
+            return mp.legendre(degree, 2 * x - 1) * k(x, xc)
         return f
     spec = IntegralSpec(f"odd_projection_{n}", (2 * n + 1,), (0, 1), factory,
                         singular_points=(0.5,))
@@ -165,8 +85,8 @@ def test_odd_index_projections_vanish(ctx, n):
 @example(x=1.0)
 @example(x=1e-300)
 def test_gram_integrand_matches_mpf_products(digits, x):
-    # the Gram integrand's integer recurrence against P_n P_m from the mpf
-    # recurrence 40 digits above the engine, for every n <= GRAM_MAX_ORDER.
+    # the Gram integrand's integer recurrence against P_n P_m from mpmath's
+    # legendre 40 digits above the engine, for every n <= GRAM_MAX_ORDER.
     # 2x - 1 is truncated to 2^-wp, by at most 2 units, and |d(P_n P_m)/dy|
     # <= (n(n+1) + m(m+1))/2 on [-1, 1]; the floor divisions of the
     # recurrence add as much again
@@ -177,7 +97,7 @@ def test_gram_integrand_matches_mpf_products(digits, x):
     value = _gram_factory(emp, GRAM_MAX_ORDER)(x, None)
     assert type(value) is Fixed and value.exp <= -wp
     y = 2 * ref.convert(x) - 1
-    p = [legendre_p_mp(ref, n, y) for n in range(GRAM_MAX_ORDER + 1)]
+    p = [ref.legendre(n, y) for n in range(GRAM_MAX_ORDER + 1)]
     pairs = [(n, m) for n in range(GRAM_MAX_ORDER + 1) for m in range(n + 1)]
     assert len(value.mantissas) == len(pairs)
     for (n, m), mantissa in zip(pairs, value.mantissas):

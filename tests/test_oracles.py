@@ -1,6 +1,6 @@
-"""The series, recurrence and K routines against mpmath's own implementations.
+"""The series and K routines against mpmath's own implementations.
 
-Each series or recurrence value at 30 digits is compared with an
+Each series value at 30 digits is compared with an
 independent mpmath function evaluated 10 digits higher.  Partial sums take
 enough terms that their truncated tail sits below the tolerance.  K near
 its logarithmic singularity is evaluated at the quadrature engine's
@@ -24,8 +24,7 @@ from mpmath.ctx_mp import MPContext
 import multiell.kernels as kernels
 from multiell import (DomainError, IntegralSpec, IntegrandFailureError, PrecisionContext,
                       SingularityError, agm, clausen_sum, clausen_sum_da,
-                      ellipk_complementary, ellipk_series, integrate, legendre_p,
-                      legendre_sum)
+                      ellipk_complementary, ellipk_series, integrate, legendre_sum)
 from multiell.elliptic import ellipk_real_mp, re_k_modulus_mp
 from multiell.kernels import k_of_x
 from multiell.quadrature import GUARD, INF, offset
@@ -77,12 +76,6 @@ def test_clausen_sum_da_against_derivative_of_hyp3f2(a):
 @given(inside)
 def test_ellipk_series_against_ellipk(m):
     assert close(ellipk_series(m, terms_for(m), CTX), REF.ellipk(m))
-
-
-@oracle_settings
-@given(st.integers(min_value=0, max_value=40), st.floats(min_value=-1, max_value=1))
-def test_legendre_p_against_legendre(n, x):
-    assert close(legendre_p(n, x, CTX), REF.legendre(n, x))
 
 
 @oracle_settings

@@ -3,42 +3,12 @@ import random
 import pytest
 
 from multiell import (DomainError, PrecisionContext, SeriesId, agm, apply_annihilator_fd,
-                      clausen_sum, clausen_sum_da, const_pi, ellipk,
-                      ellipk_complementary, ellipk_series, gamma,
-                      generating_function_check, generating_integral_closed_form,
-                      kernel_expansion_partial_sum, laplace_residual, legendre_p,
-                      legendre_sum, ode_annihilator_residual,
+                      clausen_sum, clausen_sum_da, ellipk, ellipk_complementary,
+                      ellipk_series, gamma, generating_integral_closed_form,
+                      laplace_residual, legendre_sum, ode_annihilator_residual,
                       ode_annihilator_residual_closed_form, orthogonality_gram,
-                      pochhammer, ramanujan_sum)
+                      ramanujan_sum)
 from multiell.series import bridge_from_data
-
-
-def machin_pi(mp):
-    """pi via the Machin arctangent relation, summed termwise."""
-    def atan_inv(n):
-        # arctan(1/n) = sum (-1)^k / ((2k+1) n^(2k+1))
-        acc = mp.zero
-        term = mp.one / n
-        k = 0
-        while abs(term) > mp.mpf(10) ** (-(mp.dps + 5)):
-            acc += term / (2 * k + 1)
-            term *= -mp.one / (n * n)
-            k += 1
-        return acc
-    return 16 * atan_inv(5) - 4 * atan_inv(239)
-
-
-def agm_pi(mp):
-    """pi via the Gauss-Brent-Salamin AGM iteration."""
-    a, b = mp.one, 1 / mp.sqrt(2)
-    t, p = mp.mpf(1) / 4, mp.one
-    for _ in range(2 * len(str(mp.dps)) + 20):
-        an = (a + b) / 2
-        b = mp.sqrt(a * b)
-        t -= p * (a - an) ** 2
-        p *= 2
-        a = an
-    return (a + b) ** 2 / (4 * t)
 
 
 def test_context_invariants(ctx):
@@ -62,22 +32,6 @@ def test_pass_tol_override():
         PrecisionContext(50, pass_tol="1e-45")  # would undercut quad_target
     with pytest.raises(DomainError):
         PrecisionContext(50, pass_tol="abc")
-
-
-def test_const_pi_against_two_independent_formulas(ctx):
-    mp = ctx.mp
-    pi = const_pi(ctx)
-    # 50-digit reference frozen from the Machin oracle below
-    assert mp.nstr(pi, 50) == "3.1415926535897932384626433832795028841971693993751"
-    assert abs(pi - machin_pi(mp)) <= mp.mpf(10) ** -48
-    assert abs(pi - agm_pi(mp)) <= mp.mpf(10) ** -48
-
-
-def test_pi_trig_identities(ctx):
-    mp = ctx.mp
-    pi = const_pi(ctx)
-    assert abs(mp.cos(pi) + 1) <= mp.mpf(10) ** (-ctx.digits + 2)
-    assert abs(pi / 4 - mp.atan(1)) <= mp.mpf(10) ** (-ctx.digits + 2)
 
 
 def test_boosted_contexts_are_cached_and_larger(ctx):
@@ -112,14 +66,10 @@ NONFINITE_CALLS = {
     "ellipk_complementary": lambda v, ctx: ellipk_complementary(v, ctx),
     "agm_a": lambda v, ctx: agm(v, 1, ctx),
     "agm_b": lambda v, ctx: agm(1, v, ctx),
-    "legendre_p": lambda v, ctx: legendre_p(3, v, ctx),
     "generating_integral_closed_form": lambda v, ctx: generating_integral_closed_form(v, ctx),
     "gamma": lambda v, ctx: gamma(v, ctx),
-    "pochhammer": lambda v, ctx: pochhammer(v, 3, ctx),
     "laplace_residual_b": lambda v, ctx: laplace_residual(1, v, 1, ctx),
     "laplace_residual_c": lambda v, ctx: laplace_residual(1, 1, v, ctx),
-    "generating_function_check_x": lambda v, ctx: generating_function_check(0.5, v, 10, ctx),
-    "kernel_expansion_partial_sum": lambda v, ctx: kernel_expansion_partial_sum(v, 5, ctx),
     "ode_annihilator_residual": lambda v, ctx: ode_annihilator_residual(v, ctx),
     "ode_annihilator_residual_closed_form":
         lambda v, ctx: ode_annihilator_residual_closed_form(v, ctx),
@@ -146,7 +96,7 @@ def test_nonfinite_arguments_raise_domain_error(ctx30, name, value):
 # not a comparison that Python cannot make
 REAL_CALLS = {name: NONFINITE_CALLS[name] for name in (
     "ellipk", "ellipk_complementary", "agm_a", "agm_b", "generating_integral_closed_form",
-    "gamma", "pochhammer", "laplace_residual_b", "ode_annihilator_residual",
+    "gamma", "laplace_residual_b", "ode_annihilator_residual",
     "ode_annihilator_residual_closed_form", "apply_annihilator_fd", "bridge_from_data_A",
     "bridge_from_data_B", "bridge_from_data_z", "clausen_sum", "clausen_sum_da",
     "legendre_sum", "ellipk_series")}
@@ -159,7 +109,7 @@ def test_complex_arguments_raise_domain_error(ctx30, name, value):
         REAL_CALLS[name](ctx30.mp.mpc(*value), ctx30)
 
 
-# every public function that takes a count (terms, degree or order), with its other
+# every public function that takes a count (terms or order), with its other
 # arguments valid; each checks the count through precision._count
 COUNTED = {
     "clausen_sum": lambda n, ctx: clausen_sum(0.5, n, ctx),
@@ -167,15 +117,11 @@ COUNTED = {
     "legendre_sum": lambda n, ctx: legendre_sum(0.5, n, ctx),
     "ramanujan_sum": lambda n, ctx: ramanujan_sum(SeriesId.RAMANUJAN_2SQRT2, n, ctx),
     "ellipk_series": lambda n, ctx: ellipk_series(0.5, n, ctx),
-    "generating_function_check": lambda n, ctx: generating_function_check(0.5, 0.3, n, ctx),
-    "kernel_expansion_partial_sum": lambda n, ctx: kernel_expansion_partial_sum(0.3, n, ctx),
-    "legendre_p": lambda n, ctx: legendre_p(n, 0.3, ctx),
-    "pochhammer": lambda n, ctx: pochhammer(0.5, n, ctx),
     "orthogonality_gram": lambda n, ctx: orthogonality_gram(n, ctx),
 }
 
 
-@pytest.mark.parametrize("count", [-3, 2.5, "4"], ids=repr)
+@pytest.mark.parametrize("count", [-3, 2.5, "4", True, False], ids=repr)
 @pytest.mark.parametrize("name", COUNTED)
 def test_counts_must_be_nonnegative_ints(ctx, name, count):
     with pytest.raises(DomainError):

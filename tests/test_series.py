@@ -133,6 +133,20 @@ def test_degenerate_bridge_is_pure_clausen(ctx):
     assert abs(bridge.a_star - mp.mpf("0.3")) <= mp.mpf(10) ** (-ctx.digits + 2)
 
 
+@pytest.mark.parametrize("big_b,z", [("1e20", "-0.7"), ("1e5", "-1e5")])
+def test_bridge_where_a_n_plus_b_cancels(ctx30, big_b, z):
+    # A = -B/3 makes A n + B vanish at n = 3: the coefficient match is an
+    # identity, so no cancellation in it may raise
+    mp = ctx30.mp
+    big_b, z = mp.mpf(big_b), mp.mpf(z)
+    big_a = -big_b / 3
+    bridge = bridge_from_data(big_a, big_b, z, ctx30)
+    tol = mp.mpf(10) ** (-ctx30.digits + 2)
+    assert bridge.alpha == big_b
+    assert abs(bridge.a_star - mp.sqrt(-z)) <= tol * bridge.a_star
+    assert abs(bridge.beta - big_a * mp.sqrt(-z) / 2) <= tol * abs(bridge.beta)
+
+
 def test_bridge_requires_negative_base(ctx):
     with pytest.raises(DomainError):
         bridge_from_data(6, 1, ctx.mp.mpf("0.125"), ctx)
