@@ -31,7 +31,7 @@ from .elliptic import generating_integral_closed_form
 from .errors import DomainError
 from .fd import richardson_derivative
 from .precision import PrecisionContext, _real
-from .quadrature import integrate
+from .quadrature import Gap, integrate
 
 _FD_BOOST = 20
 
@@ -181,5 +181,5 @@ def laplace_residual(theta, b, c, ctx: PrecisionContext, *,
         raise DomainError("operator check requires b > 0 and c > 0")
     t = mp.tan(theta)
     def func(b, c):
-        return kernels.axial_t_kernel(mp, b, c)(t, c - t)
+        return kernels.axial_t_kernel(mp, b, c)(t, Gap(None, None))
     return laplace_residual_of(func, b, c, ctx, corrupted=corrupted)

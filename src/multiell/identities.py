@@ -61,6 +61,8 @@ class ParamSpec:
                 raise OutOfDomainError(f"{self.name} must be one of {self.choices}, got {as_int}")
             return as_int
         try:
+            if isinstance(value, bool):  # mp.mpf would read True as 1
+                raise TypeError(value)
             v = mp.mpf(value)
         except (TypeError, ValueError):
             raise OutOfDomainError(f"{self.name} must be numeric, got {value!r}")

@@ -2,7 +2,7 @@
 
 Each factory takes the quadrature engine's mpmath context plus the
 identity's parameters and returns the integrand f(x, xc) of the abscissa x
-and its signed distance xc to the nearer panel end (see quadrature).
+and its Gap xc to the nearer panel end (see quadrature).
 Rows that the paper reduces to its generating integral (I2, I3, I4, I5,
 I10) are points of the one weighted kernel, at a real or imaginary a (see
 identities); the other kernels are transcribed as printed, with two
@@ -13,10 +13,10 @@ rewrites that keep the engine at digits + GUARD:
   2|1/2 - x| for K(2 sqrt(x(1-x))); sqrt((1-x)(1+x)) and
   sqrt((x-1)(x+1))/x for Re K at modulus x; |1-x|/(1+x) for
   K(2 sqrt(x)/(1+x)).  The axial kernel forms no kc at all (below).
-* Next to a panel end at a kernel's singular abscissa, the distance to it
-  (1/2 - x, 1 - x, c - t) is read from xc through
-  quadrature.offset, exact where the rounded x is not; the generating
-  weight is formed as (1-a)^2 + 4a(1-x), which equals 1 - 2(2x-1)a + a^2.
+* The distance to a kernel's singular abscissa (1/2 - x, 1 - x, c - t)
+  comes from quadrature.gap_to, as xc's exact gap where the node's panel
+  ends there; the generating weight is formed as (1-a)^2 + 4a(1-x), which
+  equals 1 - 2(2x-1)a + a^2.
 
 The axial kernel: axial_t_kernel is its one body, the integrand that I6
 integrates over (0, inf) split at t = c and that the Laplace check
@@ -44,25 +44,19 @@ K(2 sqrt(x)/(1+x)) depends on the node alone, not on the integral's
 parameters, and the catalog integrates each of them again and again over
 the same nodes (ten rows, the ODE grid and the sweep share the first; I9
 and the substitution chain share the other two at every c).  So each of
-the three keeps one table per engine precision, keyed on the node
-(x, xc), for the life of the process: a node's K is computed once, by
-the first integral that reaches it, and every later integral at that
-precision reads it, skipping both the kc arithmetic and the AGM.  K is a
-pure function of (x, xc) at a fixed precision, so a value read from the
-table is bit-identical to one computed afresh.  A table holds one entry
+the three keeps one table per engine precision, keyed on the node's
+exact x and gap, for the life of the process: a node's K is computed
+once, by the first integral that reaches it, and every later integral at
+that precision reads it, skipping both the kc arithmetic and the AGM.  K
+is a pure function of the node at a fixed precision, so a value read from
+the table is bit-identical to one computed afresh.  A table holds one entry
 per distinct node, at most nodes x intervals integrated at its
 precision: a few thousand entries for the catalog at 50 digits.
 
-``weighted_kernel`` is a vector integrand (see quadrature): it evaluates K
-and 1 - x once per node and returns K times the generating weight's
-a-derivatives 0..order at each of several a, so that an ODE check (four
-derivatives at one a) or a sweep over a (one weight at each a) is one
-integral.  It runs on integers and returns a quadrature.Fixed: the weight
-u^(-1/2) and its derivatives come from one math.isqrt and integer
-divisions at a scale chosen per node from 1 - x and a, and K's exact
-mantissa multiplies them.  ``generating_weight`` is the mpf view of that
-same core.  Constants are hoisted out of the other integrands into their
-factories.
+``weighted_kernel`` is a vector integrand (see quadrature) on integers:
+an ODE check (four a-derivatives at one a) or a sweep over a (one weight
+at each a) is one integral, with K and 1 - x evaluated once per node.
+Constants are hoisted out of the other integrands into their factories.
 
 The ``*_spec`` builders at the end pair a factory with its interval and
 singular points for the integrals that more than one module runs.  They
@@ -75,11 +69,11 @@ from __future__ import annotations
 import threading
 from math import isqrt
 
-from mpmath.libmp import pi_fixed
+from mpmath.libmp import mpf_abs, mpf_shift, pi_fixed, to_fixed
 
 from .elliptic import agm_int, ellipk_real_mp, re_k_modulus_mp
 from .errors import SingularityError
-from .quadrature import INF, Fixed, IntegralSpec, fraction_bits, offset
+from .quadrature import INF, Fixed, Gap, IntegralSpec, fraction_bits, gap_to
 
 _k_tables: dict = {}  # (column, mp.prec) -> {node: K}
 _tables_lock = threading.Lock()
@@ -108,37 +102,35 @@ def _k_column(mp, column: str, k_at):
 def k_of_x(mp):
     """K(2 sqrt(x(1-x))) as a function on (0,1); singular at x = 1/2.
 
-    Values come from the column's table at mp's precision, keyed on the
-    node (x, xc) and kept for the life of the process; it holds one entry
-    per distinct node, at most nodes x intervals integrated at that
-    precision (see the module docstring).  Misses are memoised on kc = 2|1/2 - x| for the life of
-    the returned function (so per integral): the panels (0, 1/2) and
-    (1/2, 1) place mirror-image nodes, and many of them share an exact kc.
+    Values come from the column's table (see the module docstring).  Misses
+    are memoised on kc = 2|1/2 - x| for the life of the returned function
+    (so per integral): the panels (0, 1/2) and (1/2, 1) place mirror-image
+    nodes, and many of them share an exact kc.
     """
-    to_half = offset(mp, mp.mpf(0.5))
+    to_half = gap_to(mp, 0.5)
     memo = {}
 
     def k_at(x, xc):
-        kc = 2 * abs(to_half(x, xc))
+        kc = mpf_shift(mpf_abs(to_half(x, xc)), 1)  # 2|1/2 - x|, exactly
         k = memo.get(kc)
         if k is None:
-            k = memo[kc] = ellipk_real_mp(mp, kc)
+            k = memo[kc] = ellipk_real_mp(mp, mp.make_mpf(kc))
         return k
     return _k_column(mp, "K(2 sqrt(x(1-x)))", k_at)
 
 
 def _magnitude(v):
-    """floor(log2 |v|) of a nonzero mpf: |v| lies in [2^m, 2^(m+1))."""
-    _, _, exp, bc = v._mpf_
+    """floor(log2 |v|) of a nonzero mpf tuple: |v| lies in [2^m, 2^(m+1))."""
+    _, _, exp, bc = v
     return exp + bc - 1
 
 
 def _weight_core(mp, a, order: int):
     """(g, dg/da, ..., d^order g/da^order) of g = u^(-1/2) on integers.
 
-    u = (1-a)^2 + 4a(1-x) = 1 - 2(2x-1)a + a^2.  Returns a function of
-    1 - x giving (mantissas, s): derivative k is mantissas[k] 2^-s.  The
-    scale s is chosen per call, as agm1_mp chooses its wp from kc.  For
+    u = (1-a)^2 + 4a(1-x) = 1 - 2(2x-1)a + a^2.  Returns a function of 1 - x,
+    an mpf tuple, giving (mantissas, s): derivative k is mantissas[k] 2^-s.
+    The scale s is chosen per call, as agm1_mp chooses its wp from kc.  For
     0 <= 1-x <= 1, u lies between (1-|a|)^2, or 4a(1-x) when a > 0, and
     (1+|a|)^2: s = wp - log2 u keeps wp bits of u where it is small, and
     s = wp + 2.5 log2 (1+|a|)^2 keeps wp bits of u^(-5/2) where it is
@@ -159,29 +151,29 @@ def _weight_core(mp, a, order: int):
         b = a.imag
         if a.real or order or not abs(b) < 1:
             raise ValueError(f"a complex a must be ib, |b| < 1, at order 0; got {a}, order {order}")
-        s = wp - _magnitude(1 - b * b)
+        s = wp - _magnitude((1 - b * b)._mpf_)
         b_s = b.to_fixed(s)
         re_u = (1 << s) - (b_s * b_s >> s)
 
         def f_imaginary(one_minus_x):
-            im_u = b_s * ((one_minus_x.to_fixed(s) << 2) - (2 << s)) >> s  # 2b(2(1-x) - 1)
+            im_u = b_s * ((to_fixed(one_minus_x, s) << 2) - (2 << s)) >> s  # 2b(2(1-x) - 1)
             abs_u = isqrt(re_u * re_u + im_u * im_u)
             re_root = isqrt((abs_u + re_u) << s - 1)  # Re sqrt u; Im sqrt u = Im u / (2 re_root)
             return ((re_root << s) // abs_u, (-im_u << 2 * s) // (2 * re_root * abs_u)), s
         return f_imaginary
-    above = 5 * max(0, _magnitude(1 + abs(a)) + 1)
+    above = 5 * max(0, _magnitude((1 + abs(a))._mpf_) + 1)
     # log2 of the two lower bounds of u, where they are not 0
-    shift_log = 2 * _magnitude(1 - abs(a)) if abs(a) != 1 else None
-    a_log = _magnitude(a) + 2 if a > 0 else None
+    shift_log = 2 * _magnitude((1 - abs(a))._mpf_) if abs(a) != 1 else None
+    a_log = _magnitude(a._mpf_) + 2 if a > 0 else None
 
     def f(one_minus_x):
         below = shift_log
-        if a_log is not None and one_minus_x > 0:
+        if a_log is not None and one_minus_x[1] and not one_minus_x[0]:  # 1 - x > 0
             prod_log = a_log + _magnitude(one_minus_x)
             below = prod_log if below is None else max(below, prod_log)
         s = wp + max(above, -(below or 0))
         one = 1 << s
-        o = one_minus_x.to_fixed(s)
+        o = to_fixed(one_minus_x, s)
         a_s = a.to_fixed(s)
         d = one - a_s  # (1 - a) 2^s
         u = (d * d + 4 * a_s * o) >> s
@@ -215,7 +207,7 @@ def generating_weight(mp, a, order: int = 0):
     core = _weight_core(mp, a, order)
 
     def f(one_minus_x):
-        values, s = core(one_minus_x)
+        values, s = core(mp.convert(one_minus_x)._mpf_)
         return tuple(mp.mpf((v, -s)) for v in values)
     return f
 
@@ -229,7 +221,7 @@ def weighted_kernel(mp, order: int, *a_values):
     exact mantissa times each weight's integer, at the finest a's scale.
     """
     k = k_of_x(mp)
-    to_one = offset(mp, 1)
+    to_one = gap_to(mp, 1)
     cores = [_weight_core(mp, a, order) for a in a_values]
 
     def f(x, xc):
@@ -282,7 +274,7 @@ def axial_t_kernel(mp, b, c):
     arguments at a scale 2^s that gives the smaller wp bits, so no kc is
     formed.  At b = 0 a node with gap exactly 0 raises SingularityError.
     """
-    to_peak = offset(mp, c)
+    to_peak = gap_to(mp, c)
     wp = fraction_bits(mp)
     _, bm, be, bbc = mp.convert(b)._mpf_
     _, cm, ce, _ = mp.convert(c)._mpf_
@@ -290,7 +282,7 @@ def axial_t_kernel(mp, b, c):
     half_pi = pi_fixed(wp)  # (pi/2) 2^(wp+1)
 
     def f(t, xc):
-        _, gm, ge, gbc = to_peak(t, xc)._mpf_
+        _, gm, ge, gbc = to_peak(t, xc)
         if gm:
             top = max(b_top, ge + gbc)
         elif bm:
@@ -310,16 +302,17 @@ def axial_t_kernel(mp, b, c):
 def axial_kernel(mp, b, c):
     """The axial kernel in th on (0, pi/2): axial_t_kernel at tan th times 1 + tan^2 th.
 
-    A Jacobian adapter with no K call of its own; the gap c - tan th
-    reaches the t form as tan(atan c - th)(1 + c tan th), with
-    atan c - th read from xc.  It is kept only because the benchmark's
-    theta substitution chain integrates it.
+    A Jacobian adapter with no K call of its own; where th's panel ends at
+    atan c, the gap c - tan th reaches the t form as tan(atan c - th)(1 +
+    c tan th), from xc's exact gap, and elsewhere the t form subtracts.  It
+    is kept only because the benchmark's theta substitution chain integrates it.
     """
-    to_peak = offset(mp, mp.atan(c))
+    peak, c_end = mp.atan(c)._mpf_, mp.convert(c)._mpf_
     in_t = axial_t_kernel(mp, b, c)
     def f(theta, xc):
         t = mp.tan(theta)
-        return (1 + t * t) * in_t(t, (1 + c * t) * mp.tan(to_peak(theta, xc)))
+        gap = Gap(c_end, ((1 + c * t) * mp.tan(xc))._mpf_) if xc.end == peak else Gap(None, None)
+        return (1 + t * t) * in_t(t, gap)
     return f
 
 
@@ -369,8 +362,8 @@ def re_k_semi_infinite_kernel(mp, c):
 
     Re K comes from its column's table, shared across c.
     """
-    to_one = offset(mp, 1)
-    re_k = _k_column(mp, "Re K(x)", lambda x, xc: re_k_modulus_mp(mp, x, to_one(x, xc)))
+    to_one = gap_to(mp, 1)
+    re_k = _k_column(mp, "Re K(x)", lambda x, xc: re_k_modulus_mp(mp, x, mp.mpf(to_one(x, xc))))
     return _k_times_rational(mp, c, re_k, False)
 
 
@@ -379,9 +372,9 @@ def axial_x_form_kernel(mp, c):
 
     K comes from its column's table, shared across c.
     """
-    to_one = offset(mp, 1)
+    to_one = gap_to(mp, 1)
     k = _k_column(mp, "K(2 sqrt(x)/(1+x))",
-                  lambda x, xc: ellipk_real_mp(mp, abs(to_one(x, xc)) / (1 + x)))
+                  lambda x, xc: ellipk_real_mp(mp, mp.mpf(mpf_abs(to_one(x, xc))) / (1 + x)))
     return _k_times_rational(mp, c, k, True)
 
 

@@ -25,15 +25,15 @@ node set is the one the hardest component needs alone.  The result then
 holds one value and one error estimate per component.
 
 Endpoint complements (Bailey, Jeyabalan and Li, Exp. Math. 14, 2005; Boost's
-tanh_sinh): every integrand is called as f(x, xc), where xc = e - x is the
-signed distance from x to e, the panel end nearer to x, so that x + xc = e.
+tanh_sinh): every integrand is called as f(x, xc), where the Gap xc holds
+e, the panel end nearer to x, and the signed distance e - x, exactly.
 tanh-sinh tables store s = 1 - tanh(u) = 2e^(-2u)/(1 + e^(-2u)), never
 formed by subtraction; a node pair is x = lo + r s and x = hi - r s, with
-xc = -r s and r s.  exp-sinh passes xc relative to the finite end.  xc is
-exact where x, rounded to engine precision, no longer resolves its distance
-to the end; integrands take 1/2 - x, 1 - x and the like from xc there,
-through `offset`.  An integrand that returns inf or nan, in any component,
-raises IntegrandFailureError, like one that raises.
+gaps -r s and r s; exp-sinh gaps are -e^u and -e^-u, to the finite end.
+The gap is exact where x, rounded to engine precision, no longer resolves
+its distance to the end; an integrand singular at p takes p - x from
+`gap_to`, which reads the gap where p is the end.  An integrand that
+returns inf or nan, in any component, raises IntegrandFailureError.
 
 Precision bookkeeping: abscissas and integrands are evaluated in an engine
 context carrying digits + GUARD decimal digits.  Node tables reach down to
@@ -58,14 +58,10 @@ point: tail weights reach 10^-2(digits+10) and an x^(-1/2) endpoint gives
 integrand values near the inverse square root of that, so a weight rounded
 to 2^-wp would lose every digit of those terms.  A component that is
 neither mpf nor mpc passes once through mp.convert; an mpc component stays
-mpc when its imaginary sum cancels to 0.
-
-Fixed-point integrands: an integrand whose components are cheaper to build
-on integers returns Fixed(mantissas, exp), component j being
-mantissas[j] 2^exp, and never pays for an mpf.  The panel takes each
-m wm with the same single shift into the 2^wp sum, so the rounding-once
-rule is the one above.  The Legendre Gram and the weighted K kernel
-return Fixed; see IntegralSpec for the contract.
+mpc when its imaginary sum cancels to 0.  An integrand whose components
+are cheaper to build on integers (the Legendre Gram, the weighted K
+kernel) returns a Fixed (see IntegralSpec), never pays for an mpf, and
+each of its terms m wm takes the same single shift into the sum.
 
 Semi-infinite integrands must decay at least like x^(-2); every catalog
 form decays like x^(-3).
@@ -77,6 +73,8 @@ import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+from mpmath.libmp import fnone, fone, mpf_add, mpf_mul, mpf_neg, mpf_sub
 
 from .errors import DomainError, IntegrandFailureError, NonConvergenceError
 from .precision import PrecisionContext
@@ -97,10 +95,10 @@ class IntegralSpec:
     the engine's mpmath context (so that values like pi/2 or atan(c) are
     produced at engine precision).  ``factory(mp, *params)`` must return the
     integrand f(x, xc), evaluated inside context mp: x is the abscissa and
-    xc = e - x its exact signed distance to e, the nearer end of its panel
-    (so x + xc = e).  Integrands singular at a panel end take their distance
-    to that end from xc, through ``offset(mp, end)``, rather than subtracting
-    the rounded x: nodes lie so close to the ends that x can round onto one.
+    the Gap xc names e, the nearer end of its panel, and holds e - x
+    exactly.  An integrand singular at p takes p - x from ``gap_to(mp, p)``
+    rather than subtracting the rounded x: nodes lie so close to the ends
+    that x can round onto one.
 
     f returns one mpf/mpc value, a tuple of them, or a Fixed; a tuple's
     length is the integral's number of components and must not change
@@ -180,40 +178,68 @@ def _man_exp(w):
     return man, exp
 
 
+class Gap:
+    """An integrand's xc: e, x's nearer panel end, and e - x, as exact mpf tuples.
+
+    xc.end is e and xc._mpf_ is e - x, so mp.convert(xc) is the gap as an
+    mpf and (x._mpf_, xc._mpf_) keys a node.  Gap(None, None), for a point
+    that no panel placed, names no end: gap_to then subtracts.
+    """
+
+    __slots__ = ("end", "_mpf_")
+
+    def __init__(self, end, gap):
+        self.end = end
+        self._mpf_ = gap
+
+
+def gap_to(mp, p):
+    """(x, xc) -> p - x as an mpf tuple: xc's exact gap where p is xc.end (an
+    exact compare), elsewhere x subtracted from p once at mp's precision."""
+    p, prec = mp.convert(p)._mpf_, mp.prec
+
+    def gap(x, xc):
+        return xc._mpf_ if xc.end == p else mpf_sub(p, x._mpf_, prec, "n")
+    return gap
+
+
 def _ts_node(mp, half_pi, t):
     e = mp.exp(-2 * half_pi * mp.sinh(t))  # e^(-2u), u = (pi/2) sinh t
     d = 1 + e
     w = 4 * half_pi * mp.cosh(t) * e / (d * d)  # (pi/2) cosh t / cosh(u)^2
-    return (2 * e / d, *_man_exp(w)), w  # 1 - tanh u, formed without cancellation
+    return ((2 * e / d)._mpf_, *_man_exp(w)), w  # 1 - tanh u, without cancellation
 
 
 def _ts_points(node, lo, hi, rad):
-    c, wm, we = node  # x = lo + rad c and, for t > 0, its mirror x = hi - rad c
-    xc = rad * c
-    if c == 1:
-        return ((wm, we, lo + xc, -xc),)
-    return ((wm, we, lo + xc, -xc), (wm, we, hi - xc, xc))
+    s, wm, we = node  # x = lo + rad s and, for t > 0, its mirror x = hi - rad s
+    mp, lo, hi = rad.context, lo._mpf_, hi._mpf_
+    gap = mpf_mul(rad._mpf_, s, mp.prec, "n")
+    left = (wm, we, mp.make_mpf(mpf_add(lo, gap, mp.prec, "n")), Gap(lo, mpf_neg(gap)))
+    if s == fone:
+        return (left,)
+    return (left, (wm, we, mp.make_mpf(mpf_sub(hi, gap, mp.prec, "n")), Gap(hi, gap)))
 
 
 def _es_node(mp, half_pi, t):
     eu = mp.exp(half_pi * mp.sinh(t))
-    coshfac = half_pi * mp.cosh(t)
-    ieu = 1 / eu
-    return (eu, ieu, *_man_exp(coshfac * eu), *_man_exp(coshfac * ieu)), coshfac / eu
+    ieu, dw = 1 / eu, half_pi * mp.cosh(t)
+    return ((-eu)._mpf_, (-ieu)._mpf_, *_man_exp(dw * eu), *_man_exp(dw * ieu)), dw / eu
 
 
 def _es_points(node, lo, _hi, _scale):
-    eu, ieu, wm, we, iwm, iwe = node  # x = lo + eu and, for t > 0, its mirror x = lo + 1/eu
-    if eu == 1:
-        return ((wm, we, lo + eu, -eu),)
-    return ((wm, we, lo + eu, -eu), (iwm, iwe, lo + ieu, -ieu))
+    gap, igap, wm, we, iwm, iwe = node  # x = lo - gap and, for t > 0, its mirror x = lo - igap
+    mp, lo = lo.context, lo._mpf_
+    first = (wm, we, mp.make_mpf(mpf_sub(lo, gap, mp.prec, "n")), Gap(lo, gap))
+    if gap == fnone:
+        return (first,)
+    return (first, (iwm, iwe, mp.make_mpf(mpf_sub(lo, igap, mp.prec, "n")), Gap(lo, igap)))
 
 
-# kind -> (node, scale, points): node(mp, half_pi, t) is (node, weight), and
-# a table ends once weight < its cutoff (and t > 3); scale(lo, hi) is the
-# panel's length scale; points(node, lo, hi, scale) are the (weight
-# mantissa, weight exponent, x, xc) of a node and of its mirror.  A level's
-# sum of weight * f(x, xc) is multiplied by h * scale.
+# kind -> (node, scale, points): node(mp, half_pi, t) is (node, weight), and a
+# table ends once weight < its cutoff (and t > 3); scale(lo, hi) is the panel's
+# length scale; points(node, lo, hi, scale) are the (weight mantissa, weight
+# exponent, x, xc) of a node and of its mirror, rounded as mpmath's operators
+# round.  A level's sum of weight * f(x, xc) is multiplied by h * scale.
 _TRANSFORMS = {
     "tanh-sinh": (_ts_node, lambda lo, hi: (hi - lo) / 2, _ts_points),
     "exp-sinh": (_es_node, lambda lo, hi: 1, _es_points),
@@ -256,27 +282,11 @@ def _level_nodes(mp, kind: str, level: int, cutoff):
     return table
 
 
-def offset(mp, end):
-    """(x, xc) -> end - x, read from xc when end is x's nearer panel end.
-
-    xc is exact where x itself has been rounded, so near that end xc is the
-    better value of end - x; elsewhere end - x is subtracted.  xc stands for
-    end - x when the two agree to a few units in the last place.
-    """
-    end = mp.convert(end)
-    slack = 8 * mp.eps * max(1, abs(end))
-
-    def to_end(x, xc):
-        d = end - x
-        return xc if abs(d - xc) <= slack else d
-    return to_end
-
-
-def _at_end(x, xc):
-    if xc and x + xc == x:  # x has rounded onto its panel end
-        return (", which rounds onto its panel end; an integrand singular there"
-                " must take its distance to the end from xc")
-    return ""
+def _failure(what, x, xc):
+    """IntegrandFailureError for an integrand that what at the point (x, xc)."""
+    at_end = (", which rounds onto its panel end; an integrand singular there must"
+              " take its distance to the end from xc") if x._mpf_ == xc.end else ""
+    return IntegrandFailureError(f"integrand {what} at x = {x}{at_end}")
 
 
 def _fixed(part, wm, shift):
@@ -288,10 +298,6 @@ def _fixed(part, wm, shift):
     e = exp + shift
     t = man * wm << e if e >= 0 else man * wm >> -e
     return -t if sign else t
-
-
-def _nonfinite(c, x, xc):
-    return IntegrandFailureError(f"integrand returned {c} at x = {x}{_at_end(x, xc)}")
 
 
 def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level):
@@ -319,8 +325,7 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
                 try:
                     v = f(x, xc)
                 except (ArithmeticError, ValueError, ZeroDivisionError) as exc:
-                    raise IntegrandFailureError(
-                        f"integrand raised at x = {x}{_at_end(x, xc)}: {exc}") from exc
+                    raise _failure(f"raised {exc!r}", x, xc) from exc
                 calls += 1
                 shift = we + wp
                 if type(v) is Fixed:
@@ -348,7 +353,7 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
                         if hasattr(c, "_mpc_"):
                             t, u = (_fixed(part, wm, shift) for part in c._mpc_)
                             if t is None or u is None:
-                                raise _nonfinite(c, x, xc) from None
+                                raise _failure(f"returned {c}", x, xc) from None
                             re[j] += t
                             im[j] = (im[j] or 0) + u
                             if small and t * t + u * u >= limit * limit:
@@ -357,7 +362,7 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
                         sign, man, exp, _ = c._mpf_
                     # _fixed(c._mpf_, wm, shift), inlined: most components are mpf
                     if not man and exp:
-                        raise _nonfinite(c, x, xc)
+                        raise _failure(f"returned {c}", x, xc)
                     e = exp + shift
                     t = man * wm << e if e >= 0 else man * wm >> -e
                     re[j] += -t if sign else t

@@ -4,7 +4,7 @@ from multiell import (DomainError, IntegralSpec, SingularityError, agm,
                       ellipk, ellipk_complementary, ellipk_series,
                       generating_integral_closed_form, integrate)
 from multiell.elliptic import ellipk_mp, ellipk_real_mp
-from multiell.quadrature import offset
+from multiell.quadrature import gap_to
 
 
 def defining_factory(mp, m):
@@ -18,10 +18,10 @@ def defining_factory(mp, m):
         return lambda t, tc: 1 / mp.sqrt(1 - m * mp.sin(t) ** 2)
     t0 = mp.asin(1 / mp.sqrt(m))
 
-    to_peak = offset(mp, t0)
+    to_peak = gap_to(mp, t0)
 
     def f(t, tc):
-        return 1 / mp.sqrt(m * mp.sin(to_peak(t, tc)) * mp.sin(t0 + t))
+        return 1 / mp.sqrt(m * mp.sin(mp.make_mpf(to_peak(t, tc))) * mp.sin(t0 + t))
     return f
 
 

@@ -118,6 +118,11 @@ def test_param_validation(ctx):
     for flag in (True, False):  # a bool is no integer choice
         with pytest.raises(OutOfDomainError):
             verify("I12", {"variant": flag}, ctx)
+    # nor a number in an interval, though mp.mpf reads True as 1
+    for rid, params in [("I1", {"a": True}), ("I11", {"a": False}),
+                        ("I6", {"b": True, "c": False}), ("I9", {"c": True})]:
+        with pytest.raises(OutOfDomainError):
+            verify(rid, params, ctx)
     with pytest.raises(OutOfDomainError):
         verify("I1-ext", {"a": 1}, ctx)  # excluded critical point
     with pytest.raises(DomainError):

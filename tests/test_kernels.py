@@ -20,7 +20,7 @@ import pytest
 import multiell.elliptic as elliptic
 import multiell.kernels as kernels
 from multiell import IntegralSpec, PrecisionContext, integrate
-from multiell.quadrature import _TRANSFORMS, GUARD, Fixed, _level_nodes, fraction_bits, offset
+from multiell.quadrature import _TRANSFORMS, GUARD, Fixed, Gap, _level_nodes, fraction_bits, gap_to
 from printed_integrands import catalog_point
 
 HALF = 0.5
@@ -105,11 +105,11 @@ def x_form_rest(mp, c, x):
 
 
 def re_k_at(mp, x, xc):
-    return elliptic.re_k_modulus_mp(mp, x, offset(mp, 1)(x, xc))
+    return elliptic.re_k_modulus_mp(mp, x, mp.make_mpf(gap_to(mp, 1)(x, xc)))
 
 
 def x_form_k_at(mp, x, xc):
-    return elliptic.ellipk_real_mp(mp, abs(offset(mp, 1)(x, xc)) / (1 + x))
+    return elliptic.ellipk_real_mp(mp, abs(mp.make_mpf(gap_to(mp, 1)(x, xc))) / (1 + x))
 
 
 def re_k_unmemoised(mp, c):
@@ -203,15 +203,32 @@ def test_axial_t_kernel_against_agm_reference(digits, b, c):
     tol = ref.ldexp(1, -emp.prec) + ref.ldexp(64, -fraction_bits(emp))
     b, c = emp.mpf(b), emp.mpf(c)
     f = kernels.axial_t_kernel(emp, b, c)
-    to_peak = offset(emp, c)
+    to_peak = gap_to(emp, c)
     rb, rc = ref.convert(b), ref.convert(c)
     panels = ((0, c), (c, emp.inf)) if c else ((0, emp.inf),)
     for t, xc in _nodes(emp, 3, *panels):
-        rt, gap = ref.convert(t), ref.convert(to_peak(t, xc))
+        rt, gap = ref.convert(t), ref.make_mpf(to_peak(t, xc))
         mean = ref.agm(ref.sqrt(rb * rb + (rc + rt) ** 2), ref.sqrt(rb * rb + gap * gap))
         want = ref.pi / 2 * rt / ((1 + rt * rt) ** 1.5 * mean)
         assert abs(ref.convert(f(t, xc)) - want) <= tol * abs(want), (t, xc)
 
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("b, c", [("0", "1"), ("1e-3", "1.95"), ("2", "0.85")])
+def test_axial_t_kernel_pointwise_route_is_the_quadrature_route(digits, b, c):
+    # at I6's nodes whose nearer end is t = c: given that end, the kernel
+    # takes c - t from xc; given none, as a pointwise caller passes it, it
+    # subtracts.  Wherever the two gaps agree bit for bit, so do the values
+    emp = PrecisionContext(digits).boosted(GUARD).mp
+    c = emp.mpf(c)
+    f = kernels.axial_t_kernel(emp, emp.mpf(b), c)
+    agree = 0
+    for t, xc in _nodes(emp, 3, (0, c), (c, emp.inf)):
+        if xc.end == c._mpf_ and (c - t)._mpf_ == xc._mpf_:
+            assert f(t, xc) == f(t, Gap(None, None)), t
+            agree += 1
+    assert agree > 20
 
 def test_concurrent_integrals_return_their_serial_values(k_calls):
     # more threads than cores, switching often, all on one cold K column
@@ -253,15 +270,16 @@ def test_weighted_kernel_against_mpf_reference(digits, a):
     a = emp.mpf(a)
     f = kernels.weighted_kernel(emp, 3, a)
     k = kernels.k_of_x(emp)
-    to_one = offset(emp, 1)
+    to_one = gap_to(emp, 1)
     ra = ref.convert(a)
     nodes = list(_nodes(emp, 3, (0, HALF), (HALF, 1)))
-    assert min(xc for _, xc in nodes if xc > 0) < emp.mpf(10) ** (-3 * digits // 2)
+    assert min(emp.convert(xc) for _, xc in nodes if emp.convert(xc) > 0) < \
+        emp.mpf(10) ** (-3 * digits // 2)
     for x, xc in nodes:
         value = f(x, xc)
         assert type(value) is Fixed and value.exp <= -wp
         kx = ref.convert(k(x, xc))
-        o = ref.convert(to_one(x, xc))
+        o = ref.make_mpf(to_one(x, xc))
         u = (1 - ra) ** 2 + 4 * ra * o
         ua = 2 * (ra - 1 + 2 * o)
         g = 1 / ref.sqrt(u)
@@ -290,12 +308,12 @@ def test_imaginary_a_against_mpc_power(digits, b):
     a = emp.mpc(0, emp.mpf(b))
     f = kernels.weighted_kernel(emp, 0, a)
     k = kernels.k_of_x(emp)
-    to_one = offset(emp, 1)
+    to_one = gap_to(emp, 1)
     ra = ref.convert(a)
     for x, xc in _nodes(emp, 3, (0, HALF), (HALF, 1)):
         value = f(x, xc)
         assert type(value) is Fixed and value.exp <= -wp and len(value.mantissas) == 2
-        y = 1 - 2 * ref.convert(to_one(x, xc))  # 2x - 1
+        y = 1 - 2 * ref.make_mpf(to_one(x, xc))  # 2x - 1
         want = ref.convert(k(x, xc)) * (1 - 2 * y * ra + ra * ra) ** -0.5
         for mantissa, w in zip(value.mantissas, (want.real, want.imag)):
             got = ref.ldexp(mantissa, value.exp)

@@ -27,7 +27,7 @@ from multiell import (DomainError, IntegralSpec, IntegrandFailureError, Precisio
                       ellipk_complementary, ellipk_series, integrate, legendre_sum)
 from multiell.elliptic import ellipk_real_mp, re_k_modulus_mp
 from multiell.kernels import k_of_x
-from multiell.quadrature import GUARD, INF, offset
+from multiell.quadrature import GUARD, INF, Gap, gap_to
 from printed_integrands import PRINTED_WEIGHTS, catalog_point, printed_factory
 
 CTX = PrecisionContext(30)
@@ -116,7 +116,7 @@ def test_k_of_x_next_to_its_singular_abscissa(k, s):
     d = s * ENGINE.mpf(10) ** -k
     x = ENGINE.mpf(0.5) - d
     ref = EXACT.ellipk(1 - 4 * EXACT.convert(d) ** 2)
-    assert k_close(k_of_x(ENGINE)(x, d), ref)
+    assert k_close(k_of_x(ENGINE)(x, Gap(ENGINE.mpf(0.5)._mpf_, d._mpf_)), ref)
 
 
 @oracle_settings
@@ -170,7 +170,7 @@ def test_axial_t_kernel_against_ellipk(b, c, t, digits):
     te = ce - ref_mp.convert(xc) if abs(xc) < c / 2 else ref_mp.convert(t)
     den2 = be * be + (ce + te) ** 2
     ref = ref_mp.ellipk(4 * ce * te / den2) * te / ((1 + te * te) ** 1.5 * ref_mp.sqrt(den2))
-    value = kernels.axial_t_kernel(engine, b, c)(t, xc)
+    value = kernels.axial_t_kernel(engine, b, c)(t, Gap(c._mpf_, xc._mpf_))
     assert abs(ref_mp.convert(value) - ref) <= ref_mp.mpf(10) ** -(digits + 10) * abs(ref)
 
 
@@ -181,7 +181,7 @@ def test_axial_t_kernel_at_its_singular_node():
     # (0, inf) is x = 1
     one = ENGINE.one
     with pytest.raises(SingularityError):
-        kernels.axial_t_kernel(ENGINE, 0, one)(one, ENGINE.zero)
+        kernels.axial_t_kernel(ENGINE, 0, one)(one, Gap(one._mpf_, ENGINE.zero._mpf_))
     spec = IntegralSpec("axial_t_kernel", (0, 1), (0, INF), kernels.axial_t_kernel)
     with pytest.raises(IntegrandFailureError, match="singular"):
         integrate(spec, PrecisionContext(WORKING))
@@ -235,7 +235,9 @@ def test_axial_integrand_of_bc_against_ellipk(b, c, theta):
     # axial_kernel, the theta form the substitution chain integrates,
     # against the printed theta integrand
     theta, thc, _, ref, ref_mp = theta_node_and_reference(b, c, theta)
-    value = kernels.axial_kernel(ENGINE, ENGINE.mpf(b), ENGINE.mpf(c))(theta, thc)
+    peak = ENGINE.atan(ENGINE.mpf(c))
+    f = kernels.axial_kernel(ENGINE, ENGINE.mpf(b), ENGINE.mpf(c))
+    value = f(theta, Gap(peak._mpf_, thc._mpf_))
     assert abs(ref_mp.convert(value) - ref) <= K_TOL * abs(ref)
 
 
@@ -248,7 +250,9 @@ def test_axial_t_kernel_is_the_theta_form_over_its_jacobian(b, c, theta):
     # c - tan th, times 1 + tan^2 th, is the printed theta integrand at th
     theta, _, gap, ref, ref_mp = theta_node_and_reference(b, c, theta)
     t = ENGINE.tan(theta)
-    in_t = kernels.axial_t_kernel(ENGINE, ENGINE.mpf(b), ENGINE.mpf(c))(t, ENGINE.convert(gap))
+    c = ENGINE.mpf(c)
+    f = kernels.axial_t_kernel(ENGINE, ENGINE.mpf(b), c)
+    in_t = f(t, Gap(c._mpf_, ENGINE.convert(gap)._mpf_))
     value = in_t * (1 + t * t)
     assert abs(ref_mp.convert(value) - ref) <= K_TOL * abs(ref)
 
@@ -265,12 +269,13 @@ def unit_node(node):
     if isinstance(node, tuple):
         where, k, s = node
         d = ENGINE.mpf(10) ** -k
-        if where == "half":
-            return ENGINE.mpf(0.5) - s * d, s * d
-        return (d, -d) if where == "zero" else (1 - d, d)
+        x, end, gap = {"half": (ENGINE.mpf(0.5) - s * d, ENGINE.mpf(0.5), s * d),
+                       "zero": (d, ENGINE.zero, -d), "one": (1 - d, ENGINE.one, d)}[where]
+        return x, Gap(end._mpf_, gap._mpf_)
     x = ENGINE.mpf(node)
     assume(x != 0.5)
-    return x, round(2 * x) / 2 - x
+    end = ENGINE.convert(round(2 * x) / 2)
+    return x, Gap(end._mpf_, (end - x)._mpf_)
 
 
 @oracle_settings
@@ -285,7 +290,8 @@ def test_printed_integrands_are_weighted_points(rid, node):
     x, xc = unit_node(node)
     printed = printed_factory(rid)(ENGINE)(x, xc)
     a, order, coefficients = catalog_point(rid, PrecisionContext(WORKING))
-    weights = kernels.generating_weight(ENGINE, a, order)(offset(ENGINE, 1)(x, xc))
+    one_minus_x = ENGINE.make_mpf(gap_to(ENGINE, 1)(x, xc))
+    weights = kernels.generating_weight(ENGINE, a, order)(one_minus_x)
     point = k_of_x(ENGINE)(x, xc) * sum(c * w for c, w in zip(coefficients, weights))
     assert abs(point - printed) <= ENGINE.mpf(10) ** -45 * abs(printed)
 
@@ -367,8 +373,8 @@ def test_k_of_x_memo_saves_k_calls(monkeypatch):
     assert len(calls) == len(set(calls))
 
     def unmemoised(mp):
-        to_half = offset(mp, mp.mpf(0.5))
-        return lambda x, xc: ellipk_real_mp(mp, 2 * abs(to_half(x, xc)))
+        to_half = gap_to(mp, 0.5)
+        return lambda x, xc: ellipk_real_mp(mp, 2 * abs(mp.make_mpf(to_half(x, xc))))
     plain = integrate(IntegralSpec("k_plain", (), (0, 1), unmemoised, singular_points=(0.5,)), ctx)
     assert memoised.value == plain.value
     assert memoised.evaluations == plain.evaluations

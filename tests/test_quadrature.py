@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import mpf_abs, mpf_cmp, mpf_sub
 
 from multiell import (DomainError, INF, IntegralSpec, IntegrandFailureError,
                       NonConvergenceError, PrecisionContext, integrate, rhs_constant, verify)
@@ -118,6 +119,37 @@ def test_node_sets_are_pinned(ctx, spec, calls, levels):
     r = integrate(dataclasses.replace(spec, factory=counting), ctx)
     assert (count[0], r.levels, r.panels) == (calls, levels, 2)
 
+
+
+@pytest.mark.parametrize("digits", [30, 50, 300])
+@pytest.mark.parametrize("lo, hi", [(0, HALF), (HALF, 1), (0, "1e10"),
+                                    (1, INF), (HALF, INF), ("1e10", INF)])
+def test_node_gaps_are_exact_and_name_the_nearer_end(digits, lo, hi):
+    # every point of levels 0..3 as the panel passes it: xc.end is x's
+    # nearer panel end; on tanh-sinh, xc's gap is rad s as mpmath's
+    # operators form it; and x = end - gap rounded once, so the exact
+    # end - x lies within half an ulp of x of the gap
+    mp = PrecisionContext(digits).boosted(GUARD).mp
+    lo, hi = mp.convert(lo), mp.convert(hi)
+    kind = "exp-sinh" if mp.isinf(hi) else "tanh-sinh"
+    _, scale_of, points = quadrature._TRANSFORMS[kind]
+    rad = scale_of(lo, hi)
+    cutoff = mp.mpf(10) ** (-2 * (digits + 10))
+    for level in range(4):
+        for node in quadrature._level_nodes(mp, kind, level, cutoff)[0]:
+            for _, _, x, xc in points(node, lo, hi, rad):
+                exact = mpf_sub(xc.end, x._mpf_)  # prec 0: unrounded
+                if kind == "tanh-sinh":
+                    assert xc.end in (lo._mpf_, hi._mpf_)
+                    other = lo if xc.end == hi._mpf_ else hi
+                    assert mpf_cmp(mpf_abs(exact), mpf_abs(mpf_sub(other._mpf_, x._mpf_))) <= 0
+                    gap = rad * mp.make_mpf(node[0])
+                    assert mp.convert(xc) == (gap if xc.end == hi._mpf_ else -gap)
+                else:
+                    assert xc.end == lo._mpf_
+                _, _, exp, bc = x._mpf_
+                half_ulp = (0, 1, exp + bc - mp.prec - 1, 1)
+                assert mpf_cmp(mpf_abs(mpf_sub(exact, xc._mpf_)), half_ulp) <= 0, (x, level)
 
 def _catalog_specs(ctx):
     mp = ctx.mp
