@@ -40,22 +40,17 @@ is; K's exact mantissa multiplies it, and one integer division gives the
 value.  The I7 kernel is built the same way on (0, 1).
 
 K columns: the K factor of the kernels K(2 sqrt(x(1-x))), Re K(x) and
-K(2 sqrt(x)/(1+x)) depends on the node alone, not on the integral's
-parameters, and the catalog integrates each of them again and again over
-the same nodes (ten rows, the ODE grid and the sweep share the first; I9
-and the substitution chain share the other two at every c).  So each of
-the three keeps one table per engine precision, keyed on the node's
-exact x and gap, for the life of the process: a node's K is computed
-once, by the first integral that reaches it, and every later integral at
-that precision reads it, skipping both the kc arithmetic and the AGM.  K
-is a pure function of the node at a fixed precision, so a value read from
-the table is bit-identical to one computed afresh.  A table holds one entry
-per distinct node, at most nodes x intervals integrated at its
-precision: a few thousand entries for the catalog at 50 digits.
+K(2 sqrt(x)/(1+x)) depends on the node alone, and many integrals share its
+panels (ten rows, the ODE grid and the sweep share the first's; I9 and the
+substitution chain the other two's at every c).  quadrature keeps each
+panel's points, so each column keeps a node's K in xc.memo under the
+column's name: the first integral to reach the point computes it, and
+every later one reads it, bit-identical, skipping the kc arithmetic and
+the AGM.  A point evicted from quadrature's bounded cache takes its memo.
 
 ``weighted_kernel`` is a vector integrand (see quadrature) on integers:
 an ODE check (four a-derivatives at one a) or a sweep over a (one weight
-at each a) is one integral, with K and 1 - x evaluated once per node.
+at each a) is one integral, with K and 1 - x kept on each node's memo.
 Constants are hoisted out of the other integrands into their factories.
 
 The ``*_spec`` builders at the end pair a factory with its interval and
@@ -66,7 +61,6 @@ of that name reaches every spec they build.
 
 from __future__ import annotations
 
-import threading
 from math import isqrt
 
 from mpmath.libmp import mpf_abs, mpf_shift, pi_fixed, to_fixed
@@ -75,34 +69,29 @@ from .elliptic import agm_int, ellipk_real_mp, re_k_modulus_mp
 from .errors import SingularityError
 from .quadrature import INF, Fixed, Gap, IntegralSpec, fraction_bits, gap_to
 
-_k_tables: dict = {}  # (column, mp.prec) -> {node: K}
-_tables_lock = threading.Lock()
+def _memoised(key: str, compute):
+    """(x, xc) -> compute(x, xc), a node-only value, kept in xc.memo under key.
 
-
-def _k_column(mp, column: str, k_at):
-    """The node function (x, xc) -> K of one K column, read from its table.
-
-    The table is the column's at mp's precision, shared by every integrand
-    that reads that column; k_at(x, xc) computes K on a miss.  Nodes are
-    keyed on the exact values of x and xc.  Concurrent integrals may both
-    miss on a node and store the same value.
+    Concurrent integrals may both store a node's value, or one may drop the
+    other's entry; either only costs a recomputation.
     """
-    with _tables_lock:
-        table = _k_tables.setdefault((column, mp.prec), {})
-
-    def k(x, xc):
-        node = (x._mpf_, xc._mpf_)
-        v = table.get(node)
-        if v is None:
-            v = table[node] = k_at(x, xc)
+    def f(x, xc):
+        memo = xc.memo
+        if memo:
+            for i in range(0, len(memo), 2):
+                if memo[i] is key:
+                    return memo[i + 1]
+        v = compute(x, xc)
+        if memo is not False:
+            xc.memo = (*(memo or ()), key, v)
         return v
-    return k
+    return f
 
 
 def k_of_x(mp):
     """K(2 sqrt(x(1-x))) as a function on (0,1); singular at x = 1/2.
 
-    Values come from the column's table (see the module docstring).  Misses
+    Values come from the column's memo (see the module docstring).  Misses
     are memoised on kc = 2|1/2 - x| for the life of the returned function
     (so per integral): the panels (0, 1/2) and (1/2, 1) place mirror-image
     nodes, and many of them share an exact kc.
@@ -116,7 +105,7 @@ def k_of_x(mp):
         if k is None:
             k = memo[kc] = ellipk_real_mp(mp, mp.make_mpf(kc))
         return k
-    return _k_column(mp, "K(2 sqrt(x(1-x)))", k_at)
+    return _memoised("K(2 sqrt(x(1-x)))", k_at)
 
 
 def _magnitude(v):
@@ -217,16 +206,16 @@ def weighted_kernel(mp, order: int, *a_values):
 
     One component per (a, derivative) pair, a-major: params (order, a1, ...,
     an) give order + 1 components per real a (Re and Im at an imaginary a),
-    all sharing one K value and one 1 - x per node.  Returns a Fixed: K's
-    exact mantissa times each weight's integer, at the finest a's scale.
+    all sharing one K value and one 1 - x per node, kept on its memo.  Returns
+    a Fixed: K's exact mantissa times each weight's integer, at the finest a's scale.
     """
     k = k_of_x(mp)
     to_one = gap_to(mp, 1)
+    node = _memoised("K, 1 - x", lambda x, xc: (k(x, xc)._mpf_, to_one(x, xc)))
     cores = [_weight_core(mp, a, order) for a in a_values]
 
     def f(x, xc):
-        _, k_man, k_exp, _ = k(x, xc)._mpf_  # K > 0
-        one_minus_x = to_one(x, xc)
+        (_, k_man, k_exp, _), one_minus_x = node(x, xc)  # K > 0
         weights = [core(one_minus_x) for core in cores]
         top = max(s for _, s in weights)
         return Fixed(tuple(k_man * w << top - s for values, s in weights for w in values),
@@ -360,20 +349,20 @@ def _k_times_rational(mp, c, k, over_one_plus_x: bool):
 def re_k_semi_infinite_kernel(mp, c):
     """Re[K(x)] c x / (1 + c^2 x^2)^(3/2) on (0, inf); modulus convention.
 
-    Re K comes from its column's table, shared across c.
+    Re K comes from its column's memo, shared across c.
     """
     to_one = gap_to(mp, 1)
-    re_k = _k_column(mp, "Re K(x)", lambda x, xc: re_k_modulus_mp(mp, x, mp.mpf(to_one(x, xc))))
+    re_k = _memoised("Re K(x)", lambda x, xc: re_k_modulus_mp(mp, x, mp.mpf(to_one(x, xc))))
     return _k_times_rational(mp, c, re_k, False)
 
 
 def axial_x_form_kernel(mp, c):
     """K(2 sqrt(x)/(1+x)) c x / ((1+x)(1+c^2 x^2)^(3/2)) on (0, inf).
 
-    K comes from its column's table, shared across c.
+    K comes from its column's memo, shared across c.
     """
     to_one = gap_to(mp, 1)
-    k = _k_column(mp, "K(2 sqrt(x)/(1+x))",
+    k = _memoised("K(2 sqrt(x)/(1+x))",
                   lambda x, xc: ellipk_real_mp(mp, mp.mpf(mpf_abs(to_one(x, xc))) / (1 + x)))
     return _k_times_rational(mp, c, k, True)
 

@@ -9,9 +9,10 @@ so that singularities sit at panel ends, where the double-exponential decay
 of the weights absorbs them.
 
 One panel driver serves both maps.  A two-entry transform table gives each
-map's nodes, the panel's length scale and one node's abscissas and weights;
-node tables are built once per (map, engine precision, level, cutoff) and
-cached.
+map's nodes, the panel's length scale and one node's abscissas and weights.
+Node tables are cached per (map, engine precision, level, cutoff), and each
+level's points on a panel, with node-only values memoised on them (K,
+1 - x), per panel too, for the most recently used POINT_CAP points.
 
 Vector integrands (the fdim integrands of Johnson's cubature, SciPy's
 quad_vec): an integrand may return a tuple of mpf/mpc values, so that
@@ -77,13 +78,15 @@ from typing import Callable, NamedTuple
 from mpmath.libmp import fnone, fone, mpf_add, mpf_mul, mpf_neg, mpf_sub
 
 from .errors import DomainError, IntegrandFailureError, NonConvergenceError
-from .precision import PrecisionContext
+from .precision import PrecisionContext, _count
 
 MAX_LEVEL = 12
 GUARD = 20  # decimal digits the engine carries beyond the working precision
 INF = math.inf  # spell the upper endpoint of semi-infinite intervals
+POINT_CAP = 32_768  # every catalog row's panels at 300 digits; memory: see README
 
 _node_cache: dict = {}
+_point_cache: dict = {}  # key -> (points, tail, count), least recently used first
 _cache_lock = threading.Lock()
 
 
@@ -182,15 +185,18 @@ class Gap:
     """An integrand's xc: e, x's nearer panel end, and e - x, as exact mpf tuples.
 
     xc.end is e and xc._mpf_ is e - x, so mp.convert(xc) is the gap as an
-    mpf and (x._mpf_, xc._mpf_) keys a node.  Gap(None, None), for a point
-    that no panel placed, names no end: gap_to then subtracts.
+    mpf.  Gap(None, None), for a point that no panel placed, names no end:
+    gap_to then subtracts.  xc.memo holds node-only values at its panel's
+    engine precision: None on a panel's point until a first store, then a
+    flat (key, value, ...) tuple; a pointwise Gap keeps memo=False.
     """
 
-    __slots__ = ("end", "_mpf_")
+    __slots__ = ("end", "_mpf_", "memo")
 
-    def __init__(self, end, gap):
+    def __init__(self, end, gap, memo=False):
         self.end = end
         self._mpf_ = gap
+        self.memo = memo
 
 
 def gap_to(mp, p):
@@ -214,10 +220,10 @@ def _ts_points(node, lo, hi, rad):
     s, wm, we = node  # x = lo + rad s and, for t > 0, its mirror x = hi - rad s
     mp, lo, hi = rad.context, lo._mpf_, hi._mpf_
     gap = mpf_mul(rad._mpf_, s, mp.prec, "n")
-    left = (wm, we, mp.make_mpf(mpf_add(lo, gap, mp.prec, "n")), Gap(lo, mpf_neg(gap)))
+    left = (wm, we, mp.make_mpf(mpf_add(lo, gap, mp.prec, "n")), Gap(lo, mpf_neg(gap), None))
     if s == fone:
         return (left,)
-    return (left, (wm, we, mp.make_mpf(mpf_sub(hi, gap, mp.prec, "n")), Gap(hi, gap)))
+    return (left, (wm, we, mp.make_mpf(mpf_sub(hi, gap, mp.prec, "n")), Gap(hi, gap, None)))
 
 
 def _es_node(mp, half_pi, t):
@@ -229,10 +235,10 @@ def _es_node(mp, half_pi, t):
 def _es_points(node, lo, _hi, _scale):
     gap, igap, wm, we, iwm, iwe = node  # x = lo - gap and, for t > 0, its mirror x = lo - igap
     mp, lo = lo.context, lo._mpf_
-    first = (wm, we, mp.make_mpf(mpf_sub(lo, gap, mp.prec, "n")), Gap(lo, gap))
+    first = (wm, we, mp.make_mpf(mpf_sub(lo, gap, mp.prec, "n")), Gap(lo, gap, None))
     if gap == fnone:
         return (first,)
-    return (first, (iwm, iwe, mp.make_mpf(mpf_sub(lo, igap, mp.prec, "n")), Gap(lo, igap)))
+    return (first, (iwm, iwe, mp.make_mpf(mpf_sub(lo, igap, mp.prec, "n")), Gap(lo, igap, None)))
 
 
 # kind -> (node, scale, points): node(mp, half_pi, t) is (node, weight), and a
@@ -282,6 +288,29 @@ def _level_nodes(mp, kind: str, level: int, cutoff):
     return table
 
 
+def _level_points(mp, kind: str, level: int, cutoff, lo, hi, scale):
+    """(points, tail, count) of one level on (lo, hi), built once and cached:
+    points[i] is node i's (weight mantissa, weight exponent, x's mpf tuple,
+    xc), then its mirror's, in one flat tuple.  A level is published whole;
+    past POINT_CAP points, the least recently used levels are evicted."""
+    key = (kind, mp.prec, level, cutoff._mpf_, lo._mpf_, hi._mpf_)
+    with _cache_lock:
+        entry = _point_cache.pop(key, None)
+        if entry is not None:
+            _point_cache[key] = entry  # now the most recently used
+            return entry
+    nodes, tail = _level_nodes(mp, kind, level, cutoff)
+    points = _TRANSFORMS[kind][2]
+    flat = [sum(((wm, we, x._mpf_, xc) for wm, we, x, xc in points(node, lo, hi, scale)), ())
+            for node in nodes]
+    built = (flat, tail, sum(map(len, flat)) // 4)
+    with _cache_lock:
+        entry = _point_cache.setdefault(key, built)
+        while sum(count for _, _, count in _point_cache.values()) > POINT_CAP:
+            del _point_cache[next(iter(_point_cache))]
+    return entry
+
+
 def _failure(what, x, xc):
     """IntegrandFailureError for an integrand that what at the point (x, xc)."""
     at_end = (", which rounds onto its panel end; an integrand singular there must"
@@ -309,19 +338,21 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
     w f over every node so far is one int scaled by 2^wp (two for an mpc
     component); level L's value is that sum times 2^-L scale.
     """
-    _, scale_of, points = _TRANSFORMS[kind]
-    scale = scale_of(lo, hi)
+    scale = _TRANSFORMS[kind][1](lo, hi)
     wp = fraction_bits(mp)
     # a term w f is negligible once scale |w f| is
     limit = int(mp.ldexp(negligible / scale, wp))
     re = im = err = None
+    make_mpf = mp.make_mpf  # points keep x as a tuple: an mpf each would cost 56 bytes
     calls = 0
     vector = False
     for level in range(max_level + 1):
-        nodes, tail = _level_nodes(mp, kind, level, cutoff)
+        nodes, tail, _ = _level_points(mp, kind, level, cutoff, lo, hi, scale)
         for i, node in enumerate(nodes):
             small = i >= tail
-            for wm, we, x, xc in points(node, lo, hi, scale):
+            point = iter(node)
+            for wm, we, x_mpf, xc in zip(point, point, point, point):
+                x = make_mpf(x_mpf)
                 try:
                     v = f(x, xc)
                 except (ArithmeticError, ValueError, ZeroDivisionError) as exc:
@@ -387,8 +418,9 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
     """Integrate spec to ctx.quad_target absolute error in every component.
 
     Raises NonConvergenceError if any panel hits the level cap with an
-    error estimate above target, and IntegrandFailureError if the integrand
-    raises or returns a non-finite value.
+    error estimate above target, IntegrandFailureError if the integrand
+    raises or returns a non-finite value, and DomainError if max_level is
+    not a nonnegative int.
 
     Convergence is judged from the nodes alone, so an integrand whose mass
     lies far beyond the exp-sinh node range, or in a sliver of a long
@@ -398,6 +430,7 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
     c = 1e20 and 30 digits, it and the axial t form at b = 0.5 both err
     by 1.5 quad_target, with an estimate 26 times smaller.
     """
+    max_level = _count(max_level, "max_level")
     mp = ctx.boosted(GUARD).mp
     negligible = mp.mpf(10) ** (-(ctx.digits + 10))
     cutoff = negligible ** 2

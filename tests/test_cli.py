@@ -101,6 +101,11 @@ def test_nonconvergence_exits_3(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_negative_level_cap_exits_3(capsys):
+    assert run(["verify", "I8", "--digits", "30", "--level-cap", "-1"]) == 3
+    assert "max_level" in capsys.readouterr().err
+
+
 def test_failed_verification_exits_2(monkeypatch, capsys):
     failing = VerificationReport(
         id="I8", params={}, lhs_value=1, rhs_value=2, abs_err=1, rel_err=0.5,

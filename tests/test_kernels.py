@@ -1,14 +1,15 @@
-"""The kernels' K tables: one per K column and engine precision, shared by
-every integral that reads the column; and the weighted kernel's integer
+"""The kernels' K columns: each node's K kept on its cached panel point, at
+that point's engine precision, shared by every integral that reads the
+column; and the weighted kernel's integer
 core, at a real a against an mpf evaluation of its closed form and at an
 imaginary a against mpmath's mpc power; and the integer Re K and x-form
 kernels against their printed mpf form, and the integer axial kernel
 against mpmath's agm, 40 digits above the engine.
 
-Each table test starts from empty tables and counts calls of K's one entry
-point, ``ellipk_real_mp``, as both kernels and elliptic (behind Re K) see
-it.  Values read from a table must be bit-identical to values computed
-afresh.
+Each column test starts from an empty point cache and counts calls of K's
+one entry point, ``ellipk_real_mp``, as both kernels and elliptic (behind
+Re K) see it.  Values read from a memo must be bit-identical to values
+computed afresh.
 """
 
 import sys
@@ -19,6 +20,7 @@ import pytest
 
 import multiell.elliptic as elliptic
 import multiell.kernels as kernels
+import multiell.quadrature as quadrature
 from multiell import IntegralSpec, PrecisionContext, integrate
 from multiell.quadrature import _TRANSFORMS, GUARD, Fixed, Gap, _level_nodes, fraction_bits, gap_to
 from printed_integrands import catalog_point
@@ -26,16 +28,28 @@ from printed_integrands import catalog_point
 HALF = 0.5
 
 
+def empty_points():
+    """Empty quadrature's point cache, and with it every node's memo."""
+    quadrature._point_cache.clear()
+
+
+def memoised_points():
+    """The Gap of every cached point that holds a memo."""
+    for points, _, _ in quadrature._point_cache.values():
+        for node in points:
+            yield from (xc for xc in node[3::4] if xc.memo)
+
+
 @pytest.fixture
 def k_calls(monkeypatch):
-    """Empty K tables, and a list that grows by one per K evaluation."""
+    """An empty point cache, and a list that grows by one per K evaluation."""
     calls = []
     plain = elliptic.ellipk_real_mp
 
     def counting(mp, kc):
         calls.append(kc)
         return plain(mp, kc)
-    monkeypatch.setattr(kernels, "_k_tables", {})
+    monkeypatch.setattr(quadrature, "_point_cache", {})
     monkeypatch.setattr(kernels, "ellipk_real_mp", counting)
     monkeypatch.setattr(elliptic, "ellipk_real_mp", counting)
     return calls
@@ -69,7 +83,7 @@ def test_rows_after_i8_read_its_k_column(k_calls, rid, i8_min_level):
     spec = row_spec(rid, ctx)
     cold = integrate(spec, ctx)
     assert k_calls
-    kernels._k_tables.clear()
+    empty_points()
     integrate(I8, ctx, min_level=i8_min_level)
     k_calls.clear()
     warm = integrate(spec, ctx)
@@ -79,14 +93,13 @@ def test_rows_after_i8_read_its_k_column(k_calls, rid, i8_min_level):
 
 def test_a_table_is_read_only_at_its_own_precision(k_calls):
     integrate(I8, PrecisionContext(50))
-    (table,) = kernels._k_tables.values()
-    for node in table:  # a 60-digit integral reading these would fail
-        table[node] = mpmath.mpf(0)
+    for xc in memoised_points():  # a 60-digit integral reading these would fail
+        xc.memo = tuple(v for column in xc.memo[::2] for v in (column, mpmath.mpf(0)))
     k_calls.clear()
     warm = integrate(I8, PrecisionContext(60))
     calls = len(k_calls)
-    assert len(kernels._k_tables) == 2
-    kernels._k_tables.clear()
+    assert len({key[1] for key in quadrature._point_cache}) == 2  # two engine precisions
+    empty_points()
     k_calls.clear()
     cold = integrate(I8, PrecisionContext(60))
     assert outcome(warm) == outcome(cold)
@@ -128,8 +141,8 @@ SEMI_INFINITE = [(kernels.re_k_semi_infinite_kernel, re_k_unmemoised, re_k_at, r
 def test_semi_infinite_columns_are_exact_and_shared_across_c(k_calls, memoised, unmemoised,
                                                              _k, _rest):
     # the integer kernel equals the printed mpf form after rounding, on the
-    # same nodes; a value read from the table is bit-identical to one
-    # computed afresh from empty tables
+    # same nodes; a value read from a memo is bit-identical to one
+    # computed afresh from an empty point cache
     ctx = PrecisionContext(50)
     misses, evaluations = [], []
     for c in ("0.5", "1.75"):
@@ -139,10 +152,10 @@ def test_semi_infinite_columns_are_exact_and_shared_across_c(k_calls, memoised, 
         assert (table.value, table.evaluations) == (plain.value, plain.evaluations)
         misses.append(len(k_calls))
         evaluations.append(table.evaluations)
-    assert len(kernels._k_tables) == 1
+    assert len({column for xc in memoised_points() for column in xc.memo[::2]}) == 1
     assert misses[0] == evaluations[0]  # cold: every node is new
     assert misses[1] < evaluations[1]  # the second c reads the first's nodes
-    kernels._k_tables.clear()
+    empty_points()
     assert outcome(integrate(kernels.semi_infinite_spec(memoised, c), ctx)) == outcome(table)
 
 
@@ -236,9 +249,9 @@ def test_concurrent_integrals_return_their_serial_values(k_calls):
     jobs = (("I8", I8), ("I10", row_spec("I10", ctx)), ("I2", row_spec("I2", ctx)), ("I8 again", I8))
     serial = {}
     for name, spec in jobs:
-        kernels._k_tables.clear()
+        empty_points()
         serial[name] = outcome(integrate(spec, ctx))
-    kernels._k_tables.clear()
+    empty_points()
     threaded = {}
 
     def run(name, spec):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
 import multiell.kernels as kernels
+import multiell.quadrature as quadrature
 from multiell import (DomainError, IntegralSpec, IntegrandFailureError, PrecisionContext,
                       SingularityError, agm, clausen_sum, clausen_sum_da,
                       ellipk_complementary, ellipk_series, integrate, legendre_sum)
@@ -357,14 +358,14 @@ def test_agm_against_mpmath(ea, eb):
 
 def test_k_of_x_memo_saves_k_calls(monkeypatch):
     # mirror-image nodes of the panels (0, 1/2) and (1/2, 1) share an exact
-    # kc, and k_of_x evaluates K once per kc; from empty K tables, since a
-    # warm table answers every node without calling K at all
+    # kc, and k_of_x evaluates K once per kc; from an empty point cache,
+    # since warm points answer every node without calling K at all
     calls = []
 
     def counting(mp, kc):
         calls.append(kc)
         return ellipk_real_mp(mp, kc)
-    monkeypatch.setattr(kernels, "_k_tables", {})
+    monkeypatch.setattr(quadrature, "_point_cache", {})
     monkeypatch.setattr(kernels, "ellipk_real_mp", counting)
     ctx = PrecisionContext(WORKING)
     spec = IntegralSpec("k_of_x", (), (0, 1), k_of_x, singular_points=(0.5,))

@@ -8,7 +8,9 @@ from mpmath.libmp import mpf_abs, mpf_cmp, mpf_sub
 from multiell import (DomainError, INF, IntegralSpec, IntegrandFailureError,
                       NonConvergenceError, PrecisionContext, integrate, rhs_constant, verify)
 from multiell import quadrature
-from multiell.quadrature import GUARD
+from multiell import identities
+from multiell.identities import _validated, get_identity
+from multiell.quadrature import GUARD, MAX_LEVEL
 from multiell.kernels import (axial_kernel, axial_t_spec, k_of_x,
                               re_k_semi_infinite_kernel, special_case_kernel,
                               weighted_kernel_spec)
@@ -327,6 +329,14 @@ def test_spec_validation(ctx):
         integrate(spec, ctx)
 
 
+@pytest.mark.parametrize("max_level", [-1, True, 2.5, "3"])
+def test_max_level_must_be_a_nonnegative_int(ctx, max_level):
+    with pytest.raises(DomainError, match="max_level"):
+        integrate(plain_spec(), ctx, max_level=max_level)
+    with pytest.raises(DomainError, match="max_level"):
+        verify("I8", {}, ctx, max_level=max_level)
+
+
 def test_inf_in_second_component_is_an_integrand_failure(ctx):
     spec = IntegralSpec("inf_component", (), (0, 1),
                         lambda mp: (lambda x, xc: (mp.one, x if x < 0.7 else mp.inf)))
@@ -481,3 +491,80 @@ def test_fixed_integrand_zero_division_is_an_integrand_failure(ctx):
         return lambda x, xc: quadrature.Fixed(((1 << 2 * wp) // (x.to_fixed(4)),), -wp)
     with pytest.raises(IntegrandFailureError, match="integrand raised"):
         integrate(IntegralSpec("fixed_division", (), (0, 1), factory), ctx)
+
+
+# ------------------------------------------------------------ the point cache
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """An empty point cache, restored after the test."""
+    monkeypatch.setattr(quadrature, "_point_cache", {})
+
+
+ROW_POINTS = [("I1", {"a": "0.45"}), ("I1-ext", {"a": "2"}), ("I2", {}), ("I3", {}), ("I4", {}),
+              ("I5", {}), ("I6", {"b": "0.7", "c": "0.9"}), ("I7", {}), ("I8", {}),
+              ("I9", {"c": "0.58"}), ("I10", {}), ("I13", {"a": "0.6"})]
+
+
+@pytest.mark.parametrize("digits", [30, 50, 300])
+def test_cold_and_warm_points_give_bit_identical_rows(empty_cache, monkeypatch, digits):
+    # every quadrature row's left side from an empty cache, in which the
+    # first integral over each panel builds its points and memos, then
+    # again from the full cache: value, estimate, level and evaluations of
+    # each integral agree bit for bit
+    results = []
+
+    def recording(spec, ctx, **kw):
+        results.append(integrate(spec, ctx, **kw))
+        return results[-1]
+    monkeypatch.setattr(identities, "integrate", recording)
+    ctx = PrecisionContext(digits)
+    rows = [(get_identity(rid), [_validated(get_identity(rid), params, ctx)])
+            for rid, params in ROW_POINTS]
+    for rec, points in rows:
+        rec.lhs(ctx, points, MAX_LEVEL)
+    cold = list(results)
+    assert quadrature._point_cache
+    results.clear()
+    for rec, points in rows:
+        rec.lhs(ctx, points, MAX_LEVEL)
+    assert len(results) == len(cold) == len(ROW_POINTS)
+    assert results == cold
+
+
+def test_points_built_at_one_precision_never_serve_another(empty_cache):
+    integrate(plain_spec(), PrecisionContext(50))
+    for key, (_, tail, count) in quadrature._point_cache.items():
+        quadrature._point_cache[key] = ([], tail, count)  # a 60-digit sum over these would be 0
+    warm = integrate(plain_spec(), PrecisionContext(60))
+    quadrature._point_cache.clear()
+    cold = integrate(plain_spec(), PrecisionContext(60))
+    assert (warm.value, warm.err_estimate, warm.evaluations) == \
+        (cold.value, cold.err_estimate, cold.evaluations)
+
+
+def test_a_pointwise_gap_never_memoises(ctx):
+    mp = ctx.boosted(GUARD).mp
+    x = mp.mpf("0.3")
+    kernels = [k_of_x(mp), re_k_semi_infinite_kernel(mp, mp.one),
+               weighted_kernel_spec((mp.mpf("0.5"),), 1).factory(mp, 1, mp.mpf("0.5"))]
+    for end, gap in ((None, None), (mp.zero._mpf_, (-x)._mpf_)):
+        for f in kernels:
+            xc = quadrature.Gap(end, gap)
+            assert f(x, xc) == f(x, xc)
+            assert xc.memo is False
+
+
+def test_the_point_cache_stays_within_its_cap(empty_cache):
+    # I6's panels move with c, so a sweep over c builds new points at each
+    # c; the cache evicts its least recently used levels to stay in its cap
+    ctx = PrecisionContext(50)
+    seen = {}
+    c = 0
+    while sum(seen.values()) <= quadrature.POINT_CAP:
+        c += 1
+        integrate(axial_t_spec(ctx.mp.mpf("0.5"), ctx.mp.mpf(c) / 16), ctx)
+        seen.update((key, count) for key, (_, _, count) in quadrature._point_cache.items())
+        cached = sum(count for _, _, count in quadrature._point_cache.values())
+        assert cached <= quadrature.POINT_CAP
+    assert len(quadrature._point_cache) < len(seen)
