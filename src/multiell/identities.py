@@ -7,7 +7,8 @@ discrepancy sits below ctx.pass_tol * max(1, |rhs|); a complex (mpc)
 left-hand side additionally requires its imaginary part to sit below ten
 times the quadrature error estimate (I4 and I5, points of I1 at an imaginary
 a, have a weight conjugate-symmetric about x = 1/2, so the imaginary part
-must vanish -- tested, not assumed).  I2-I5 and I10 are _WEIGHTED_ROWS.
+must vanish -- tested, not assumed).  I2-I5 and I10 are _WEIGHTED_ROWS, and
+I1-ext is I1(1/a)/a (see _inverted).
 """
 
 from __future__ import annotations
@@ -165,6 +166,14 @@ def _imaginary(hi, r):
     return hi.mp.j * beta, (beta, hi.mp.j * beta)
 
 
+def _inverted(hi, p):
+    """Point 1/a, coefficient 1/a: I1(a) = I1(1/a)/a, as (1 - 2ta + a^2)^(-1/2) =
+    a^(-1) (1 - 2t/a + a^(-2))^(-1/2); it keeps relative digits where I1(a) ~ pi^2/(4a)
+    falls below the panel's fixed-point unit."""
+    inverse = 1 / hi.mp.convert(p["a"])
+    return inverse, (inverse,)
+
+
 def _closed_form_rhs(value_of_mp):
     """RHS constant value_of_mp(mp), evaluated at guard precision."""
     return lambda ctx, p: ctx.reduce(value_of_mp(ctx.boosted(10).mp))
@@ -240,7 +249,7 @@ _CATALOG = {rec.id: rec for rec in (
     IdentityRecord("I1", "weighted K-kernel integral vs squared-K closed form",
                    (ParamSpec("a", lo=0, hi=1),), _weighted_lhs(), _generating_rhs),
     IdentityRecord("I1-ext", "weighted K-kernel integral past the critical parameter",
-                   (ParamSpec("a", lo=1, lo_open=True),), _weighted_lhs(), _generating_rhs),
+                   (ParamSpec("a", lo=1, lo_open=True),), _weighted_lhs(_inverted), _generating_rhs),
     IdentityRecord("I2", "rational-weight K integral; value pi/(4 sqrt 2)",
                    (), *_weighted_row("I2")),
     IdentityRecord("I3", "r=4 singular-value K integral; value Gamma(1/4)^4/(16 sqrt2 pi)",

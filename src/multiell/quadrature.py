@@ -14,16 +14,15 @@ Node tables are cached per (map, engine precision, level, cutoff), and each
 level's points on a panel, with node-only values memoised on them (K,
 1 - x), per panel too, for the most recently used POINT_CAP points.
 
-Vector integrands (the fdim integrands of Johnson's cubature, SciPy's
-quad_vec): an integrand may return a tuple of mpf/mpc values, so that
-integrals sharing costly work at each node -- K(2 sqrt(x(1-x))) under
-several weights, P_0..P_n(2x-1) under every product -- make one pass over
-one node set.  The driver sums every component; a scalar integrand is the
-one-component case.  A level has converged once every component's
-level-to-level change is within target, and the node loop's tail stop
-needs every component of both terms of a node to be negligible, so the
-node set is the one the hardest component needs alone.  The result then
-holds one value and one error estimate per component.
+Integrand values: an integrand returns one real mpf, or a Fixed, real
+components in fixed point (the fdim integrands of Johnson's cubature,
+SciPy's quad_vec), so that integrals sharing costly work at each node --
+K(2 sqrt(x(1-x))) under several weights, P_0..P_n(2x-1) under every
+product -- make one pass over one node set; a complex integral is two real
+components.  A level has converged once every component's change is
+within target, and the tail stop needs every component of both terms of a
+node to be negligible, so the node set is the one the hardest component
+needs alone.  The result holds one value and one estimate per component.
 
 Endpoint complements (Bailey, Jeyabalan and Li, Exp. Math. 14, 2005; Boost's
 tanh_sinh): every integrand is called as f(x, xc), where the Gap xc holds
@@ -34,7 +33,8 @@ gaps -r s and r s; exp-sinh gaps are -e^u and -e^-u, to the finite end.
 The gap is exact where x, rounded to engine precision, no longer resolves
 its distance to the end; an integrand singular at p takes p - x from
 `gap_to`, which reads the gap where p is the end.  An integrand that
-returns inf or nan, in any component, raises IntegrandFailureError.
+returns inf or nan, or anything but an mpf or a Fixed, raises
+IntegrandFailureError.
 
 Precision bookkeeping: abscissas and integrands are evaluated in an engine
 context carrying digits + GUARD decimal digits.  Node tables reach down to
@@ -46,23 +46,18 @@ This resolves logarithmic (K-kernel) and x^(-1/2) endpoint singularities
 to quad_target; I1 at a = 1, where the weight becomes (4(1-x))^(-1/2),
 converges.
 
-Fixed-point accumulation: a panel keeps one Python int per real component
-(two per mpc component), the sum of w f over every node so far scaled by
-2^wp, wp = fraction_bits(mp) = engine precision + 20 bits.  Node tables
-hold each weight as its exact mpf (mantissa, exponent), and each term is
-the product of the two mantissas shifted once into place, so a term is
-rounded once, by at most 2^-wp, and N terms by at most N 2^-wp; a panel's
-value moves by at most h scale N 2^-wp.  That is absolute, and far below
-the representation error (1 + |value|) 10^-digits that every returned
-estimate is floored at.  The weights themselves are never rounded to fixed
-point: tail weights reach 10^-2(digits+10) and an x^(-1/2) endpoint gives
-integrand values near the inverse square root of that, so a weight rounded
-to 2^-wp would lose every digit of those terms.  A component that is
-neither mpf nor mpc passes once through mp.convert; an mpc component stays
-mpc when its imaginary sum cancels to 0.  An integrand whose components
-are cheaper to build on integers (the Legendre Gram, the weighted K
-kernel) returns a Fixed (see IntegralSpec), never pays for an mpf, and
-each of its terms m wm takes the same single shift into the sum.
+Fixed-point accumulation: an mpf value is read as the one-component Fixed
+of its signed mantissa and exponent, and a panel keeps one Python int per
+component, the sum of w f over every node so far scaled by 2^wp, wp =
+fraction_bits(mp) = engine precision + 20 bits.  Node tables hold each
+weight as its exact mpf (mantissa, exponent), and each term, the product
+of the two mantissas shifted once into place, is floored once, by less
+than 2^-wp; N terms move a panel's value by at most h scale N 2^-wp.  That
+is absolute, and far below the representation error (1 + |value|)
+10^-digits that every returned estimate is floored at.  The weights are
+never rounded to fixed point: tail weights reach 10^-2(digits+10) and an
+x^(-1/2) endpoint gives integrand values near the inverse square root of
+that, so a weight rounded to 2^-wp would lose every digit of those terms.
 
 Semi-infinite integrands must decay at least like x^(-2); every catalog
 form decays like x^(-3).
@@ -103,11 +98,11 @@ class IntegralSpec:
     rather than subtracting the rounded x: nodes lie so close to the ends
     that x can round onto one.
 
-    f returns one mpf/mpc value, a tuple of them, or a Fixed; a tuple's
-    length is the integral's number of components and must not change
-    between calls.  Fixed(mantissas, exp) is a vector of real components in
-    fixed point: component j is mantissas[j] 2^exp, the mantissas signed
-    Python ints sharing one binary exponent.  Its contract:
+    f returns one real mpf, or a Fixed; anything else (an mpc, a tuple, a
+    Python int) raises IntegrandFailureError.  Fixed(mantissas, exp) is a
+    vector of real components in fixed point: component j is mantissas[j]
+    2^exp, the mantissas signed Python ints sharing one binary exponent.
+    Its contract:
 
     * the number of mantissas is the number of components and must not
       change between calls; exp may change from call to call;
@@ -144,8 +139,9 @@ class QuadResult:
     overestimate once converged), never below the value's representation
     error at ctx.digits; panels counts subintervals after splitting; levels
     is the deepest refinement level used; evaluations counts integrand calls
-    across all panels.  When the integrand returns a tuple, value and
-    err_estimate are tuples of the same length, one entry per component.
+    across all panels.  value and err_estimate are mpf when the integrand
+    returns an mpf, and tuples of mpf, one entry per component, exactly
+    when it returns a Fixed.
     """
 
     value: object
@@ -318,31 +314,19 @@ def _failure(what, x, xc):
     return IntegrandFailureError(f"integrand {what} at x = {x}{at_end}")
 
 
-def _fixed(part, wm, shift):
-    """w f * 2^wp as an int, rounded once: f's _mpf_ part, w's mantissa wm and
-    shift = w's exponent + wp; None where f is inf or nan."""
-    sign, man, exp, _ = part
-    if not man and exp:  # mpmath's inf, -inf and nan: mantissa 0, exponent not 0
-        return None
-    e = exp + shift
-    t = man * wm << e if e >= 0 else man * wm >> -e
-    return -t if sign else t
-
-
 def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level):
     """Refine one panel level by level.
 
     Returns (values, error estimates, level, calls, vector): one value and
     one estimate per component of f, the level reached, the integrand calls
-    made and whether f returned a tuple or a Fixed.  Each component's sum of
-    w f over every node so far is one int scaled by 2^wp (two for an mpc
-    component); level L's value is that sum times 2^-L scale.
+    made and whether f returned a Fixed.  Level L's value is each
+    component's int sum times 2^-(wp + L) scale.
     """
     scale = _TRANSFORMS[kind][1](lo, hi)
     wp = fraction_bits(mp)
     # a term w f is negligible once scale |w f| is
     limit = int(mp.ldexp(negligible / scale, wp))
-    re = im = err = None
+    sums = err = None
     make_mpf = mp.make_mpf  # points keep x as a tuple: an mpf each would cost 56 bytes
     calls = 0
     vector = False
@@ -358,53 +342,29 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
                 except (ArithmeticError, ValueError, ZeroDivisionError) as exc:
                     raise _failure(f"raised {exc!r}", x, xc) from exc
                 calls += 1
-                shift = we + wp
-                if type(v) is Fixed:
-                    vector = True
+                vector = type(v) is Fixed
+                if vector:
                     mantissas, exp = v
-                    if re is None:
-                        re, im = [0] * len(mantissas), [None] * len(mantissas)
-                    e = exp + shift
-                    for j, m in enumerate(mantissas):
-                        t = m * wm << e if e >= 0 else m * wm >> -e
-                        re[j] += t
-                        if small and not -limit < t < limit:
-                            small = False
-                    continue
-                vector = type(v) is tuple
-                if not vector:
-                    v = (v,)
-                if re is None:
-                    re, im = [0] * len(v), [None] * len(v)
-                for j, c in enumerate(v):
+                else:
                     try:
-                        sign, man, exp, _ = c._mpf_
-                    except AttributeError:  # an mpc, or a number such as an int
-                        c = mp.convert(c)
-                        if hasattr(c, "_mpc_"):
-                            t, u = (_fixed(part, wm, shift) for part in c._mpc_)
-                            if t is None or u is None:
-                                raise _failure(f"returned {c}", x, xc) from None
-                            re[j] += t
-                            im[j] = (im[j] or 0) + u
-                            if small and t * t + u * u >= limit * limit:
-                                small = False
-                            continue
-                        sign, man, exp, _ = c._mpf_
-                    # _fixed(c._mpf_, wm, shift), inlined: most components are mpf
-                    if not man and exp:
-                        raise _failure(f"returned {c}", x, xc)
-                    e = exp + shift
-                    t = man * wm << e if e >= 0 else man * wm >> -e
-                    re[j] += -t if sign else t
+                        sign, man, exp, _ = v._mpf_
+                    except AttributeError:
+                        raise _failure(f"returned {v!r} (not an mpf or a Fixed)", x, xc) from None
+                    if not man and exp:  # mpmath's inf, -inf and nan: mantissa 0, exponent not 0
+                        raise _failure(f"returned {v}", x, xc)
+                    mantissas = (-man if sign else man,)
+                if sums is None:
+                    sums = [0] * len(mantissas)
+                e = exp + we + wp
+                for j, m in enumerate(mantissas):
+                    t = m * wm << e if e >= 0 else m * wm >> -e
+                    sums[j] += t
                     if small and not -limit < t < limit:
                         small = False
             if small:
                 break
         unit = -wp - level  # the sums times h = 2^-level, as (mantissa, exponent)
-        total = [mp.mpf((a, unit)) * scale if b is None
-                 else mp.mpc(mp.mpf((a, unit)), mp.mpf((b, unit))) * scale
-                 for a, b in zip(re, im)]
+        total = [mp.mpf((s, unit)) * scale for s in sums]
         if level >= 1:
             err = [abs(t - p) for t, p in zip(total, prev)]
             if level >= min_level and max(err) <= target:

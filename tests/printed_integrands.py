@@ -6,9 +6,10 @@ the components of ``kernels.weighted_kernel_spec``.  Here each row's
 integrand stands as printed: K(2 sqrt(x(1-x))) times the row's algebraic
 factor, formed from x in the engine's mpmath context (the complex rows
 through an mpc square root, principal branch).  ``printed_factory(rid)``
-is an IntegralSpec factory and ``printed_spec(rid)`` its integral over
-(0, 1), split at x = 1/2.  ``catalog_point(rid, ctx)`` reads the row's
-data from the catalog.
+makes that integrand, and ``printed_spec(rid, part)`` integrates its real
+or imaginary part over (0, 1), split at x = 1/2: quadrature integrates
+real values only.  ``catalog_point(rid, ctx)`` reads the row's data from
+the catalog.
 """
 
 from multiell import IntegralSpec
@@ -71,10 +72,13 @@ def printed_factory(rid):
     return factory
 
 
-def printed_spec(rid):
-    """The printed integral of row rid over (0, 1), split at x = 1/2."""
-    return IntegralSpec(f"printed_{rid}", (), (0, 1), printed_factory(rid),
-                        singular_points=(0.5,))
+def printed_spec(rid, part="real"):
+    """The integral over (0, 1), split at x = 1/2, of the real or imaginary
+    part (as part names) of row rid's printed integrand."""
+    def factory(mp):
+        f = printed_factory(rid)(mp)
+        return lambda x, xc: getattr(f(x, xc), part)
+    return IntegralSpec(f"printed_{rid}_{part}", (), (0, 1), factory, singular_points=(0.5,))
 
 
 def catalog_point(rid, ctx):

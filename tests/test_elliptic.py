@@ -25,14 +25,18 @@ def defining_factory(mp, m):
     return f
 
 
-def defining_integral(m_str, ctx, singular=()):
+def defining_integral(m_str, ctx, singular=(), part="real"):
     """Quadrature of the defining integral over (0, pi/2), principal branch.
 
     Independent oracle for the AGM route (and for the m > 1 continuation,
-    where the integrand's square root turns negative past asin(1/sqrt(m))).
+    where the integrand's square root turns negative past asin(1/sqrt(m)),
+    so that the real and imaginary parts, as part names, are two integrals).
     """
+    def factory(mp, m):
+        f = defining_factory(mp, m)
+        return lambda t, tc: getattr(f(t, tc), part)
     spec = IntegralSpec("k_defining", (ctx.mp.mpf(m_str),), (0, lambda mp: mp.pi / 2),
-                        defining_factory, singular_points=singular)
+                        factory, singular_points=singular)
     return integrate(spec, ctx)
 
 
@@ -110,12 +114,14 @@ def test_super_unit_real_part(ctx):
 
 def test_super_unit_regime_against_quadrature(ctx30):
     # Full complex value against the principal-branch defining integral,
-    # split where the root changes sign (asin(1/2) = pi/6).  The integrand
-    # has an algebraic (inverse square root) singularity there; 30 digits
-    # are far beyond what a branch-convention check needs.
-    quad = defining_integral("4", ctx30, singular=((lambda mp_: mp_.pi / 6),))
+    # its real and imaginary parts integrated apart, split where the root
+    # changes sign (asin(1/2) = pi/6).  The integrand has an algebraic
+    # (inverse square root) singularity there; 30 digits are far beyond
+    # what a branch-convention check needs.
     val = ellipk(4, ctx30)
-    assert abs(val - quad.value) <= 10 * quad.err_estimate + ctx30.pass_tol
+    for part in ("real", "imag"):
+        quad = defining_integral("4", ctx30, singular=((lambda mp_: mp_.pi / 6),), part=part)
+        assert abs(getattr(val, part) - quad.value) <= 10 * quad.err_estimate + ctx30.pass_tol
 
 
 def test_series_leading_term(ctx):

@@ -371,3 +371,14 @@ def test_every_row_verifies_across_digits(digits, rid, params):
     assert report.passed
     if report.err_estimate is not None:
         assert report.abs_err <= 10 * report.err_estimate
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100, 300])
+@pytest.mark.parametrize("a", ["1.000001", "2", "10", "1e10", "1e20", "1e100", "1e300"])
+def test_i1_ext_keeps_relative_digits_however_large_a(digits, a):
+    # I1(a) is near pi^2/(4a) for large a, below the panel's absolute
+    # fixed-point unit past a = 1e(digits + 20): a sum at a itself reads 0
+    ctx = PrecisionContext(digits)
+    report = verify("I1-ext", {"a": a}, ctx)
+    assert report.passed
+    assert report.rel_err <= ctx.mp.mpf(10) ** -(digits - 2)

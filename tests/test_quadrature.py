@@ -60,34 +60,40 @@ def test_split_symmetry(ctx):
     assert abs((left.value + right.value) - whole.value) <= ctx.quad_target
 
 
+def _complex_parts(rid, ctx):
+    """The printed integral of row rid as its real and imaginary parts' two integrals."""
+    return (integrate(printed_spec(rid, part), ctx) for part in ("real", "imag"))
+
+
 def test_complex_kernel_r3_value(ctx):
-    # the printed I4 integrand, an mpc integrand
-    r = integrate(printed_spec("I4"), ctx)
-    assert abs(r.value.real - rhs_constant("I4", ctx)) <= ctx.pass_tol
-    assert abs(r.value.imag) <= 10 * r.err_estimate
+    # the printed I4 integrand, whose weight is complex
+    re, im = _complex_parts("I4", ctx)
+    assert abs(re.value - rhs_constant("I4", ctx)) <= ctx.pass_tol
+    assert abs(im.value) <= 10 * im.err_estimate
 
 
 def test_complex_kernel_r7_value(ctx):
-    r = integrate(printed_spec("I5"), ctx)
-    assert abs(r.value.real - rhs_constant("I5", ctx)) <= ctx.pass_tol
-    assert abs(r.value.imag) <= 10 * r.err_estimate
+    re, im = _complex_parts("I5", ctx)
+    assert abs(re.value - rhs_constant("I5", ctx)) <= ctx.pass_tol
+    assert abs(im.value) <= 10 * im.err_estimate
 
 
 def test_degenerate_complex_part_reduces_to_real_kernel(ctx):
     # zeroing the imaginary coefficient in a complex-kernel form must
     # reproduce the real r=4 integrand (the printed I3) exactly
-    def zeroed_factory(mp):
-        k = k_of_x(mp)
-        s2 = mp.sqrt(2)
-        def f(x, xc):
-            return k(x, xc) / mp.sqrt(mp.mpc(mp.mpf(9) / 8 + (1 - 2 * x) / s2, 0))
-        return f
-    zeroed = IntegralSpec("r4_zero_imag", (), (0, 1), zeroed_factory,
-                          singular_points=(HALF,))
-    rz = integrate(zeroed, ctx)
+    def zeroed_factory(part):
+        def factory(mp):
+            k = k_of_x(mp)
+            s2 = mp.sqrt(2)
+            def f(x, xc):
+                value = k(x, xc) / mp.sqrt(mp.mpc(mp.mpf(9) / 8 + (1 - 2 * x) / s2, 0))
+                return getattr(value, part)
+            return f
+        return IntegralSpec("r4_zero_imag", (), (0, 1), factory, singular_points=(HALF,))
+    re, im = (integrate(zeroed_factory(part), ctx) for part in ("real", "imag"))
     rr = integrate(printed_spec("I3"), ctx)
-    assert rz.value.imag == 0
-    assert abs(rz.value.real - rr.value) <= ctx.quad_target
+    assert im.value == 0
+    assert abs(re.value - rr.value) <= ctx.quad_target
 
 
 def test_exp_sinh_against_closed_form(ctx):
@@ -159,11 +165,13 @@ def _catalog_specs(ctx):
     yield plain_spec()
     # the integrals of I2, I3, I4, I5 and I10 at the catalog's own points
     # (I2 and I10: the weight and its a-derivative at a*; I4 and I5: the
-    # weight's real and imaginary parts at an imaginary a), and one mpc integrand
+    # weight's real and imaginary parts at an imaginary a), and the printed
+    # I4 integrand's real and imaginary parts
     for rid in ("I2", "I3", "I4", "I5", "I10"):
         a, order, _ = catalog_point(rid, ctx)
         yield weighted_kernel_spec((a,), order)
-    yield printed_spec("I4")
+    yield printed_spec("I4", "real")
+    yield printed_spec("I4", "imag")
     yield IntegralSpec("special_case_kernel", (), (0, 1),
                        lambda emp: special_case_kernel(emp), singular_points=(HALF,))
     yield IntegralSpec("re_k_semi_infinite", (mp.one,), (0, INF),
@@ -251,6 +259,30 @@ def test_integrand_ignoring_xc_fails_at_its_split(ctx, singular_at_half, message
         integrate(spec, ctx)
 
 
+def _exact_fixed(values, mp):
+    """The mpf values as one Fixed, exactly: each signed mantissa shifted to
+    the smallest exponent, which is at most -fraction_bits(mp)."""
+    parts = [v._mpf_ for v in values]
+    exp = min([-quadrature.fraction_bits(mp)] + [e for _, m, e, _ in parts if m])
+    return quadrature.Fixed(tuple((-m if s else m) << e - exp for s, m, e, _ in parts), exp)
+
+
+def _as_fixed(factory):
+    """factory's integrand, which returns a tuple of mpf, returning Fixed,
+    its exponent changing from call to call."""
+    def fixed_factory(mp):
+        f = factory(mp)
+        bits = [quadrature.fraction_bits(mp) + extra for extra in (0, 7, 31)]
+        calls = [0]
+
+        def g(x, xc):
+            calls[0] += 1
+            s = bits[calls[0] % 3]
+            return quadrature.Fixed(tuple(v.to_fixed(s) for v in f(x, xc)), -s)
+        return g
+    return fixed_factory
+
+
 def _mixed_factory(mp):
     # components of different difficulty: the log-singular K kernel, a
     # smooth polynomial and K under a peaked weight
@@ -269,7 +301,7 @@ def _component_spec(j):
 
 
 def test_vector_integral_matches_its_scalar_components(ctx):
-    vector = integrate(IntegralSpec("mixed", (), (0, 1), _mixed_factory,
+    vector = integrate(IntegralSpec("mixed", (), (0, 1), _as_fixed(_mixed_factory),
                                     singular_points=(HALF,)), ctx)
     scalars = [integrate(_component_spec(j), ctx) for j in range(3)]
     assert len(vector.value) == len(vector.err_estimate) == 3
@@ -282,9 +314,10 @@ def test_vector_integral_matches_its_scalar_components(ctx):
 
 
 def test_one_tuple_integrand_yields_one_tuples(ctx):
+    # a one-component Fixed holding each mpf exactly sums bit-identically
     def one_tuple(mp):
         k = k_of_x(mp)
-        return lambda x, xc: (k(x, xc),)
+        return lambda x, xc: _exact_fixed((k(x, xc),), mp)
     r = integrate(dataclasses.replace(plain_spec(), factory=one_tuple), ctx)
     scalar = integrate(plain_spec(), ctx)
     assert isinstance(r.value, tuple) and isinstance(r.err_estimate, tuple)
@@ -294,7 +327,7 @@ def test_one_tuple_integrand_yields_one_tuples(ctx):
 
 def test_nan_in_one_component_is_an_integrand_failure(ctx):
     spec = IntegralSpec("nan_component", (), (0, 1),
-                        lambda mp: (lambda x, xc: (mp.one, x if x < 0.7 else mp.nan)))
+                        lambda mp: (lambda x, xc: x if x < 0.7 else mp.nan))
     with pytest.raises(IntegrandFailureError, match="returned nan"):
         integrate(spec, ctx)
 
@@ -339,43 +372,29 @@ def test_max_level_must_be_a_nonnegative_int(ctx, max_level):
 
 def test_inf_in_second_component_is_an_integrand_failure(ctx):
     spec = IntegralSpec("inf_component", (), (0, 1),
-                        lambda mp: (lambda x, xc: (mp.one, x if x < 0.7 else mp.inf)))
+                        lambda mp: (lambda x, xc: x if x < 0.7 else mp.inf))
     with pytest.raises(IntegrandFailureError, match=r"returned \+inf"):
         integrate(spec, ctx)
 
 
-@pytest.mark.parametrize("part, message", [
-    (lambda mp: mp.mpc(mp.inf, 1), r"returned \(\+inf"),
-    (lambda mp: mp.mpc(1, mp.nan), r"returned \(1\.0 \+ nanj\)"),
-], ids=["inf-real", "nan-imag"])
-def test_nonfinite_mpc_component_is_an_integrand_failure(ctx, part, message):
-    spec = IntegralSpec("nonfinite_mpc", (), (0, 1),
-                        lambda mp: (lambda x, xc: (mp.one, mp.mpc(x, x) if x < 0.7 else part(mp))))
-    with pytest.raises(IntegrandFailureError, match=message):
+@pytest.mark.parametrize("value, message", [
+    (lambda mp, x: mp.mpc(1, x), r"returned mpc\(real='1\.0'"),
+    (lambda mp, x: (x, x), r"returned \(mpf\("),
+    (lambda mp, x: 2, "returned 2 "),
+], ids=["mpc", "tuple", "int"])
+def test_a_value_neither_mpf_nor_fixed_is_an_integrand_failure(ctx, value, message):
+    spec = IntegralSpec("not_mpf", (), (0, 1), lambda mp: (lambda x, xc: value(mp, x)))
+    with pytest.raises(IntegrandFailureError, match=message + r".*not an mpf or a Fixed"):
         integrate(spec, ctx)
-
-
-def test_python_int_component_integrates(ctx):
-    spec = IntegralSpec("int_component", (), (0, 1), lambda mp: (lambda x, xc: (2, x)))
-    r = integrate(spec, ctx)
-    assert [type(v) for v in r.value] == [ctx.mp.mpf] * 2
-    assert abs(r.value[0] - 2) <= ctx.quad_target
-    assert abs(r.value[1] - ctx.mp.mpf(0.5)) <= ctx.quad_target
 
 
 def test_complex_values_stay_complex(ctx):
     # I4's imaginary terms cancel to an integer sum of exactly 0; its LHS stays mpc
     assert isinstance(verify("I4", {}, ctx).lhs_value, ctx.mp.mpc)
-    # on (-1, 1) the node pairs are x and -x exactly, so the imaginary
-    # parts x of their terms cancel exactly: the sum is still an mpc
-    spec = IntegralSpec("odd_imaginary", (), (-1, 1), lambda mp: (lambda x, xc: mp.mpc(1, x)))
-    r = integrate(spec, ctx)
-    assert isinstance(r.value, ctx.mp.mpc) and r.value.imag == 0
-    assert abs(r.value.real - 2) <= ctx.quad_target
 
 
 # Fixed-point sum oracle.  Each component is sign 10^k b(x) / (j + 1 + x),
-# times (1 + i x) when complex, on one panel: tanh-sinh with a smooth base
+# summed as one exact Fixed, on one panel: tanh-sinh with a smooth base
 # b, tanh-sinh with an x^(-1/2) end (f near 1e40 at weights near 1e-80 at
 # 30 digits, 1e110 at 1e-220 at 100), or exp-sinh, whose weights grow past
 # 1e50.  The panel runs to a fixed level: no absolute target can be met
@@ -385,16 +404,15 @@ _ORACLE_PANELS = {
     "sqrt-end": ("tanh-sinh", 1, lambda mp, x: mp.cos(x) / mp.sqrt(x)),
     "exp-sinh": ("exp-sinh", INF, lambda mp, x: 1 / (1 + x * x) ** 2),
 }
-_oracle_component = st.tuples(st.integers(min_value=-30, max_value=30), st.booleans(), st.booleans())
+_oracle_component = st.tuples(st.integers(min_value=-30, max_value=30), st.booleans())
 
 
 def _oracle_integrand(mp, base, components):
     def f(x, xc):
         b = base(mp, x)
         out = []
-        for j, (k, negative, complex_) in enumerate(components):
-            v = (-b if negative else b) * mp.mpf(10) ** k / (j + 1 + x)
-            out.append(v * mp.mpc(1, x) if complex_ else v)
+        for j, (k, negative) in enumerate(components):
+            out.append((-b if negative else b) * mp.mpf(10) ** k / (j + 1 + x))
         return tuple(out)
     return f
 
@@ -420,7 +438,7 @@ def test_fixed_point_sum_against_mpf_sum(digits, panel, components, level):
 
     def recording(x, xc):
         calls.append((x, xc))
-        return f(x, xc)
+        return _exact_fixed(f(x, xc), emp)
     values, _, _, n, vector = quadrature._panel(recording, emp, kind, lo, hi, cutoff, negligible,
                                                 emp.zero, level, level)
     assert vector and n == len(calls)
@@ -440,8 +458,8 @@ def test_fixed_point_sum_against_mpf_sum(digits, panel, components, level):
         sums = [a + w * c for a, c in zip(sums, g(x, xc))]
 
     rounding = n * emp.ldexp(1, -(emp.prec + 20))
-    for v, u, (_, _, complex_) in zip(values, sums, components):
-        assert isinstance(v, emp.mpc if complex_ else emp.mpf)
+    for v, u in zip(values, sums):
+        assert isinstance(v, emp.mpf)
         assert abs(v - u * scale / 2 ** level) <= (1 + abs(v)) * emp.mpf(10) ** -digits + rounding
 
 
@@ -450,37 +468,25 @@ def _mixed_sign_components(mp, x):
     return (mp.mpf(10) ** 30 * x * x, -mp.mpf(10) ** -30 / (1 + x), -3 * mp.exp(x))
 
 
-def _as_fixed(factory):
-    """factory's integrand returning Fixed, its exponent changing from call to call."""
-    def fixed_factory(mp):
-        f = factory(mp)
-        bits = [quadrature.fraction_bits(mp) + extra for extra in (0, 7, 31)]
-        calls = [0]
-
-        def g(x, xc):
-            calls[0] += 1
-            s = bits[calls[0] % 3]
-            return quadrature.Fixed(tuple(v.to_fixed(s) for v in f(x, xc)), -s)
-        return g
-    return fixed_factory
-
-
 def test_fixed_integrand_matches_its_mpf_form(ctx):
-    # the same integrand, once as mpf and once as Fixed with negative
-    # mantissas and a per-call exponent: one node set, and values within
-    # the rounding of the two sums, 2 units of 2^-wp per call, times scale 1/2
-    def mpf_factory(mp):
-        return lambda x, xc: _mixed_sign_components(mp, x)
-    spec = IntegralSpec("mixed_signs", (), (0, 1), mpf_factory)
-    plain = integrate(spec, ctx)
-    fixed = integrate(dataclasses.replace(spec, factory=_as_fixed(mpf_factory)), ctx)
-    assert (fixed.levels, fixed.evaluations) == (plain.levels, plain.evaluations)
+    # the same components, once as three mpf integrals and once as one
+    # Fixed with negative mantissas and a per-call exponent: the hardest
+    # component's node set, and values within the rounding of the two sums,
+    # 2 units of 2^-wp per call, times scale 1/2
+    def component(j):
+        return lambda mp: (lambda x, xc: _mixed_sign_components(mp, x)[j])
+    plain = [integrate(IntegralSpec(f"mixed_signs_{j}", (), (0, 1), component(j)), ctx)
+             for j in range(3)]
+    fixed = integrate(IntegralSpec("mixed_signs", (), (0, 1), _as_fixed(
+        lambda mp: (lambda x, xc: _mixed_sign_components(mp, x)))), ctx)
+    assert (fixed.levels, fixed.evaluations) == (max(p.levels for p in plain),
+                                                 max(p.evaluations for p in plain))
     mp = ctx.mp
     wp = quadrature.fraction_bits(ctx.boosted(GUARD).mp)
     rounding = fixed.evaluations * mp.ldexp(1, -wp)
     assert [type(v) for v in fixed.value] == [mp.mpf] * 3
     assert fixed.value[1] < 0 and fixed.value[2] < 0
-    for v, p in zip(fixed.value, plain.value):
+    for v, p in zip(fixed.value, (p.value for p in plain)):
         assert abs(v - p) <= rounding + (1 + abs(p)) * mp.mpf(10) ** -ctx.digits
 
 
