@@ -3,10 +3,13 @@
 Finite panels use the tanh-sinh transformation x = c + r tanh((pi/2) sinh t),
 semi-infinite panels the exp-sinh transformation x = a + exp((pi/2) sinh t).
 The trapezoid step starts at h = 1 and halves per level, reusing previous
-evaluations, until the level-to-level change drops below the target or the
-level cap is hit.  Intervals are split at declared interior singular points
-so that singularities sit at panel ends, where the double-exponential decay
-of the weights absorbs them.
+evaluations.  A panel stops at the first level whose change from the level
+before is within the target or, from level 3 on, whose error extrapolated
+from its last two changes (see _extrapolated) is within both the target and
+10^-(digits+1) of its largest value; else at the level cap.  Intervals
+are split at declared interior singular points so that singularities sit
+at panel ends, where the double-exponential decay of the weights absorbs
+them.
 
 One panel driver serves both maps.  A two-entry transform table gives each
 map's nodes, the panel's length scale and one node's abscissas and weights.
@@ -20,9 +23,10 @@ SciPy's quad_vec), so that integrals sharing costly work at each node --
 K(2 sqrt(x(1-x))) under several weights, P_0..P_n(2x-1) under every
 product -- make one pass over one node set; a complex integral is two real
 components.  A level has converged once every component's change is
-within target, and the tail stop needs every component of both terms of a
-node to be negligible, so the node set is the one the hardest component
-needs alone.  The result holds one value and one estimate per component.
+within target, or once the error extrapolated from the largest changes
+over components is, and the tail stop needs every component of both terms
+of a node to be negligible, so the node set is the one the hardest
+component needs alone.  The result holds one value and one estimate per component.
 
 Endpoint complements (Bailey, Jeyabalan and Li, Exp. Math. 14, 2005; Boost's
 tanh_sinh): every integrand is called as f(x, xc), where the Gap xc holds
@@ -78,7 +82,8 @@ from .precision import PrecisionContext, _count
 MAX_LEVEL = 12
 GUARD = 20  # decimal digits the engine carries beyond the working precision
 INF = math.inf  # spell the upper endpoint of semi-infinite intervals
-POINT_CAP = 32_768  # every catalog row's panels at 300 digits; memory: see README
+POINT_CAP = 32_768  # twice every catalog row's panels at 300 digits; memory: see README
+EXTRAPOLATION_MARGIN = 5  # decimal digits an extrapolated panel error is inflated by
 
 _node_cache: dict = {}
 _point_cache: dict = {}  # key -> (points, tail, count), least recently used first
@@ -135,9 +140,10 @@ class IntegralSpec:
 class QuadResult:
     """Quadrature value with diagnostics.
 
-    err_estimate is the last level-to-level change (a deliberate
-    overestimate once converged), never below the value's representation
-    error at ctx.digits; panels counts subintervals after splitting; levels
+    err_estimate sums each panel's estimate: its last level-to-level change,
+    or, where it stopped on an extrapolated error, that error inflated by
+    10^EXTRAPOLATION_MARGIN; never below the value's representation error
+    at ctx.digits; panels counts subintervals after splitting; levels
     is the deepest refinement level used; evaluations counts integrand calls
     across all panels.  value and err_estimate are mpf when the integrand
     returns an mpf, and tuples of mpf, one entry per component, exactly
@@ -314,6 +320,35 @@ def _failure(what, x, xc):
     return IntegrandFailureError(f"integrand {what} at x = {x}{at_end}")
 
 
+def _extrapolated(mp, changes, total, negligible, target):
+    """The last level's extrapolated error E, or None where it may not stop the panel.
+
+    changes holds each level's largest change over components.  Tanh-sinh
+    converges quadratically, so with D1 and D2 the logarithms of the last
+    two changes the last level errs by about 10^max(D1^2/D2, 2 D1)
+    (Borwein, Bailey and Girgensohn, Experimentation in Mathematics, 2004;
+    mpmath's QuadratureRule.estimate_error).  D1 and D2 are read as log2
+    from the changes' binary exponents, and E is that error times
+    10^EXTRAPOLATION_MARGIN, rounded up to a power of 2, and never below
+    negligible max(1, largest |total|): the node loop drops terms below
+    negligible, and the integrand's own rounding is about that share of
+    the value.  E is returned only if the last three changes are nonzero
+    and strictly shrinking and E is within both target and 10^-(digits+1)
+    = 10^9 negligible times the largest |total|.
+    """
+    if len(changes) < 3 or not changes[-3] > changes[-2] > changes[-1] > 0:
+        return None
+    d1, d2 = (c._mpf_[2] + c._mpf_[3] for c in changes[:-3:-1])  # log2 |change|, rounded up
+    if d2 >= 0:
+        return None
+    log2_e = max(d1 * d1 / d2, 2 * d1) + EXTRAPOLATION_MARGIN * math.log2(10)
+    largest = max(map(abs, total))
+    estimate = max(mp.ldexp(1, math.ceil(log2_e)), negligible * max(1, largest))
+    if estimate <= target and estimate <= negligible * 10 ** 9 * largest:
+        return estimate
+    return None
+
+
 def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level):
     """Refine one panel level by level.
 
@@ -327,6 +362,7 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
     # a term w f is negligible once scale |w f| is
     limit = int(mp.ldexp(negligible / scale, wp))
     sums = err = None
+    changes = []  # each level's largest change over components
     make_mpf = mp.make_mpf  # points keep x as a tuple: an mpf each would cost 56 bytes
     calls = 0
     vector = False
@@ -367,8 +403,13 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
         total = [mp.mpf((s, unit)) * scale for s in sums]
         if level >= 1:
             err = [abs(t - p) for t, p in zip(total, prev)]
-            if level >= min_level and max(err) <= target:
-                return total, err, level, calls, vector
+            changes.append(max(err))
+            if level >= min_level:
+                if changes[-1] <= target:
+                    return total, err, level, calls, vector
+                estimate = _extrapolated(mp, changes, total, negligible, target)
+                if estimate is not None:
+                    return total, [estimate] * len(total), level, calls, vector
         prev = total
     return total, err, max_level, calls, vector
 
@@ -377,10 +418,15 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
               min_level: int = 2) -> QuadResult:
     """Integrate spec to ctx.quad_target absolute error in every component.
 
-    Raises NonConvergenceError if any panel hits the level cap with an
-    error estimate above target, IntegrandFailureError if the integrand
-    raises or returns a non-finite value, and DomainError if max_level is
-    not a nonnegative int.
+    Each panel, given an equal share of quad_target, stops at the first
+    level at or past min_level whose largest change from the level before
+    is within its share or, from level 3 on, whose extrapolated error E is
+    within both its share and 10^-(digits+1) of its largest value; E is
+    then its estimate (see _extrapolated).  Raises NonConvergenceError if
+    any panel hits the level cap with an error estimate above target,
+    IntegrandFailureError if the integrand raises or returns a non-finite
+    value, and DomainError if max_level or min_level is not a nonnegative
+    int or min_level exceeds max_level.
 
     Convergence is judged from the nodes alone, so an integrand whose mass
     lies far beyond the exp-sinh node range, or in a sliver of a long
@@ -391,6 +437,9 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
     by 1.5 quad_target, with an estimate 26 times smaller.
     """
     max_level = _count(max_level, "max_level")
+    min_level = _count(min_level, "min_level")
+    if min_level > max_level:
+        raise DomainError(f"min_level {min_level} exceeds max_level {max_level}")
     mp = ctx.boosted(GUARD).mp
     negligible = mp.mpf(10) ** (-(ctx.digits + 10))
     cutoff = negligible ** 2

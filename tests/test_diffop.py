@@ -59,7 +59,7 @@ def test_ode_residual_is_one_integral(ctx, monkeypatch):
         return results[-1]
     monkeypatch.setattr(diffop, "integrate", recording)
     assert ode_annihilator_residual(ctx.mp.mpf("0.5"), ctx).passed
-    assert [(len(r.value), r.evaluations) for r in results] == [(4, 894)]
+    assert [(len(r.value), r.evaluations) for r in results] == [(4, 602)]
 
 
 def test_selftest_ode_checks_share_one_integral(monkeypatch):

@@ -108,10 +108,10 @@ def test_exp_sinh_against_closed_form(ctx):
 @pytest.mark.parametrize("spec, calls, levels", [
     (plain_spec(), 602, 5),
     (IntegralSpec("re_k_semi_infinite", (1,), (0, INF), re_k_semi_infinite_kernel,
-                  singular_points=(1,)), 938, 6),
+                  singular_points=(1,)), 476, 5),
     # I6's form: a tanh-sinh panel (0, c) and an exp-sinh panel (c, inf)
-    (axial_t_spec(1, 1), 932, 6),
-    (axial_t_spec(0, 1), 938, 6),
+    (axial_t_spec(1, 1), 642, 5),
+    (axial_t_spec(0, 1), 476, 5),
 ], ids=["tanh-sinh", "exp-sinh", "axial-t-b1-c1", "axial-t-b0-c1"])
 def test_node_sets_are_pinned(ctx, spec, calls, levels):
     # integrand calls and depth at 50 digits fix each transform's node set
@@ -368,6 +368,13 @@ def test_max_level_must_be_a_nonnegative_int(ctx, max_level):
         integrate(plain_spec(), ctx, max_level=max_level)
     with pytest.raises(DomainError, match="max_level"):
         verify("I8", {}, ctx, max_level=max_level)
+
+
+@pytest.mark.parametrize("min_level, max_level", [
+    (-1, MAX_LEVEL), (True, MAX_LEVEL), (2.5, MAX_LEVEL), ("3", MAX_LEVEL), (20, MAX_LEVEL), (3, 2)])
+def test_min_level_must_be_a_nonnegative_int_at_most_max_level(ctx, min_level, max_level):
+    with pytest.raises(DomainError, match="min_level"):
+        integrate(plain_spec(), ctx, min_level=min_level, max_level=max_level)
 
 
 def test_inf_in_second_component_is_an_integrand_failure(ctx):
