@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from mpmath.libmp import mpf_abs, mpf_shift, pi_fixed, to_fixed
+from mpmath.libmp import from_man_exp, mpf_abs, mpf_shift, pi_fixed, to_fixed
 
 from .elliptic import agm_int, ellipk_real_mp, re_k_modulus_mp
 from .errors import SingularityError
@@ -154,6 +154,7 @@ def _weight_core(mp, a, order: int):
     # log2 of the two lower bounds of u, where they are not 0
     shift_log = 2 * _magnitude((1 - abs(a))._mpf_) if abs(a) != 1 else None
     a_log = _magnitude(a._mpf_) + 2 if a > 0 else None
+    scales = {}  # s -> ((1 - a) 2^s, (1 - a)^2 2^2s, 4a 2^s, 2^2s), filled as scales are met
 
     def f(one_minus_x):
         below = shift_log
@@ -161,12 +162,15 @@ def _weight_core(mp, a, order: int):
             prod_log = a_log + _magnitude(one_minus_x)
             below = prod_log if below is None else max(below, prod_log)
         s = wp + max(above, -(below or 0))
-        one = 1 << s
+        constants = scales.get(s)
+        if constants is None:
+            a_s = a.to_fixed(s)
+            d = (1 << s) - a_s
+            constants = scales[s] = (d, d * d, 4 * a_s, 1 << 2 * s)
+        d, d_squared, four_a, unit_squared = constants
         o = to_fixed(one_minus_x, s)
-        a_s = a.to_fixed(s)
-        d = one - a_s  # (1 - a) 2^s
-        u = (d * d + 4 * a_s * o) >> s
-        g = (one << s) // isqrt(u << s)  # u^(-1/2) 2^s
+        u = (d_squared + four_a * o) >> s
+        g = unit_squared // isqrt(u << s)  # u^(-1/2) 2^s
         if order == 0:
             return (g,), s
         ua = 4 * o - 2 * d  # du/da 2^s
@@ -179,7 +183,7 @@ def _weight_core(mp, a, order: int):
         if order == 2:
             return (g, d1, d2), s
         q = ua * ua // u  # ua^2 / u 2^s
-        d3 = (36 * one - 15 * q) * ua * g5 >> 2 * s + 3  # (9/2 - 15/8 q) ua g5
+        d3 = ((36 << s) - 15 * q) * ua * g5 >> 2 * s + 3  # (9/2 - 15/8 q) ua g5
         return (g, d1, d2, d3), s
     return f
 
@@ -207,19 +211,27 @@ def weighted_kernel(mp, order: int, *a_values):
     One component per (a, derivative) pair, a-major: params (order, a1, ...,
     an) give order + 1 components per real a (Re and Im at an imaginary a),
     all sharing one K value and one 1 - x per node, kept on its memo.  Returns
-    a Fixed: K's exact mantissa times each weight's integer, at the finest a's scale.
+    a Fixed: K's exact mantissa times each weight's integer, at the finest a's
+    scale.  The first a is the body's own, so one a costs what a body for one
+    a alone would; each further a shifts what came before only if its scale
+    is finer.
     """
     k = k_of_x(mp)
     to_one = gap_to(mp, 1)
     node = _memoised("K, 1 - x", lambda x, xc: (k(x, xc)._mpf_, to_one(x, xc)))
-    cores = [_weight_core(mp, a, order) for a in a_values]
+    first, *rest = (_weight_core(mp, a, order) for a in a_values)
 
     def f(x, xc):
         (_, k_man, k_exp, _), one_minus_x = node(x, xc)  # K > 0
-        weights = [core(one_minus_x) for core in cores]
-        top = max(s for _, s in weights)
-        return Fixed(tuple(k_man * w << top - s for values, s in weights for w in values),
-                     k_exp - top)
+        values, top = first(one_minus_x)
+        mantissas = [k_man * w for w in values]
+        for core in rest:
+            values, s = core(one_minus_x)
+            if s > top:
+                mantissas = [m << s - top for m in mantissas]
+                top = s
+            mantissas += [k_man * w << top - s for w in values]
+        return Fixed(tuple(mantissas), k_exp - top)
     return f
 
 
@@ -248,9 +260,9 @@ def _cube_half(man: int, exp: int, bits: int):
 
 def _ratio(mp, num: int, den: int, exp: int, bits: int):
     """num/den 2^exp for den > 0, as an mpf of mp: one integer division to
-    bits + 2 bits, then rounded once into mp."""
+    bits + 2 bits, then rounded once into mp, as mp.mpf rounds."""
     k = max(0, bits + 2 + den.bit_length() - abs(num).bit_length())
-    return mp.mpf(((num << k) // den, exp - k))
+    return mp.make_mpf(from_man_exp((num << k) // den, exp - k, mp.prec, "n"))
 
 
 def axial_t_kernel(mp, b, c):

@@ -6,10 +6,11 @@ The trapezoid step starts at h = 1 and halves per level, reusing previous
 evaluations.  A panel stops at the first level whose change from the level
 before is within the target or, from level 3 on, whose error extrapolated
 from its last two changes (see _extrapolated) is within both the target and
-10^-(digits+1) of its largest value; else at the level cap.  Intervals
-are split at declared interior singular points so that singularities sit
-at panel ends, where the double-exponential decay of the weights absorbs
-them.
+10^-(digits+1) of its largest value; else at the level cap.  No panel
+estimate falls below the engine's noise floor, 10^-(digits+10) times
+max(1, |value|) (see _noise_floor).  Intervals are split at declared
+interior singular points so that singularities sit at panel ends, where
+the double-exponential decay of the weights absorbs them.
 
 One panel driver serves both maps.  A two-entry transform table gives each
 map's nodes, the panel's length scale and one node's abscissas and weights.
@@ -82,7 +83,9 @@ from .precision import PrecisionContext, _count
 MAX_LEVEL = 12
 GUARD = 20  # decimal digits the engine carries beyond the working precision
 INF = math.inf  # spell the upper endpoint of semi-infinite intervals
-POINT_CAP = 32_768  # twice every catalog row's panels at 300 digits; memory: see README
+# twice every catalog row's panels at 300 digits; a point, x an mpf, takes
+# 500-1,140 B (README), so a full cache holds 16-37 MB
+POINT_CAP = 32_768
 EXTRAPOLATION_MARGIN = 5  # decimal digits an extrapolated panel error is inflated by
 
 _node_cache: dict = {}
@@ -142,12 +145,13 @@ class QuadResult:
 
     err_estimate sums each panel's estimate: its last level-to-level change,
     or, where it stopped on an extrapolated error, that error inflated by
-    10^EXTRAPOLATION_MARGIN; never below the value's representation error
-    at ctx.digits; panels counts subintervals after splitting; levels
-    is the deepest refinement level used; evaluations counts integrand calls
-    across all panels.  value and err_estimate are mpf when the integrand
-    returns an mpf, and tuples of mpf, one entry per component, exactly
-    when it returns a Fixed.
+    10^EXTRAPOLATION_MARGIN, either floored at the panel's noise floor;
+    never below the value's representation error at ctx.digits; panels
+    counts subintervals after splitting; levels is the deepest refinement
+    level used; evaluations counts integrand calls across all panels.
+    value and err_estimate are mpf when the integrand returns an mpf, and
+    tuples of mpf, one entry per component, exactly when it returns a
+    Fixed.
     """
 
     value: object
@@ -292,8 +296,8 @@ def _level_nodes(mp, kind: str, level: int, cutoff):
 
 def _level_points(mp, kind: str, level: int, cutoff, lo, hi, scale):
     """(points, tail, count) of one level on (lo, hi), built once and cached:
-    points[i] is node i's (weight mantissa, weight exponent, x's mpf tuple,
-    xc), then its mirror's, in one flat tuple.  A level is published whole;
+    points[i] is node i's (weight mantissa, weight exponent, x, xc), then
+    its mirror's, in one flat tuple.  A level is published whole;
     past POINT_CAP points, the least recently used levels are evicted."""
     key = (kind, mp.prec, level, cutoff._mpf_, lo._mpf_, hi._mpf_)
     with _cache_lock:
@@ -303,8 +307,7 @@ def _level_points(mp, kind: str, level: int, cutoff, lo, hi, scale):
             return entry
     nodes, tail = _level_nodes(mp, kind, level, cutoff)
     points = _TRANSFORMS[kind][2]
-    flat = [sum(((wm, we, x._mpf_, xc) for wm, we, x, xc in points(node, lo, hi, scale)), ())
-            for node in nodes]
+    flat = [sum(points(node, lo, hi, scale), ()) for node in nodes]
     built = (flat, tail, sum(map(len, flat)) // 4)
     with _cache_lock:
         entry = _point_cache.setdefault(key, built)
@@ -320,6 +323,15 @@ def _failure(what, x, xc):
     return IntegrandFailureError(f"integrand {what} at x = {x}{at_end}")
 
 
+def _noise_floor(negligible, total):
+    """negligible max(1, largest |total|), below which no panel estimate falls.
+
+    The node loop drops terms below negligible, and the integrand's own
+    rounding is about that share of the value.
+    """
+    return negligible * max(1, max(map(abs, total)))
+
+
 def _extrapolated(mp, changes, total, negligible, target):
     """The last level's extrapolated error E, or None where it may not stop the panel.
 
@@ -330,9 +342,7 @@ def _extrapolated(mp, changes, total, negligible, target):
     mpmath's QuadratureRule.estimate_error).  D1 and D2 are read as log2
     from the changes' binary exponents, and E is that error times
     10^EXTRAPOLATION_MARGIN, rounded up to a power of 2, and never below
-    negligible max(1, largest |total|): the node loop drops terms below
-    negligible, and the integrand's own rounding is about that share of
-    the value.  E is returned only if the last three changes are nonzero
+    _noise_floor.  E is returned only if the last three changes are nonzero
     and strictly shrinking and E is within both target and 10^-(digits+1)
     = 10^9 negligible times the largest |total|.
     """
@@ -342,9 +352,8 @@ def _extrapolated(mp, changes, total, negligible, target):
     if d2 >= 0:
         return None
     log2_e = max(d1 * d1 / d2, 2 * d1) + EXTRAPOLATION_MARGIN * math.log2(10)
-    largest = max(map(abs, total))
-    estimate = max(mp.ldexp(1, math.ceil(log2_e)), negligible * max(1, largest))
-    if estimate <= target and estimate <= negligible * 10 ** 9 * largest:
+    estimate = max(mp.ldexp(1, math.ceil(log2_e)), _noise_floor(negligible, total))
+    if estimate <= target and estimate <= negligible * 10 ** 9 * max(map(abs, total)):
         return estimate
     return None
 
@@ -355,7 +364,9 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
     Returns (values, error estimates, level, calls, vector): one value and
     one estimate per component of f, the level reached, the integrand calls
     made and whether f returned a Fixed.  Level L's value is each
-    component's int sum times 2^-(wp + L) scale.
+    component's int sum times 2^-(wp + L) scale.  An estimate is the
+    extrapolated error E, or else the component's last change; either is
+    at least _noise_floor of the values.
     """
     scale = _TRANSFORMS[kind][1](lo, hi)
     wp = fraction_bits(mp)
@@ -363,7 +374,6 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
     limit = int(mp.ldexp(negligible / scale, wp))
     sums = err = None
     changes = []  # each level's largest change over components
-    make_mpf = mp.make_mpf  # points keep x as a tuple: an mpf each would cost 56 bytes
     calls = 0
     vector = False
     for level in range(max_level + 1):
@@ -371,8 +381,7 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
         for i, node in enumerate(nodes):
             small = i >= tail
             point = iter(node)
-            for wm, we, x_mpf, xc in zip(point, point, point, point):
-                x = make_mpf(x_mpf)
+            for wm, we, x, xc in zip(point, point, point, point):
                 try:
                     v = f(x, xc)
                 except (ArithmeticError, ValueError, ZeroDivisionError) as exc:
@@ -406,12 +415,13 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
             changes.append(max(err))
             if level >= min_level:
                 if changes[-1] <= target:
-                    return total, err, level, calls, vector
+                    break
                 estimate = _extrapolated(mp, changes, total, negligible, target)
                 if estimate is not None:
                     return total, [estimate] * len(total), level, calls, vector
         prev = total
-    return total, err, max_level, calls, vector
+    floor = _noise_floor(negligible, total)
+    return total, err and [max(e, floor) for e in err], level, calls, vector
 
 
 def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX_LEVEL,
@@ -423,7 +433,8 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
     is within its share or, from level 3 on, whose extrapolated error E is
     within both its share and 10^-(digits+1) of its largest value; E is
     then its estimate (see _extrapolated).  Raises NonConvergenceError if
-    any panel hits the level cap with an error estimate above target,
+    any panel hits the level cap with an error estimate above both target
+    and its noise floor,
     IntegrandFailureError if the integrand raises or returns a non-finite
     value, and DomainError if max_level or min_level is not a nonnegative
     int or min_level exceeds max_level.
@@ -465,7 +476,7 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
         kind = "exp-sinh" if mp.isinf(b) else "tanh-sinh"
         v, e, lev, calls, vector = _panel(f, mp, kind, a, b, cutoff, negligible, target,
                                           max_level, min_level)
-        if e is None or max(e) > target:
+        if e is None or max(e) > max(target, _noise_floor(negligible, v)):
             raise NonConvergenceError(
                 f"{spec.integrand_id}: panel ({a}, {b}) stopped at level {lev} "
                 f"with estimate {mp.nstr(max(e), 5) if e is not None else 'n/a'} above target")

@@ -1,9 +1,12 @@
+import random
+
+import mpmath
 import pytest
 
 from multiell import (DomainError, IntegralSpec, SingularityError, agm,
                       ellipk, ellipk_complementary, ellipk_series,
                       generating_integral_closed_form, integrate)
-from multiell.elliptic import ellipk_mp, ellipk_real_mp
+from multiell.elliptic import agm_int, ellipk_mp, ellipk_real_mp
 from multiell.quadrature import gap_to
 
 
@@ -57,6 +60,37 @@ def test_agm_domain(ctx):
         agm(0, 1, ctx)
     with pytest.raises(DomainError):
         agm(1, -1, ctx)
+
+
+def _agm_int_pairs(bits):
+    """(a, b) pairs with the smaller of them bits bits long, as agm_int's callers
+    scale them: b/a from 2^-2000 up to 1 - 2^-bits, and a = b."""
+    rng = random.Random(bits)
+    small = rng.getrandbits(bits) | 1 << bits - 1
+    pairs = [(small << k | rng.getrandbits(k), small) for k in (1, 2, 9, 64, 500, 2000)]
+    pairs += [(small + (small >> k), small) for k in (1, 2, 5, 17, bits // 2, bits - 3)]
+    return pairs + [(small + 1, small), (small, small)]
+
+
+SMALL_INT_PAIRS = [(1, 1), (1, 2), (2, 3), (7, 8), (3, 5), (1, 1000), (3, 2 ** 20)]
+
+
+@pytest.mark.parametrize("order", ["a > b", "a < b"])
+@pytest.mark.parametrize("pairs", [*map(_agm_int_pairs, (64, 200, 1016, 3400)), SMALL_INT_PAIRS],
+                         ids=["2^64", "2^200", "2^1016", "2^3400", "small ints"])
+def test_agm_int_against_mpmath(pairs, order):
+    # within 2 units of mpmath's agm M, 40 digits above the larger argument;
+    # where b/a is far from 1 a unit is M/sqrt(ab), the geometric means'
+    # own resolution.  A stop test sized on a alone stops too early where
+    # a << b
+    for a, b in pairs:
+        if order == "a < b":
+            a, b = b, a
+        mp = mpmath.mp.clone()
+        mp.prec = max(a, b).bit_length() + 133
+        exact = mp.agm(a, b)
+        unit = max(1, exact / mp.sqrt(a * b))
+        assert abs(agm_int(a, b) - exact) <= 2 * unit, (a, b)
 
 
 def test_agm_sqrt2_matches_quadrature_at_negative_parameter(ctx):

@@ -235,6 +235,25 @@ def test_nonconvergence_at_low_level_cap(ctx):
         integrate(plain_spec(), ctx, max_level=2)
 
 
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("kind", ["tanh-sinh", "exp-sinh"])
+@pytest.mark.parametrize("value", [0, 1, 10 ** 30])
+def test_an_estimate_never_falls_below_the_noise_floor(digits, kind, value):
+    # past level 5 these panels' level changes vanish, or fall below
+    # negligible max(1, |value|), so the last change alone would report
+    # less than the node loop's dropped terms and the integrand's rounding
+    ctx = PrecisionContext(digits)
+    mp = ctx.boosted(GUARD).mp
+    negligible = mp.mpf(10) ** -(digits + 10)
+    hi = mp.inf if kind == "exp-sinh" else mp.one
+    f = lambda x, xc: mp.mpf(value) / ((1 + x) ** 2 if kind == "exp-sinh" else 1)
+    for min_level in (2, 6):
+        values, estimates, _, _, _ = quadrature._panel(
+            f, mp, kind, mp.zero, hi, negligible ** 2, negligible,
+            mp.convert(ctx.quad_target), MAX_LEVEL, min_level)
+        assert estimates[0] >= negligible * max(1, abs(values[0]))
+
+
 def test_integrand_failure_is_wrapped(ctx):
     def bad_factory(mp):
         def f(x, xc):
