@@ -31,7 +31,7 @@ from .elliptic import generating_integral_closed_form
 from .errors import DomainError
 from .fd import richardson_derivative
 from .precision import PrecisionContext, _real
-from .quadrature import Gap, integrate
+from .quadrature import GUARD, Gap, integrate
 
 _FD_BOOST = 20
 
@@ -46,7 +46,7 @@ class Residual(NamedTuple):
 
 
 def _verdict(mp, residual, scale, ctx: PrecisionContext, k: int) -> Residual:
-    """Residual against tolerance 10^-(digits//k) * scale in mp, rounded to ctx."""
+    """Residual against tolerance 10^-(digits//k) * scale in mp, each rounded once to ctx."""
     tol = mp.mpf(10) ** (-(ctx.digits // k)) * scale
     return Residual(ctx.reduce(residual), ctx.reduce(scale), ctx.reduce(tol), residual <= tol)
 
@@ -75,23 +75,23 @@ def weighted_derivatives(a_values, ctx: PrecisionContext):
     """The weighted K-kernel integral and its first three a-derivatives at each a.
 
     One vector quadrature of the analytically differentiated weight over
-    all of a_values, sharing each K value; returns one list of the four
-    values per a, in the order of a_values.
+    all of a_values, sharing each K value; returns the four values per a,
+    in the order of a_values, unrounded, as integrate returns them.
     """
-    mp = ctx.mp
-    result = integrate(kernels.weighted_kernel_spec(a_values, 3), ctx)
-    values = [mp.convert(v) for v in result.value]
+    values = integrate(kernels.weighted_kernel_spec(a_values, 3), ctx).value
     return [values[4 * i:4 * i + 4] for i in range(len(a_values))]
 
 
 def ode_residual_of(a, derivs, ctx: PrecisionContext, *, corrupted: bool = False) -> Residual:
     """The third-order operator's residual at a, from the integral's four derivatives.
 
-    The tolerance is quadrature-limited, 10^(-digits/2) relative to scale.
+    The terms are summed at integrate's precision, ctx.boosted(GUARD).  The
+    tolerance is quadrature-limited, 10^(-digits/2) relative to scale.
     With ``corrupted`` the zeroth-order coefficient a is replaced by 2a.
     """
-    residual, scale = _ode_combine(ctx.mp, a, derivs, corrupted)
-    return _verdict(ctx.mp, residual, scale, ctx, 2)
+    mp = ctx.boosted(GUARD).mp
+    residual, scale = _ode_combine(mp, mp.convert(a), derivs, corrupted)
+    return _verdict(mp, residual, scale, ctx, 2)
 
 
 def ode_annihilator_residual(a, ctx: PrecisionContext, *, corrupted: bool = False) -> Residual:

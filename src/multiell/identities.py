@@ -8,7 +8,8 @@ left-hand side additionally requires its imaginary part to sit below ten
 times the quadrature error estimate (I4 and I5, points of I1 at an imaginary
 a, have a weight conjugate-symmetric about x = 1/2, so the imaginary part
 must vanish -- tested, not assumed).  I2-I5 and I10 are _WEIGHTED_ROWS, and
-I1-ext is I1(1/a)/a (see _inverted).
+I1-ext is I1(1/a)/a (see _inverted).  Both sides are compared unrounded,
+at integrate's precision ctx.boosted(GUARD); only _verify_points rounds.
 """
 
 from __future__ import annotations
@@ -19,15 +20,17 @@ import time
 from dataclasses import dataclass
 
 import mpmath
+from mpmath.libmp import from_rational
 
 from . import kernels
 from .elliptic import generating_integral_closed_form
 from .errors import DomainError, OutOfDomainError
+from .gammafn import gamma
 from .precision import PrecisionContext
-from .quadrature import MAX_LEVEL, IntegralSpec, integrate
+from .quadrature import GUARD, MAX_LEVEL, IntegralSpec, integrate
 from .series import (SERIES_R, SeriesId, clausen_sum, legendre_sum, linear_bridge,
                      ramanujan_sum, ramanujan_target)
-from .singular import SINGULAR_VALUES, rhs_constant
+from .singular import SINGULAR_VALUES
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,9 @@ class IdentityRecord:
     """One catalog row.
 
     lhs(ctx, points, max_level) takes a list of validated parameter dicts
-    and returns one (value, err_estimate) pair per point (err_estimate is
-    None for series rows); rhs(ctx, params) is the closed form at one point.
+    and returns one unrounded (value, err_estimate) pair per point
+    (err_estimate is None for series rows); rhs(hi, params) is the closed
+    form at one point in the context hi, ctx.boosted(GUARD) in verify.
     """
 
     id: str
@@ -139,14 +143,14 @@ def _weighted_lhs(point_of=lambda hi, p: (p["a"], (1,))):
     components v_j at a (see kernels.weighted_kernel); all points' a in one vector integral.
     """
     def lhs(ctx, points, max_level):
-        data = [point_of(ctx.boosted(10), p) for p in points]
+        data = [point_of(ctx.boosted(GUARD), p) for p in points]
         a, c = data[0]
         order = 0 if hasattr(a, "_mpc_") else len(c) - 1
         result = integrate(kernels.weighted_kernel_spec(tuple(a for a, _ in data), order),
                            ctx, max_level=max_level)
         values, errs = iter(result.value), iter(result.err_estimate)
-        return [(ctx.reduce(sum(cj * next(values) for cj in c)),
-                 ctx.reduce(sum(abs(cj) * next(errs) for cj in c))) for _, c in data]
+        return [(sum(cj * next(values) for cj in c), sum(abs(cj) * next(errs) for cj in c))
+                for _, c in data]
     return lhs
 
 
@@ -156,14 +160,19 @@ def _bridged(series_id, scale):
     def point(hi, p):
         bridge = linear_bridge(series_id, hi)
         return bridge.a_star, (scale * bridge.alpha, scale * bridge.beta)
-    return point, _closed_form_rhs(
-        lambda mp: scale * mp.pi / 4 * SINGULAR_VALUES[SERIES_R[series_id]].series(mp)[3])
+    return point, lambda hi, p: (scale * hi.mp.pi / 4
+                                 * SINGULAR_VALUES[SERIES_R[series_id]].series(hi.mp)[3])
 
 
 def _imaginary(hi, r):
     """Point i beta and coefficients (beta, i beta) of beta I1(i beta), at r's beta."""
     beta = SINGULAR_VALUES[r].beta(hi.mp)
     return hi.mp.j * beta, (beta, hi.mp.j * beta)
+
+
+def _gamma_rhs(r):
+    """RHS of the row at singular value r: its Gamma form, evaluated in hi itself."""
+    return lambda hi, p: SINGULAR_VALUES[r].gamma(hi.mp, lambda x: gamma(x, hi))
 
 
 def _inverted(hi, p):
@@ -174,11 +183,6 @@ def _inverted(hi, p):
     return inverse, (inverse,)
 
 
-def _closed_form_rhs(value_of_mp):
-    """RHS constant value_of_mp(mp), evaluated at guard precision."""
-    return lambda ctx, p: ctx.reduce(value_of_mp(ctx.boosted(10).mp))
-
-
 # Rows the paper reduces to I1(a), as (point, rhs), their data read from the
 # singular-value table: I3 = I1(sqrt(-z)) at r = 4; I4 and I5 are beta I1(i beta)
 # at r = 3 and 7; I2 and I10 are I12's two series, bridged to I1 and I1' at a*,
@@ -186,9 +190,9 @@ def _closed_form_rhs(value_of_mp):
 _WEIGHTED_ROWS = {
     "I2": _bridged(SeriesId.RAMANUJAN_2SQRT2, 0.25),
     "I3": (lambda hi, p: (hi.mp.sqrt(-SINGULAR_VALUES[4].series(hi.mp)[0]), (1,)),
-           lambda ctx, p: rhs_constant("I3", ctx)),
-    "I4": (lambda hi, p: _imaginary(hi, 3), lambda ctx, p: rhs_constant("I4", ctx)),
-    "I5": (lambda hi, p: _imaginary(hi, 7), lambda ctx, p: rhs_constant("I5", ctx)),
+           _gamma_rhs(4)),
+    "I4": (lambda hi, p: _imaginary(hi, 3), _gamma_rhs(3)),
+    "I5": (lambda hi, p: _imaginary(hi, 7), _gamma_rhs(7)),
     "I10": _bridged(SeriesId.RAMANUJAN_4SQRT2, -0.0625),
 }
 
@@ -204,11 +208,9 @@ def _unit_kernel_lhs(factory):
         factory.__name__, (), (0, 1), factory, singular_points=(0.5,)))
 
 
-def _axial_rhs(ctx, p):
-    hi = ctx.boosted(10)
-    mp = hi.mp
-    b, c = mp.convert(p["b"]), mp.convert(p["c"])
-    return ctx.reduce(mp.pi / (2 * mp.sqrt((b + 1) ** 2 + c * c)))
+def _axial_rhs(hi, p):
+    b, c = hi.mp.convert(p["b"]), hi.mp.convert(p["c"])
+    return hi.mp.pi / (2 * hi.mp.sqrt((b + 1) ** 2 + c * c))
 
 
 def _clausen_lhs(ctx, points, max_level):
@@ -216,31 +218,22 @@ def _clausen_lhs(ctx, points, max_level):
             for p in points]
 
 
-def _clausen_rhs(ctx, p):
-    hi = ctx.boosted(10)
-    value = generating_integral_closed_form(p["a"], hi)
-    return ctx.reduce(4 / hi.mp.pi ** 2 * value)
-
-
 def _ramanujan_lhs(ctx, points, max_level):
     out = []
     for p in points:
         sid = tuple(SeriesId)[p["variant"]]  # I12's variants are the SeriesIds in order
-        z = SINGULAR_VALUES[SERIES_R[sid]].series(ctx.boosted(10).mp)[0]
+        z = SINGULAR_VALUES[SERIES_R[sid]].series(ctx.mp)[0]
         out.append((ramanujan_sum(sid, _series_terms(z, ctx.digits), ctx), None))
     return out
 
 
-def _ramanujan_rhs(ctx, p):
-    return ramanujan_target(tuple(SeriesId)[p["variant"]], ctx)
+def _generating_rhs(hi, p):
+    return generating_integral_closed_form(p["a"], hi)
 
 
-def _generating_rhs(ctx, p):
-    return generating_integral_closed_form(p["a"], ctx)
-
-
-def _legendre_rhs(ctx, p):
-    return legendre_sum(p["a"], _series_terms(p["a"] ** 2, ctx.digits), ctx)
+def _legendre_rhs(hi, p):
+    # hi carries GUARD digits; the term count is the working precision's
+    return legendre_sum(p["a"], _series_terms(p["a"] ** 2, hi.digits - GUARD), hi)
 
 
 # I6's and I9's bounds are measured: past them the semi-infinite panel can
@@ -263,21 +256,23 @@ _CATALOG = {rec.id: rec for rec in (
                    _quad_lhs(lambda ctx, p: kernels.axial_t_spec(p["b"], p["c"])), _axial_rhs),
     IdentityRecord("I7", "axial special case on (0,1); value pi/(2 sqrt 2)",
                    (), _unit_kernel_lhs(kernels.special_case_kernel),
-                   _closed_form_rhs(lambda mp: mp.pi / (2 * mp.sqrt(2)))),
+                   lambda hi, p: hi.mp.pi / (2 * hi.mp.sqrt(2))),
     IdentityRecord("I8", "plain K-kernel integral; value pi^2/4",
                    (), _unit_kernel_lhs(kernels.k_of_x),
-                   _closed_form_rhs(lambda mp: mp.pi ** 2 / 4)),
+                   lambda hi, p: hi.mp.pi ** 2 / 4),
     IdentityRecord("I9", "semi-infinite Re K integral; value pi/(2 sqrt(1+c^2))",
                    (ParamSpec("c", lo="1e-10", hi="1e10"),),
                    _quad_lhs(lambda ctx, p: kernels.semi_infinite_spec(
                        kernels.re_k_semi_infinite_kernel, p["c"])),
-                   lambda ctx, p: _axial_rhs(ctx, {"b": 0, "c": p["c"]})),
+                   lambda hi, p: _axial_rhs(hi, {"b": 0, "c": p["c"]})),
     IdentityRecord("I10", "signed rational-weight K integral; value -pi/(8 sqrt 2)",
                    (), *_weighted_row("I10")),
     IdentityRecord("I11", "Clausen-type series vs squared-K closed form",
-                   (ParamSpec("a", lo=0, hi="0.95"),), _clausen_lhs, _clausen_rhs),
+                   (ParamSpec("a", lo=0, hi="0.95"),), _clausen_lhs,
+                   lambda hi, p: 4 / hi.mp.pi ** 2 * generating_integral_closed_form(p["a"], hi)),
     IdentityRecord("I12", "level-4 Ramanujan-type series vs algebraic multiple of 1/pi",
-                   (ParamSpec("variant", choices=(0, 1)),), _ramanujan_lhs, _ramanujan_rhs),
+                   (ParamSpec("variant", choices=(0, 1)),), _ramanujan_lhs,
+                   lambda hi, p: ramanujan_target(tuple(SeriesId)[p["variant"]], hi)),
     IdentityRecord("I13", "quadrature route vs Legendre-projection series route",
                    (ParamSpec("a", lo=0, hi="0.95"),), _weighted_lhs(), _legendre_rhs),
 )}
@@ -308,29 +303,49 @@ def _validated(rec: IdentityRecord, params, ctx: PrecisionContext):
     return {p.name: p.validate(params[p.name], ctx.mp) for p in rec.params}
 
 
+def _rounded_up(ctx, estimate):
+    """estimate > 0 up to two significant digits, the least q 10^e >= it with
+    10 <= q <= 100, rounded up into ctx: an estimate holds no more digits."""
+    _, man, exp, bits = estimate._mpf_
+    num, den = man << max(exp, 0), 1 << max(-exp, 0)  # estimate = num / den
+    e = math.floor((exp + bits) * math.log10(2)) - 2  # estimate / 10^e in [50, 1000)
+    while (q := -(-num * 10 ** max(-e, 0) // (den * 10 ** max(e, 0)))) > 100:  # ceil
+        e += 1
+    top, bottom = q * 10 ** max(e, 0), 10 ** max(-e, 0)
+    return ctx.mp.make_mpf(from_rational(top, bottom, ctx.mp.prec, "u"))
+
+
 def _verify_points(rec: IdentityRecord, points, ctx: PrecisionContext, max_level: int):
     """One report per validated parameter dict, from one batched LHS call.
 
-    Each report's wall_time is its even share of the LHS time plus the
-    time of its own RHS.
+    The pass rule is applied to the unrounded sides in ctx.boosted(GUARD);
+    each reported number is then rounded to ctx.digits once, the estimate
+    floored at the reported lhs's rounding, (1 + |lhs|) 10^-digits, and
+    rounded up (_rounded_up).  Each report's wall_time is its even share of
+    the LHS time plus the time of its own RHS.
     """
     t0 = time.perf_counter()
     lhs = rec.lhs(ctx, points, max_level)
     lhs_share = (time.perf_counter() - t0) / len(points)
-    mp = ctx.mp
+    guard = ctx.boosted(GUARD)
+    mp = guard.mp
     reports = []
     for validated, (lhs_value, err_estimate) in zip(points, lhs):
         t0 = time.perf_counter()
-        rhs_value = rec.rhs(ctx, validated)
+        rhs_value = mp.convert(rec.rhs(guard, validated))
         wall = lhs_share + time.perf_counter() - t0
-        abs_err = +abs(mp.convert(lhs_value) - mp.convert(rhs_value))
-        rel_err = +(abs_err / abs(mp.convert(rhs_value)))
-        passed = abs_err <= ctx.pass_tol * max(mp.one, abs(mp.convert(rhs_value)))
+        lhs_value = mp.convert(lhs_value)
+        abs_err = abs(lhs_value - rhs_value)
+        passed = abs_err <= ctx.pass_tol * max(mp.one, abs(rhs_value))
         if hasattr(lhs_value, "_mpc_"):
-            passed = bool(passed and abs(lhs_value.imag) <= 10 * err_estimate)
+            passed = passed and abs(lhs_value.imag) <= 10 * err_estimate
+        if err_estimate is not None:
+            floor = (1 + abs(lhs_value)) * mp.mpf(10) ** -ctx.digits
+            err_estimate = _rounded_up(ctx, max(err_estimate, floor))
         reports.append(VerificationReport(
-            id=rec.id, params=validated, lhs_value=lhs_value, rhs_value=rhs_value,
-            abs_err=abs_err, rel_err=rel_err, passed=bool(passed),
+            id=rec.id, params=validated, lhs_value=ctx.reduce(lhs_value),
+            rhs_value=ctx.reduce(rhs_value), abs_err=ctx.reduce(abs_err),
+            rel_err=ctx.reduce(abs_err / abs(rhs_value)), passed=bool(passed),
             digits_used=ctx.digits, wall_time=wall, err_estimate=err_estimate))
     return reports
 

@@ -42,7 +42,7 @@ def orthogonality_gram(order: int, ctx: PrecisionContext):
     Computed with the same double-exponential engine as every other
     integral in the package, as one vector integral whose components are
     the n >= m products, so that P_0..P_order are evaluated once per node;
-    exact values are delta_nm / (2n+1).
+    exact values are delta_nm / (2n+1).  Entries are rounded to ctx.digits.
     """
     if _count(order, "orthogonality_gram") > GRAM_MAX_ORDER:
         raise DomainError(f"order must be an integer in [0, {GRAM_MAX_ORDER}], got {order!r}")
@@ -51,5 +51,5 @@ def orthogonality_gram(order: int, ctx: PrecisionContext):
     gram = [[None] * (order + 1) for _ in range(order + 1)]
     for n in range(order + 1):
         for m in range(n + 1):
-            gram[n][m] = gram[m][n] = next(values)
+            gram[n][m] = gram[m][n] = ctx.reduce(next(values))
     return gram

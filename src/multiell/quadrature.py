@@ -58,8 +58,8 @@ fraction_bits(mp) = engine precision + 20 bits.  Node tables hold each
 weight as its exact mpf (mantissa, exponent), and each term, the product
 of the two mantissas shifted once into place, is floored once, by less
 than 2^-wp; N terms move a panel's value by at most h scale N 2^-wp.  That
-is absolute, and far below the representation error (1 + |value|)
-10^-digits that every returned estimate is floored at.  The weights are
+is absolute, and far below the noise floor 10^-(digits+10) under every
+panel estimate.  The weights are
 never rounded to fixed point: tail weights reach 10^-2(digits+10) and an
 x^(-1/2) endpoint gives integrand values near the inverse square root of
 that, so a weight rounded to 2^-wp would lose every digit of those terms.
@@ -146,12 +146,11 @@ class QuadResult:
     err_estimate sums each panel's estimate: its last level-to-level change,
     or, where it stopped on an extrapolated error, that error inflated by
     10^EXTRAPOLATION_MARGIN, either floored at the panel's noise floor;
-    never below the value's representation error at ctx.digits; panels
-    counts subintervals after splitting; levels is the deepest refinement
-    level used; evaluations counts integrand calls across all panels.
-    value and err_estimate are mpf when the integrand returns an mpf, and
-    tuples of mpf, one entry per component, exactly when it returns a
-    Fixed.
+    panels counts subintervals after splitting; levels is the deepest
+    refinement level used; evaluations counts integrand calls across all
+    panels.  value and err_estimate are mpf when the integrand returns an
+    mpf, and tuples of mpf, one entry per component, exactly when it
+    returns a Fixed, at engine precision, ctx.boosted(GUARD), unrounded.
     """
 
     value: object
@@ -428,16 +427,17 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
               min_level: int = 2) -> QuadResult:
     """Integrate spec to ctx.quad_target absolute error in every component.
 
-    Each panel, given an equal share of quad_target, stops at the first
-    level at or past min_level whose largest change from the level before
-    is within its share or, from level 3 on, whose extrapolated error E is
-    within both its share and 10^-(digits+1) of its largest value; E is
-    then its estimate (see _extrapolated).  Raises NonConvergenceError if
-    any panel hits the level cap with an error estimate above both target
-    and its noise floor,
-    IntegrandFailureError if the integrand raises or returns a non-finite
-    value, and DomainError if max_level or min_level is not a nonnegative
-    int or min_level exceeds max_level.
+    Unlike every other public function, integrate does not round its result
+    to ctx.digits (see QuadResult).  Each panel, given an equal share of
+    quad_target, stops at the first level at or past min_level whose
+    largest change from the level before is within its share or, from
+    level 3 on, whose extrapolated error E is within both its share and
+    10^-(digits+1) of its largest value; E is then its estimate (see
+    _extrapolated).  Raises NonConvergenceError if any panel hits the
+    level cap with an error estimate above both target and its noise
+    floor, IntegrandFailureError if the integrand raises or returns a
+    non-finite value, and DomainError if max_level or min_level is not a
+    nonnegative int or min_level exceeds max_level.
 
     Convergence is judged from the nodes alone, so an integrand whose mass
     lies far beyond the exp-sinh node range, or in a sliver of a long
@@ -485,15 +485,9 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
         deepest = max(deepest, lev)
         evaluations += calls
 
-    # each returned value is rounded to ctx.digits, so its estimate can
-    # never honestly sit below that representation error
-    unit = mp.mpf(10) ** (-ctx.digits)
-    errs = [max(e, (1 + abs(v)) * unit) for v, e in zip(values, errs)]
-    values = tuple(ctx.reduce(v) for v in values)
-    errs = tuple(ctx.reduce(e) for e in errs)
     return QuadResult(
-        value=values if vector else values[0],
-        err_estimate=errs if vector else errs[0],
+        value=tuple(values) if vector else values[0],
+        err_estimate=tuple(errs) if vector else errs[0],
         panels=npanels,
         levels=deepest,
         evaluations=evaluations,

@@ -99,21 +99,11 @@ def _ode_grid_check(ctx):
 
 
 def _control_verdict(ctx, clean, bad):
-    """The corrupted operator's residual must exceed the clean one by CONTROL_RATIO.
-
-    A clean residual below 10^(-2 digits), such as an exact 0, is replaced
-    by that floor; the ratio is then corrupted/floor, a lower bound on the
-    true ratio rather than a measurement, and the detail says so.
-    """
+    """The corrupted operator's residual must exceed the clean one by CONTROL_RATIO;
+    an exact clean 0 under a nonzero corrupted residual reads inf."""
     mp = ctx.mp
-    floor = mp.mpf(10) ** (-(2 * ctx.digits))
-    ratio = bad / max(clean, floor)
-    detail = f"corrupted/clean residual ratio {mp.nstr(ratio, 3)}"
-    if clean < floor:
-        detail = (f"corrupted/clean residual ratio >= {mp.nstr(ratio, 3)} (lower bound: clean"
-                  f" residual {mp.nstr(clean, 3)} is below the floor 1e-{2 * ctx.digits},"
-                  f" which stands in for it)")
-    return ratio >= CONTROL_RATIO, detail
+    ratio = bad / clean if clean else mp.inf if bad else mp.zero
+    return ratio >= CONTROL_RATIO, f"corrupted/clean residual ratio {mp.nstr(ratio, 3)}"
 
 
 def _ode_control_check(ctx):

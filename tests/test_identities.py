@@ -8,7 +8,7 @@ from multiell import (DomainError, OutOfDomainError, PrecisionContext,
                       SeriesId, clausen_sum, clausen_sum_da, export, integrate,
                       kernels, legendre_sum, linear_bridge, list_identities,
                       sweep, verify)
-from multiell.identities import _verify_points, get_identity
+from multiell.identities import _validated, _verify_points, get_identity
 from multiell.quadrature import MAX_LEVEL
 
 
@@ -323,9 +323,59 @@ def test_semi_infinite_rows_refuse_points_past_their_measured_domain(ctx30, rid,
         verify(rid, params, ctx30)
 
 
-# I6 and I9 over their domains, integrate's value against the closed form
-# 30 digits higher: verify's abs_err compares two values already rounded to
-# the working precision, so only this sees the quadrature's own error
+# rows whose two sides, rounded to 50 digits, agree exactly: abs_err must
+# still show the left-hand side's own error
+HONEST_ERRORS = [("I2", {}), ("I3", {}), ("I6", {"b": "1", "c": "1"}), ("I8", {}),
+                 ("I9", {"c": "1"})]
+
+
+@pytest.mark.parametrize("rid, params", HONEST_ERRORS,
+                         ids=[f"{r}-" + "-".join(map(str, p.values())) for r, p in HONEST_ERRORS])
+def test_abs_err_is_the_unrounded_left_hand_sides_error(rid, params):
+    # abs_err is the LHS's own error, against the closed form 40 digits higher
+    ctx, ref = PrecisionContext(50), PrecisionContext(90)
+    rec = get_identity(rid)
+    seen = []
+
+    def lhs(ctx, points, max_level):
+        seen.extend(rec.lhs(ctx, points, max_level))
+        return seen
+    report, = _verify_points(dataclasses.replace(rec, lhs=lhs), [_validated(rec, params, ctx)],
+                             ctx, MAX_LEVEL)
+    [(value, _)] = seen
+    truth = rec.rhs(ref, {k: ref.mp.mpf(v) for k, v in params.items()})
+    error = abs(ref.mp.convert(value) - truth)
+    assert report.abs_err > 0
+    assert abs(report.abs_err - error) <= ref.mp.mpf(10) ** -(ctx.digits + 15)
+
+
+ESTIMATED = [(50, "I8", {}), (50, "I1", {"a": "0.5"}), (30, "I9", {"c": "1e10"}),
+             (100, "I6", {"b": "1000", "c": "1000"}), (300, "I6", {"b": "0.001", "c": "1"})]
+
+
+@pytest.mark.parametrize("digits, rid, params", ESTIMATED,
+                         ids=[f"{r}-{d}-" + "-".join(map(str, p.values())) for d, r, p in ESTIMATED])
+def test_reported_estimate_is_two_digits_rounded_up(monkeypatch, digits, rid, params):
+    # a last-change estimate holds no more digits than that; it is never
+    # reported below the quadrature's own estimate
+    import multiell.identities as identities
+    results = []
+
+    def recording(spec, ctx, **kw):
+        results.append(integrate(spec, ctx, **kw))
+        return results[-1]
+    monkeypatch.setattr(identities, "integrate", recording)
+    ctx = PrecisionContext(digits)
+    report = verify(rid, params, ctx)
+    [result] = results
+    estimate = result.err_estimate  # one component on I1, one coefficient 1
+    assert report.err_estimate >= (estimate[0] if isinstance(estimate, tuple) else estimate)
+    mantissa = ctx.mp.nstr(report.err_estimate, digits).split("e")[0]
+    assert len(mantissa.replace(".", "").strip("0")) <= 2
+
+
+# I6 and I9 over their domains, integrate's unrounded value against the
+# closed form formed 30 digits higher, b and c included
 MAGNITUDES = ("1e-10", "1e-5", "1", "1e5", "1e10")
 AXIAL_GRID = [("I9", "0", c) for c in MAGNITUDES]
 AXIAL_GRID += [("I6", b, c) for b in ("0", "1", "1e10") for c in MAGNITUDES]
@@ -342,6 +392,7 @@ def test_axial_error_before_rounding_is_within_estimate_and_target(digits, rid, 
             kernels.semi_infinite_spec(kernels.re_k_semi_infinite_kernel, c))
     result = integrate(spec, ctx)
     ref = ctx.boosted(30).mp
+    b, c = ref.convert(b), ref.convert(c)
     error = abs(ref.convert(result.value) - ref.pi / (2 * ref.sqrt((b + 1) ** 2 + c * c)))
     assert error <= 10 * result.err_estimate
     assert error <= ctx.quad_target

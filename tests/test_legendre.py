@@ -33,7 +33,10 @@ def test_gram_matrix_is_one_integral(ctx, monkeypatch):
     monkeypatch.setattr(legendre, "integrate", recording)
     gram = orthogonality_gram(12, ctx)
     assert [(len(r.value), r.evaluations) for r in results] == [(91, 589)]
-    assert gram[12][3] is gram[3][12] is results[0].value[78 + 3]
+    # each entry is its component, rounded once to ctx.digits
+    assert gram[12][3] is gram[3][12]
+    assert gram[3][12] == ctx.reduce(results[0].value[78 + 3])
+    assert type(gram[3][12]) is ctx.mp.mpf
 
 
 def test_gram_cost_guard(ctx):

@@ -1,35 +1,20 @@
-"""Each integral's unrounded panel totals against closed forms 40 digits higher.
+"""Each integral's unrounded value against closed forms 40 digits higher.
 
-integrate rounds its value to ctx.digits and floors its estimate at that
-rounding, so only _panel's own totals, at engine precision, show the
-quadrature's error.  These tests record every _panel result that
-integrate receives, sum each component over the panels and compare with
-a closed form.  A panel stops at the first level whose change is within
-target, or whose extrapolated error is within both target and
-10^-(digits+1) of its largest value, so the error must lie within the
-panel estimates' sum and within 10^-(digits+1) relative.
+integrate returns its panel sums and estimates at engine precision,
+unrounded, so its value shows the quadrature's own error.  A panel stops
+at the first level whose change is within target, or whose extrapolated
+error is within both target and 10^-(digits+1) of its largest value, so
+the error must lie within the estimate and within 10^-(digits+1)
+relative.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiell import IntegralSpec, PrecisionContext, integrate, kernels, quadrature
+from multiell import INF, IntegralSpec, PrecisionContext, integrate, kernels
 from multiell.identities import _inverted, get_identity
 from printed_integrands import catalog_point
-
-
-@pytest.fixture
-def panels(monkeypatch):
-    """Every _panel result, (values, estimates, level, calls, vector), in call order."""
-    results = []
-    panel = quadrature._panel
-
-    def recording(*args):
-        results.append(panel(*args))
-        return results[-1]
-    monkeypatch.setattr(quadrature, "_panel", recording)
-    return results
 
 
 def _rhs(rid, **params):
@@ -71,6 +56,19 @@ def _i9(c):
                                                          mp.mpf(c)), _rhs("I9", c=c))
 
 
+def _chain(form, c):
+    # the b = 0 axial integral in its theta and x substitution forms, whose
+    # value is I9's
+    def spec_of(mp):
+        if form == "theta":
+            return IntegralSpec("axial_kernel_b0", (0, mp.mpf(c)), (0, lambda emp: emp.pi / 2),
+                                kernels.axial_kernel,
+                                singular_points=(lambda emp: emp.atan(emp.mpf(c)),))
+        return IntegralSpec("axial_x_form", (mp.mpf(c),), (0, INF),
+                            kernels.axial_x_form_kernel, singular_points=(1,))
+    return _scalar(spec_of, _rhs("I9", c=c))
+
+
 def _i1_ext(a):
     def point(ref):
         inverse, coefficients = _inverted(ref, {"a": ref.mp.mpf(a)})
@@ -94,7 +92,8 @@ def _ode(a):
 # every quadrature row of test_identities.DIGITS_AXIS, the edges benchmark's
 # points, the semi-infinite rows at their measured domain ends, and the ODE
 # residual's integral, whose panels an extrapolation without its 2 D1 term
-# stops a level too soon at a = 0.05 and 0.7
+# stops a level too soon at a = 0.05 and 0.7, and the substitution chain's
+# theta and x forms at the benchmark's anchors
 CASES = {
     "I1-0.5": _i1("0.5"), "I1-1": _i1("1"), "I1-0": _i1("0"), "I1-ext-2": _i1_ext("2"),
     "I2": _row("I2"), "I3": _row("I3"), "I4": _row("I4"), "I5": _row("I5"), "I10": _row("I10"),
@@ -106,6 +105,7 @@ CASES = {
         ("0.001", "1"), ("0", "0"), ("0", "2"), ("1", "0"), ("0.01", "1"), ("0.01", "2"),
         ("0.01", "3"), ("1e10", "1e10")]},
     **{f"ode-{a}": _ode(a) for a in ("0.05", "0.2", "0.7")},
+    **{f"chain-{form}-{c}": _chain(form, c) for form in ("theta", "x") for c in ("0.85", "1.95")},
 }
 # values near 1e-10, which the absolute quad_target 10^-(digits-10) holds
 # to only about 10 relative digits at 30 digits (ROADMAP item 3): relative
@@ -113,14 +113,13 @@ CASES = {
 BELOW_TARGET_REACH = {"I9-1e10", "I6-1e10-1e10"}
 
 
-def _check(case, digits, panels, absolute=False):
+def _check(case, digits, absolute=False):
     ctx, ref = PrecisionContext(digits), PrecisionContext(digits + 40)
     mp = ref.mp
     spec, checks = case(ref)
-    panels.clear()
-    integrate(spec, ctx)
-    values, estimates = ([mp.fsum(mp.convert(p[i][j]) for p in panels)
-                          for j in range(len(panels[0][0]))] for i in (0, 1))
+    result = integrate(spec, ctx)
+    values, estimates = ([mp.convert(v) for v in (r if isinstance(r, tuple) else (r,))]
+                         for r in (result.value, result.err_estimate))
     largest = max(abs(truth) for _, truth in checks)
     bound = mp.mpf(10) ** -(digits + 1) * largest
     if absolute:
@@ -133,8 +132,8 @@ def _check(case, digits, panels, absolute=False):
 
 @pytest.mark.parametrize("digits", [30, 50, 100])
 @pytest.mark.parametrize("name", CASES)
-def test_unrounded_error_is_within_relative_floor_and_estimate(panels, name, digits):
-    _check(CASES[name], digits, panels, absolute=name in BELOW_TARGET_REACH)
+def test_unrounded_error_is_within_relative_floor_and_estimate(name, digits):
+    _check(CASES[name], digits, absolute=name in BELOW_TARGET_REACH)
 
 
 _SWEEP = st.one_of(
@@ -144,9 +143,7 @@ _SWEEP = st.one_of(
     st.builds(_ode, st.decimals("0.01", "0.95", places=2).map(str)))
 
 
-# panels is cleared before each example
-@settings(max_examples=12, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(digits=st.integers(30, 150), case=_SWEEP)
-def test_sweep_error_is_within_relative_floor_and_estimate(panels, digits, case):
-    _check(case, digits, panels)
+def test_sweep_error_is_within_relative_floor_and_estimate(digits, case):
+    _check(case, digits)
