@@ -20,18 +20,20 @@ argument, then closes with the series agm(a, b) = m pi / (2 K(delta)),
 m = (a + b)/2, through its delta^6 term (Borwein & Borwein, *Pi and the
 AGM*, 1987): about two steps fewer than running the integers together.
 The steps converge quadratically and the integers reach delta = 0 at the
-latest, so the loop needs no iteration cap.  It has two callers, each of
+latest, so the loop needs no iteration cap.  It has three callers, each of
 which converts its inputs in once and the mean out once, so no step pays
 for mpf objects:
 
-* ``agm1_mp``, agm(1, kc) behind every K here, scales by 2^wp, wp being
+* ``agm1_mp``, agm(1, kc) behind ellipk_real_mp, scales by 2^wp, wp being
   the context's precision plus 20 guard bits plus the binary exponent of
   1/kc when kc < 1: a small kc scaled by 2^wp must keep all its bits, or K
   near m = 1 loses the digits that its logarithm magnifies;
 * the axial kernel (kernels.axial_t_kernel), which forms no kc at all: by
   homogeneity K(kc)/sqrt(den2) = (pi/2) / agm(sqrt(den2), sqrt(den2) kc),
   and it takes both means' arguments as ints at a scale chosen from the
-  smaller one, as agm1_mp chooses wp from kc.
+  smaller one, as agm1_mp chooses wp from kc;
+* the Re K column (kernels._re_k_column), the same way:
+  Re K(x) = (pi/2) / agm(max(1, x), sqrt(|1 - x|(1 + x))).
 
 K's Maclaurin series is the p = 2 case of ``_ratio_series``, the one
 routine that also sums every series of the series module (p = 3):
@@ -132,21 +134,6 @@ def ellipk_mp(mp, m):
         return ellipk_real_mp(mp, mp.sqrt(1 - m))
     rs = mp.sqrt(m)
     return mp.mpc(ellipk_real_mp(mp, mp.sqrt(m - 1) / rs), -ellipk_real_mp(mp, 1 / rs)) / rs
-
-
-def re_k_modulus_mp(mp, x, one_minus_x):
-    """Re K at modulus x > 0; for x > 1 this is K(1/x)/x (a smooth expression).
-
-    one_minus_x is 1 - x, passed separately because a caller may know it
-    more exactly than x itself (a quadrature node's distance to a panel end
-    at 1).  The complementary modulus is formed from the factors 1 - x and
-    1 + x, so K keeps full relative precision as x -> 1; at x = 1 it is 0,
-    K's singular point.
-    """
-    d = one_minus_x
-    if d > 0:
-        return ellipk_real_mp(mp, mp.sqrt(d * (1 + x)))
-    return ellipk_real_mp(mp, mp.sqrt(-d * (1 + x)) / x) / x
 
 
 def ellipk(m, ctx: PrecisionContext):

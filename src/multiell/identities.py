@@ -7,8 +7,9 @@ discrepancy sits below ctx.pass_tol * max(1, |rhs|); a complex (mpc)
 left-hand side additionally requires its imaginary part to sit below ten
 times the quadrature error estimate (I4 and I5, points of I1 at an imaginary
 a, have a weight conjugate-symmetric about x = 1/2, so the imaginary part
-must vanish -- tested, not assumed).  I2-I5 and I10 are _WEIGHTED_ROWS, and
-I1-ext is I1(1/a)/a (see _inverted).  Both sides are compared unrounded,
+must vanish -- tested, not assumed).  I2-I5 and I10 are _WEIGHTED_ROWS,
+I1-ext is I1(1/a)/a (see _inverted), and I6 at b = 0 and c >= 1 integrates
+I9's Re K form (see _axial_spec).  Both sides are compared unrounded,
 at integrate's precision ctx.boosted(GUARD); only _verify_points rounds.
 """
 
@@ -208,6 +209,17 @@ def _unit_kernel_lhs(factory):
         factory.__name__, (), (0, 1), factory, singular_points=(0.5,)))
 
 
+def _axial_spec(ctx, p):
+    """I6's integral.  At b = 0 it is I9's, and for c >= 1, where the Re K
+    form's mass lies in its finite panel, I6 integrates that form: its K
+    column depends on the node alone and every c shares it, where the t
+    form runs an AGM at every node.  Elsewhere, the t form."""
+    b, c = p["b"], p["c"]
+    if not b and c >= 1:
+        return kernels.semi_infinite_spec(kernels.re_k_semi_infinite_kernel, c)
+    return kernels.axial_t_spec(b, c)
+
+
 def _axial_rhs(hi, p):
     b, c = hi.mp.convert(p["b"]), hi.mp.convert(p["c"])
     return hi.mp.pi / (2 * hi.mp.sqrt((b + 1) ** 2 + c * c))
@@ -253,7 +265,7 @@ _CATALOG = {rec.id: rec for rec in (
                    (), *_weighted_row("I5")),
     IdentityRecord("I6", "axially symmetric K integral with two tunable parameters",
                    (ParamSpec("b", lo=0, hi="1e10"), ParamSpec("c", lo=0, hi="1e10")),
-                   _quad_lhs(lambda ctx, p: kernels.axial_t_spec(p["b"], p["c"])), _axial_rhs),
+                   _quad_lhs(_axial_spec), _axial_rhs),
     IdentityRecord("I7", "axial special case on (0,1); value pi/(2 sqrt 2)",
                    (), _unit_kernel_lhs(kernels.special_case_kernel),
                    lambda hi, p: hi.mp.pi / (2 * hi.mp.sqrt(2))),

@@ -10,9 +10,8 @@ rewrites that keep the engine at digits + GUARD:
 
 * K's one input is its complementary modulus kc = sqrt(1 - m); each kernel
   forms kc without cancellation and never forms the parameter m:
-  2|1/2 - x| for K(2 sqrt(x(1-x))); sqrt((1-x)(1+x)) and
-  sqrt((x-1)(x+1))/x for Re K at modulus x; |1-x|/(1+x) for
-  K(2 sqrt(x)/(1+x)).  The axial kernel forms no kc at all (below).
+  2|1/2 - x| for K(2 sqrt(x(1-x))); |1-x|/(1+x) for K(2 sqrt(x)/(1+x)).
+  The axial kernel and the Re K column form no kc at all (below).
 * The distance to a kernel's singular abscissa (1/2 - x, 1 - x, c - t)
   comes from quadrature.gap_to, as xc's exact gap where the node's panel
   ends there; the generating weight is formed as (1-a)^2 + 4a(1-x), which
@@ -27,7 +26,9 @@ the AGM's homogeneity folds K's 1/sqrt(den2) into its arguments,
 K(kc)/sqrt(den2) = (pi/2) / agm(sqrt(den2), sqrt(b^2 + (c-t)^2)), and the
 node runs on ints through elliptic.agm_int, the integer AGM core behind
 every K, at a scale chosen per node from the smaller argument.  It makes
-no mpf sqrt or division and no K call.
+no mpf sqrt or division and no K call; nor does the Re K column
+(_re_k_column).  At b = 0 and c >= 1, I6 integrates I9's Re K form
+instead (see identities).
 
 Semi-infinite integrands run on ints too and return one mpf, rounded
 once: an exp-sinh panel's weights grow without bound, so quadrature asks
@@ -36,7 +37,7 @@ rational factor c x / (1 + c^2 x^2)^(3/2) of the axial kernel, of the Re
 K kernel and of the x form (with 1/(1+x) there) is built from one
 math.isqrt at a scale chosen per node from the magnitude of c x, and so
 holds a few units of 2^-wp relative to itself however small or large c x
-is; K's exact mantissa multiplies it, and one integer division gives the
+is; K's mantissa multiplies it, and one integer division gives the
 value.  The I7 kernel is built the same way on (0, 1).
 
 K columns: the K factor of the kernels K(2 sqrt(x(1-x))), Re K(x) and
@@ -46,7 +47,9 @@ substitution chain the other two's at every c).  quadrature keeps each
 panel's points, so each column keeps a node's K in xc.memo under the
 column's name: the first integral to reach the point computes it, and
 every later one reads it, bit-identical, skipping the kc arithmetic and
-the AGM.  A point evicted from quadrature's bounded cache takes its memo.
+the AGM; the Re K column keeps K as an integer, (pi/2)/mean to wp + 2
+bits, rather than an mpf.  A point evicted from quadrature's bounded
+cache takes its memo.
 
 ``weighted_kernel`` is a vector integrand (see quadrature) on integers:
 an ODE check (four a-derivatives at one a) or a sweep over a (one weight
@@ -65,7 +68,7 @@ from math import isqrt
 
 from mpmath.libmp import from_man_exp, mpf_abs, mpf_shift, pi_fixed, to_fixed
 
-from .elliptic import agm_int, ellipk_real_mp, re_k_modulus_mp
+from .elliptic import agm_int, ellipk_real_mp
 from .errors import SingularityError
 from .quadrature import INF, Fixed, Gap, IntegralSpec, fraction_bits, gap_to
 
@@ -338,17 +341,17 @@ def special_case_kernel(mp):
 
 
 def _k_times_rational(mp, c, k, over_one_plus_x: bool):
-    """k(x, xc) c x / (1 + c^2 x^2)^(3/2), over 1 + x as well if asked, on ints.
+    """K c x / (1 + c^2 x^2)^(3/2), over 1 + x as well if asked, on ints.
 
-    K's exact mantissa times c x over _cube_half(c x) (times _one_plus(x))
-    is one integer division.
+    k(x, xc) gives K as (mantissa, exp); the mantissa times c x over
+    _cube_half(c x) (times _one_plus(x)) is one integer division.
     """
     wp = fraction_bits(mp)
     sign, cm, ce, _ = mp.convert(c)._mpf_
     cm = -cm if sign else cm
 
     def f(x, xc):
-        _, k_man, k_exp, _ = k(x, xc)._mpf_
+        k_man, k_exp = k(x, xc)
         _, xm, xe, _ = x._mpf_
         d, e = _cube_half(cm * xm, ce + xe, wp)
         if over_one_plus_x:
@@ -358,14 +361,42 @@ def _k_times_rational(mp, c, k, over_one_plus_x: bool):
     return f
 
 
+def _re_k_column(mp):
+    """Re K at modulus x > 0 as (mantissa, exp), on ints.
+
+    By the AGM's homogeneity Re K(x) = (pi/2) / agm(max(1, x), sqrt(|1 - x|(1 + x))),
+    K at kc = sqrt((1 - x)(1 + x)) below x = 1 and K(1/x)/x above it.  |1 - x|
+    is xc's exact gap next to x = 1, times 1 + x exactly, and both arguments
+    meet agm_int at a scale 2^s that gives the smaller, the root, wp bits.
+    pi/2 over the mean is one integer division, to wp + 2 bits or more,
+    kept on the node's memo and shared across c.  At x = 1 it raises
+    SingularityError.
+    """
+    to_one = gap_to(mp, 1)
+    wp = fraction_bits(mp)
+    half_pi = pi_fixed(wp)  # (pi/2) 2^(wp+1)
+
+    def k_at(x, xc):
+        above, gm, ge, _ = to_one(x, xc)  # 1 - x < 0 exactly when x > 1
+        if not gm:
+            raise SingularityError("Re K is singular at modulus 1")
+        _, xm, xe, _ = x._mpf_
+        pe = min(0, xe)
+        product = gm * ((1 << -pe) + (xm << xe - pe))  # |1 - x|(1 + x) 2^-(ge + pe)
+        s = wp - (product.bit_length() + ge + pe + 1 >> 1)  # the root 2^s >= 2^(wp-1)
+        root = isqrt(_shift(product, ge + pe + 2 * s))
+        mean = agm_int(_shift(xm, xe + s) if above else 1 << s, root)
+        n = mean.bit_length()
+        return (half_pi << n) // mean, s - wp - 1 - n
+    return _memoised("Re K(x)", k_at)
+
+
 def re_k_semi_infinite_kernel(mp, c):
     """Re[K(x)] c x / (1 + c^2 x^2)^(3/2) on (0, inf); modulus convention.
 
-    Re K comes from its column's memo, shared across c.
+    Re K comes from its column (_re_k_column), shared across c.
     """
-    to_one = gap_to(mp, 1)
-    re_k = _memoised("Re K(x)", lambda x, xc: re_k_modulus_mp(mp, x, mp.mpf(to_one(x, xc))))
-    return _k_times_rational(mp, c, re_k, False)
+    return _k_times_rational(mp, c, _re_k_column(mp), False)
 
 
 def axial_x_form_kernel(mp, c):
@@ -374,9 +405,10 @@ def axial_x_form_kernel(mp, c):
     K comes from its column's memo, shared across c.
     """
     to_one = gap_to(mp, 1)
-    k = _memoised("K(2 sqrt(x)/(1+x))",
-                  lambda x, xc: ellipk_real_mp(mp, mp.mpf(mpf_abs(to_one(x, xc))) / (1 + x)))
-    return _k_times_rational(mp, c, k, True)
+
+    def k_at(x, xc):
+        return ellipk_real_mp(mp, mp.mpf(mpf_abs(to_one(x, xc))) / (1 + x))._mpf_[1:3]
+    return _k_times_rational(mp, c, _memoised("K(2 sqrt(x)/(1+x))", k_at), True)
 
 
 def weighted_kernel_spec(a_values, order: int = 0):

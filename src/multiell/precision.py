@@ -13,6 +13,7 @@ operation time inside whichever context performs the operation.
 from __future__ import annotations
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import mpc_pos, mpf_pos
 
 from .errors import DomainError
 
@@ -56,8 +57,19 @@ class PrecisionContext:
         return ctx
 
     def reduce(self, value):
-        """Round a value (mpf or mpc, possibly from another context) into this one."""
-        return +self.mp.convert(value)
+        """Round a value (mpf or mpc, possibly from another context) into this one.
+
+        An mpf's or mpc's tuple is rounded directly, as +mp.convert rounds
+        it but without convert's type checks.
+        """
+        mp = self.mp
+        v = getattr(value, "_mpf_", None)
+        if v is not None:
+            return mp.make_mpf(mpf_pos(v, *mp._prec_rounding))
+        v = getattr(value, "_mpc_", None)
+        if v is not None:
+            return mp.make_mpc(mpc_pos(v, *mp._prec_rounding))
+        return +mp.convert(value)
 
     def __repr__(self):
         return f"PrecisionContext(digits={self.digits})"

@@ -84,6 +84,42 @@ def test_axial_matches_semi_infinite_form(ctx):
     assert abs(r6.rhs_value - r9.rhs_value) <= ctx.mp.mpf(10) ** (-ctx.digits + 2)
 
 
+@pytest.mark.parametrize("c", ["1", "2", "1000", "1e10"])
+def test_axial_at_b_zero_from_c_one_is_i9(ctx, c):
+    # there I6 integrates I9's Re K form, whose K column every c shares
+    r6, r9 = verify("I6", {"b": 0, "c": c}, ctx), verify("I9", {"c": c}, ctx)
+    assert (r6.lhs_value, r6.err_estimate) == (r9.lhs_value, r9.err_estimate)
+
+
+@pytest.mark.parametrize("c", ["0.5", "0.999", "1e-8"])
+def test_axial_at_b_zero_below_c_one_is_the_t_form(monkeypatch, ctx, c):
+    # below c = 1 the Re K form can need a level more than the t form
+    import multiell.identities as identities
+    results = []
+
+    def recording(spec, ctx, **kw):
+        results.append(integrate(spec, ctx, **kw))
+        return results[-1]
+    monkeypatch.setattr(identities, "integrate", recording)
+    verify("I6", {"b": 0, "c": c}, ctx)
+    t_form = integrate(kernels.axial_t_spec(0, ctx.mp.mpf(c)), ctx)
+    assert [(r.value, r.evaluations) for r in results] == [(t_form.value, t_form.evaluations)]
+
+
+def test_axial_at_b_zero_keeps_relative_digits_at_its_domain_end(ctx30):
+    # the t form reads rel_err 1.9e-12 here, where pi/(2 10^10) lies
+    # 10 orders above quad_target
+    assert verify("I6", {"b": 0, "c": "1e10"}, ctx30).rel_err <= ctx30.mp.mpf("1e-20")
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+@pytest.mark.parametrize("c", ["1", "2", "10", "1000", "1e10"])
+def test_routed_axial_points_verify_within_their_estimate(digits, c):
+    report = verify("I6", {"b": 0, "c": c}, PrecisionContext(digits))
+    assert report.passed
+    assert report.abs_err <= 10 * report.err_estimate
+
+
 def test_axial_elementary_limit(ctx):
     # as c -> 0 the identity degenerates to the elementary value pi/(2(b+1))
     mp = ctx.mp

@@ -6,10 +6,10 @@ imaginary a against mpmath's mpc power; and the integer Re K and x-form
 kernels against their printed mpf form, and the integer axial kernel
 against mpmath's agm, 40 digits above the engine.
 
-Each column test starts from an empty point cache and counts calls of K's
-one entry point, ``ellipk_real_mp``, as both kernels and elliptic (behind
-Re K) see it.  Values read from a memo must be bit-identical to values
-computed afresh.
+Each column test starts from an empty point cache and counts K
+evaluations: calls of ``ellipk_real_mp``, as both kernels and elliptic see
+it, and of the integer AGM that the Re K column runs in kernels.  Values
+read from a memo must be bit-identical to values computed afresh.
 """
 
 import sys
@@ -44,14 +44,19 @@ def memoised_points():
 def k_calls(monkeypatch):
     """An empty point cache, and a list that grows by one per K evaluation."""
     calls = []
-    plain = elliptic.ellipk_real_mp
+    plain, plain_agm = elliptic.ellipk_real_mp, kernels.agm_int
 
     def counting(mp, kc):
         calls.append(kc)
         return plain(mp, kc)
+
+    def counting_agm(a, b):
+        calls.append(b)
+        return plain_agm(a, b)
     monkeypatch.setattr(quadrature, "_point_cache", {})
     monkeypatch.setattr(kernels, "ellipk_real_mp", counting)
     monkeypatch.setattr(elliptic, "ellipk_real_mp", counting)
+    monkeypatch.setattr(kernels, "agm_int", counting_agm)
     return calls
 
 
@@ -117,32 +122,39 @@ def x_form_rest(mp, c, x):
     return re_k_rest(mp, c, x) / (1 + x)
 
 
-def re_k_at(mp, x, xc):
-    return elliptic.re_k_modulus_mp(mp, x, mp.make_mpf(gap_to(mp, 1)(x, xc)))
+def re_k_reference(emp, ref, x, xc):
+    """Re K in ref from mpmath's agm, with |1 - x| from xc's exact gap:
+    (pi/2) / agm(max(1, x), sqrt(|1 - x|(1 + x)))."""
+    gap, x = abs(ref.make_mpf(gap_to(emp, 1)(x, xc))), ref.convert(x)
+    return ref.pi / 2 / ref.agm(max(ref.one, x), ref.sqrt(gap * (1 + x)))
 
 
-def x_form_k_at(mp, x, xc):
-    return elliptic.ellipk_real_mp(mp, abs(mp.make_mpf(gap_to(mp, 1)(x, xc))) / (1 + x))
+def x_form_k_at(emp, ref, x, xc):
+    return ref.convert(elliptic.ellipk_real_mp(emp, abs(emp.make_mpf(gap_to(emp, 1)(x, xc)))
+                                               / (1 + x)))
 
 
 def re_k_unmemoised(mp, c):
-    return lambda x, xc: re_k_at(mp, x, xc) * re_k_rest(mp, c, x)
+    # the same integer column with the memo off: a Gap made here keeps none
+    f = kernels.re_k_semi_infinite_kernel(mp, c)
+    return lambda x, xc: f(x, Gap(xc.end, xc._mpf_))
 
 
 def x_form_unmemoised(mp, c):
-    return lambda x, xc: x_form_k_at(mp, x, xc) * x_form_rest(mp, c, x)
+    return lambda x, xc: x_form_k_at(mp, mp, x, xc) * x_form_rest(mp, c, x)
 
 
-SEMI_INFINITE = [(kernels.re_k_semi_infinite_kernel, re_k_unmemoised, re_k_at, re_k_rest),
+SEMI_INFINITE = [(kernels.re_k_semi_infinite_kernel, re_k_unmemoised, re_k_reference, re_k_rest),
                  (kernels.axial_x_form_kernel, x_form_unmemoised, x_form_k_at, x_form_rest)]
 
 
 @pytest.mark.parametrize("memoised, unmemoised, _k, _rest", SEMI_INFINITE, ids=["re_k", "x_form"])
 def test_semi_infinite_columns_are_exact_and_shared_across_c(k_calls, memoised, unmemoised,
                                                              _k, _rest):
-    # the integer kernel equals the printed mpf form after rounding, on the
-    # same nodes; a value read from a memo is bit-identical to one
-    # computed afresh from an empty point cache
+    # the memoised kernel equals its unmemoised form (the printed mpf form
+    # after rounding for the x form, the same integer column with the memo
+    # off for Re K) on the same nodes; a value read from a memo is
+    # bit-identical to one computed afresh from an empty point cache
     ctx = PrecisionContext(50)
     misses, evaluations = [], []
     for c in ("0.5", "1.75"):
@@ -183,10 +195,11 @@ def _nodes(mp, levels, *panels):
 @pytest.mark.parametrize("c", ["1e-3", "0.5", "1.75", "40"])
 @pytest.mark.parametrize("memoised, _, k_at, rest", SEMI_INFINITE, ids=["re_k", "x_form"])
 def test_semi_infinite_kernels_against_mpf_reference(digits, c, memoised, _, k_at, rest):
-    # K as the kernel's column computes it times the printed factor beside it,
-    # 40 digits above the engine: the integer quotient is correct to a few
-    # units of 2^-wp relative and is rounded once, by at most 2^-prec,
-    # where the printed mpf form rounds at each of its operations
+    # K times the printed factor beside it, 40 digits above the engine, K
+    # as the x form's column computes it and Re K from mpmath's agm: the
+    # integer quotient is correct to a few units of 2^-wp relative and is
+    # rounded once, by at most 2^-prec, where the printed mpf form rounds at
+    # each of its operations
     emp = PrecisionContext(digits).boosted(GUARD).mp
     ref = PrecisionContext(digits + GUARD + 40).mp
     tol = ref.ldexp(1, -emp.prec) + ref.ldexp(64, -fraction_bits(emp))
@@ -198,7 +211,7 @@ def test_semi_infinite_kernels_against_mpf_reference(digits, c, memoised, _, k_a
     for x, xc in nodes:
         value = f(x, xc)
         assert type(value) is emp.mpf
-        want = ref.convert(k_at(emp, x, xc)) * rest(ref, rc, ref.convert(x))
+        want = k_at(emp, ref, x, xc) * rest(ref, rc, ref.convert(x))
         assert abs(ref.convert(value) - want) <= tol * abs(want), (x, xc)
 
 

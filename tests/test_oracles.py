@@ -26,7 +26,7 @@ import multiell.quadrature as quadrature
 from multiell import (DomainError, IntegralSpec, IntegrandFailureError, PrecisionContext,
                       SingularityError, agm, clausen_sum, clausen_sum_da,
                       ellipk_complementary, ellipk_series, integrate, legendre_sum)
-from multiell.elliptic import ellipk_real_mp, re_k_modulus_mp
+from multiell.elliptic import ellipk_real_mp
 from multiell.kernels import k_of_x
 from multiell.quadrature import GUARD, INF, Gap, gap_to
 from printed_integrands import PRINTED_WEIGHTS, catalog_point, printed_factory
@@ -123,10 +123,13 @@ def test_k_of_x_next_to_its_singular_abscissa(k, s):
 @oracle_settings
 @given(near_singular, sign)
 def test_re_k_modulus_next_to_modulus_one(k, s):
+    # Re K as the Re K kernel's column holds it, mantissa 2^exp, at a node
+    # whose gap to its panel end x = 1 is exact
     x = 1 + s * ENGINE.mpf(10) ** -k
     xe = EXACT.convert(x)
     ref = EXACT.ellipk(xe * xe) if x < 1 else EXACT.ellipk(1 / (xe * xe)) / xe
-    assert k_close(re_k_modulus_mp(ENGINE, x, 1 - x), ref)  # 1 - x is exact here
+    man, exp = kernels._re_k_column(ENGINE)(x, Gap(ENGINE.one._mpf_, (1 - x)._mpf_))
+    assert k_close(EXACT.ldexp(man, exp), ref)  # 1 - x is exact here
 
 
 # t near c: the gap c - t is s 10^-k, down to 1e-30 from the log singularity at b = 0;

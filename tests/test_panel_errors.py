@@ -90,7 +90,8 @@ def _ode(a):
 
 
 # every quadrature row of test_identities.DIGITS_AXIS, the edges benchmark's
-# points, the semi-infinite rows at their measured domain ends, and the ODE
+# points, the semi-infinite rows at their measured domain ends and at c = 2
+# and 1000, where I6 at b = 0 integrates I9's form, and the ODE
 # residual's integral, whose panels an extrapolation without its 2 D1 term
 # stops a level too soon at a = 0.05 and 0.7, and the substitution chain's
 # theta and x forms at the benchmark's anchors
@@ -100,6 +101,7 @@ CASES = {
     "I7": _unit(kernels.special_case_kernel, "I7"), "I8": _unit(kernels.k_of_x, "I8"),
     "I13-0.95": _i1("0.95"), "I13-1e-200": _i1("1e-200"),
     "I9-1": _i9("1"), "I9-1e-10": _i9("1e-10"), "I9-1e10": _i9("1e10"),
+    "I9-2": _i9("2"), "I9-1000": _i9("1000"),
     **{f"I6-{b}-{c}": _i6(b, c) for b, c in [
         ("1", "1"), ("0", "1"), ("0", "1e-8"), ("1e-8", "0"), ("0", "10"), ("1000", "1000"),
         ("0.001", "1"), ("0", "0"), ("0", "2"), ("1", "0"), ("0.01", "1"), ("0.01", "2"),

@@ -8,6 +8,7 @@ from multiell import (DomainError, PrecisionContext, SeriesId, agm, apply_annihi
                       laplace_residual, legendre_sum, ode_annihilator_residual,
                       ode_annihilator_residual_closed_form, orthogonality_gram,
                       ramanujan_sum)
+from multiell.precision import MIN_DIGITS
 from multiell.series import bridge_from_data
 
 
@@ -41,6 +42,22 @@ def test_boosted_contexts_are_cached_and_larger(ctx):
     x = hi.mp.sqrt(2)
     back = ctx.reduce(x)
     assert back == ctx.mp.sqrt(2)
+
+
+@pytest.mark.parametrize("digits", [30, 50, 300])
+@pytest.mark.parametrize("other", [10, 400])
+def test_reduce_rounds_as_convert_does(digits, other):
+    # an mpf and an mpc from a context of higher or lower precision reduce
+    # bit-identically to +mp.convert; ints and strings still reduce
+    ctx, mp = PrecisionContext(digits), PrecisionContext(MIN_DIGITS + other).mp
+    for value in (mp.pi, mp.sqrt(2) * -3, mp.mpf(10) ** -1000 / 7, mp.mpc(mp.e, -mp.pi) / 3):
+        want = +ctx.mp.convert(value)
+        got = ctx.reduce(value)
+        assert type(got) is type(want)
+        assert getattr(got, "_mpf_", None) == getattr(want, "_mpf_", None)
+        assert getattr(got, "_mpc_", None) == getattr(want, "_mpc_", None)
+    assert ctx.reduce(3) == 3 and type(ctx.reduce(3)) is ctx.mp.mpf
+    assert ctx.reduce("0.1") == ctx.mp.mpf("0.1")
 
 
 def test_principal_sqrt_branch(ctx):

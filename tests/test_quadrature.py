@@ -255,6 +255,22 @@ def test_an_estimate_never_falls_below_the_noise_floor(digits, kind, value):
         assert estimates[0] >= negligible * max(1, abs(values[0]))
 
 
+@pytest.mark.parametrize("changes, log2_estimate", [
+    (("1e-8", "1e-16", "1e-32"), -195),  # about 2e-59
+    (("1e-16", "1e-32"), None),  # only two changes
+    (("1e-30", "1e-16", "1e-32"), None),  # the changes do not shrink
+    (("1e-16", "1e-16", "1e-32"), None),  # nor strictly
+    (("1", "0.5", "1e-32"), None)])  # D2 >= 0: 0.5 is 2^0 rounded up
+def test_extrapolated_needs_three_strictly_shrinking_changes(changes, log2_estimate):
+    # 10^(max(D1^2/D2, 2 D1) + 5), with D1 and D2 from 1e-32 and 1e-16, is
+    # 2^-195, within target 1e-40 and 10^9 negligible; each None case
+    # returns an estimate, or raises, without its own condition
+    mp = PrecisionContext(70).mp
+    got = quadrature._extrapolated(mp, [mp.mpf(c) for c in changes], [mp.one],
+                                   mp.mpf("1e-60"), mp.mpf("1e-40"))
+    assert got == (None if log2_estimate is None else mp.ldexp(1, log2_estimate))
+
+
 def test_integrand_failure_is_wrapped(ctx):
     def bad_factory(mp):
         def f(x, xc):
