@@ -1,9 +1,9 @@
 """Command-line interface: list, verify, sweep, selftest.
 
 Exit codes: 0 on success/pass, 2 when a verification or selftest check
-fails, 3 on domain or convergence errors.  An optional key=value config
-file (keys: digits, tol, level_cap) is read from the path in the
-MULTIELL_CONFIG environment variable; command-line flags win over it.
+fails, 3 on domain, convergence and usage errors, with "error: ..." on
+stderr.  An optional key=value config file (keys: digits, tol) is read from
+the path in the MULTIELL_CONFIG environment variable; flags win over it.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import sys
 import mpmath
 
 from .errors import DomainError, IntegrandFailureError, NonConvergenceError
-from .identities import export, get_identity, list_identities, sweep, verify
+from .identities import export, list_identities, sweep, verify
 from .precision import PrecisionContext
-from .quadrature import MAX_LEVEL
 from .selftest import run_selftest
 
 CONFIG_ENV = "MULTIELL_CONFIG"
@@ -29,7 +28,7 @@ def _tolerance(text):
 
 
 # setting -> (parser of its config value, default)
-_SETTINGS = {"digits": (int, 50), "tol": (_tolerance, None), "level_cap": (int, MAX_LEVEL)}
+_SETTINGS = {"digits": (int, 50), "tol": (_tolerance, None)}
 
 
 def _load_config():
@@ -106,8 +105,7 @@ def _cmd_list(args, config):
 
 def _cmd_verify(args, config):
     ctx = _context(args, config)
-    params = _parse_pairs(args.param, "--param")
-    report = verify(args.identity, params, ctx, max_level=_setting(args, config, "level_cap"))
+    report = verify(args.identity, _parse_pairs(args.param, "--param"), ctx)
     _emit([report], args, ctx)
     return 0 if report.passed else 2
 
@@ -120,8 +118,7 @@ def _cmd_sweep(args, config):
     except ValueError:
         raise DomainError(f"--range must be lo:hi:steps, got {args.range!r}")
     fixed = _parse_pairs(args.fixed, "--fixed")
-    reports = sweep(args.identity, args.param, lo, hi, steps, ctx,
-                    fixed=fixed, max_level=_setting(args, config, "level_cap"))
+    reports = sweep(args.identity, args.param, lo, hi, steps, ctx, fixed=fixed)
     _emit(reports, args, ctx)
     return 0 if all(r.passed for r in reports) else 2
 
@@ -131,8 +128,16 @@ def _cmd_selftest(args, config):
     return 0 if all(r.passed for r in results) else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise DomainError: exit 3, not argparse's 2 (a failed check)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multiell",
         description="Verify multiple elliptic integral identities at high precision.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -143,7 +148,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=int, default=None)
     common.add_argument("--tol", default=None, help="override the pass tolerance")
-    common.add_argument("--level-cap", dest="level_cap", type=int, default=None)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", default=None, help="write output to a file")
 
@@ -176,8 +180,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _load_config()
         return _COMMANDS[args.command](args, config)
     except (DomainError, NonConvergenceError, IntegrandFailureError, OSError) as exc:

@@ -11,6 +11,10 @@ must vanish -- tested, not assumed).  I2-I5 and I10 are _WEIGHTED_ROWS,
 I1-ext is I1(1/a)/a (see _inverted), and I6 at b = 0 and c >= 1 integrates
 I9's Re K form (see _axial_spec).  Both sides are compared unrounded,
 at integrate's precision ctx.boosted(GUARD); only _verify_points rounds.
+I1 is continuous but not analytic at a = 1, so I1-ext is its own row: the
+paper's third-order operator, continued from a = 1/2, leaves I1 past a = 1
+(0.33 and 1.07 relative at a = 1.5 and 3), where the integral is
+I1(1/a)/a, another solution of the same operator.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .elliptic import generating_integral_closed_form
 from .errors import DomainError, OutOfDomainError
 from .gammafn import gamma
 from .precision import PrecisionContext
-from .quadrature import GUARD, MAX_LEVEL, IntegralSpec, integrate
+from .quadrature import GUARD, IntegralSpec, integrate
 from .series import (SERIES_R, SeriesId, clausen_sum, legendre_sum, linear_bridge,
                      ramanujan_sum, ramanujan_target)
 from .singular import SINGULAR_VALUES
@@ -42,16 +46,14 @@ class ParamSpec:
     lo: object = None
     hi: object = None
     lo_open: bool = False
-    hi_open: bool = False
     choices: tuple = None
 
     def describe(self) -> str:
         if self.choices is not None:
             return f"{self.name} in {{{', '.join(str(c) for c in self.choices)}}}"
         left = "(" if self.lo_open else "["
-        right = ")" if self.hi_open or self.hi is None else "]"
-        hi = "inf" if self.hi is None else self.hi
-        return f"{self.name} in {left}{self.lo}, {hi}{right}"
+        right = "inf)" if self.hi is None else f"{self.hi}]"
+        return f"{self.name} in {left}{self.lo}, {right}"
 
     def validate(self, value, mp):
         if self.choices is not None:
@@ -74,10 +76,9 @@ class ParamSpec:
         if not mp.isfinite(v):
             raise OutOfDomainError(f"{self.name} must be finite, got {value!r}")
         lo = None if self.lo is None else mp.mpf(self.lo)
-        hi = None if self.hi is None else mp.mpf(self.hi)
         if lo is not None and (v < lo or (self.lo_open and v == lo)):
             raise OutOfDomainError(f"{self.name} = {v} below domain {self.describe()}")
-        if hi is not None and (v > hi or (self.hi_open and v == hi)):
+        if self.hi is not None and v > mp.mpf(self.hi):
             raise OutOfDomainError(f"{self.name} = {v} above domain {self.describe()}")
         return v
 
@@ -86,10 +87,10 @@ class ParamSpec:
 class IdentityRecord:
     """One catalog row.
 
-    lhs(ctx, points, max_level) takes a list of validated parameter dicts
-    and returns one unrounded (value, err_estimate) pair per point
-    (err_estimate is None for series rows); rhs(hi, params) is the closed
-    form at one point in the context hi, ctx.boosted(GUARD) in verify.
+    lhs(ctx, points) takes a list of validated parameter dicts and returns one
+    unrounded (value, err_estimate) pair per point (None for series rows; a quadrature
+    refines between the engine's own quadrature.MIN_LEVEL and MAX_LEVEL); rhs(hi, params)
+    is the closed form at one point in the context hi, ctx.boosted(GUARD) in verify.
     """
 
     id: str
@@ -131,8 +132,8 @@ def _series_terms(ratio, digits: int) -> int:
 
 def _quad_lhs(spec_builder):
     """LHS integrating spec_builder(ctx, p) at each point p, one call per point."""
-    def lhs(ctx, points, max_level):
-        results = [integrate(spec_builder(ctx, p), ctx, max_level=max_level) for p in points]
+    def lhs(ctx, points):
+        results = [integrate(spec_builder(ctx, p), ctx) for p in points]
         return [(r.value, r.err_estimate) for r in results]
     return lhs
 
@@ -143,12 +144,11 @@ def _weighted_lhs(point_of=lambda hi, p: (p["a"], (1,))):
     hi is the guard context.  Value sum_j c_j v_j, estimate sum_j |c_j| e_j, over the
     components v_j at a (see kernels.weighted_kernel); all points' a in one vector integral.
     """
-    def lhs(ctx, points, max_level):
+    def lhs(ctx, points):
         data = [point_of(ctx.boosted(GUARD), p) for p in points]
         a, c = data[0]
         order = 0 if hasattr(a, "_mpc_") else len(c) - 1
-        result = integrate(kernels.weighted_kernel_spec(tuple(a for a, _ in data), order),
-                           ctx, max_level=max_level)
+        result = integrate(kernels.weighted_kernel_spec(tuple(a for a, _ in data), order), ctx)
         values, errs = iter(result.value), iter(result.err_estimate)
         return [(sum(cj * next(values) for cj in c), sum(abs(cj) * next(errs) for cj in c))
                 for _, c in data]
@@ -225,12 +225,12 @@ def _axial_rhs(hi, p):
     return hi.mp.pi / (2 * hi.mp.sqrt((b + 1) ** 2 + c * c))
 
 
-def _clausen_lhs(ctx, points, max_level):
+def _clausen_lhs(ctx, points):
     return [(clausen_sum(p["a"], _series_terms(p["a"] ** 2, ctx.digits), ctx), None)
             for p in points]
 
 
-def _ramanujan_lhs(ctx, points, max_level):
+def _ramanujan_lhs(ctx, points):
     out = []
     for p in points:
         sid = tuple(SeriesId)[p["variant"]]  # I12's variants are the SeriesIds in order
@@ -327,7 +327,7 @@ def _rounded_up(ctx, estimate):
     return ctx.mp.make_mpf(from_rational(top, bottom, ctx.mp.prec, "u"))
 
 
-def _verify_points(rec: IdentityRecord, points, ctx: PrecisionContext, max_level: int):
+def _verify_points(rec: IdentityRecord, points, ctx: PrecisionContext):
     """One report per validated parameter dict, from one batched LHS call.
 
     The pass rule is applied to the unrounded sides in ctx.boosted(GUARD);
@@ -337,7 +337,7 @@ def _verify_points(rec: IdentityRecord, points, ctx: PrecisionContext, max_level
     the LHS time plus the time of its own RHS.
     """
     t0 = time.perf_counter()
-    lhs = rec.lhs(ctx, points, max_level)
+    lhs = rec.lhs(ctx, points)
     lhs_share = (time.perf_counter() - t0) / len(points)
     guard = ctx.boosted(GUARD)
     mp = guard.mp
@@ -362,8 +362,7 @@ def _verify_points(rec: IdentityRecord, points, ctx: PrecisionContext, max_level
     return reports
 
 
-def verify(identity_id: str, params, ctx: PrecisionContext, *,
-           max_level: int = MAX_LEVEL) -> VerificationReport:
+def verify(identity_id: str, params, ctx: PrecisionContext) -> VerificationReport:
     """Evaluate both sides of one identity and compare.
 
     params maps parameter names to values (numbers or decimal strings);
@@ -371,33 +370,29 @@ def verify(identity_id: str, params, ctx: PrecisionContext, *,
     (modulo wall_time).
     """
     rec = get_identity(identity_id)
-    return _verify_points(rec, [_validated(rec, params, ctx)], ctx, max_level)[0]
+    return _verify_points(rec, [_validated(rec, params, ctx)], ctx)[0]
 
 
 def sweep(identity_id: str, param_name: str, lo, hi, steps: int,
-          ctx: PrecisionContext, *, fixed=None, max_level: int = MAX_LEVEL):
+          ctx: PrecisionContext, *, fixed=None):
     """Verify along a uniform inclusive grid of one parameter.
 
-    The grid's left-hand sides are evaluated together: on I1, I1-ext and
-    I13 as one vector integral that shares its K values across the grid.
+    The grid ends at hi itself, not at a rounding past it.  Its left-hand
+    sides are evaluated together: on I1, I1-ext and I13 as one vector
+    integral that shares its K values across the grid.
     """
     rec = get_identity(identity_id)
     if param_name not in rec.param_names():
         raise OutOfDomainError(f"{identity_id} has no parameter {param_name!r}")
     if not isinstance(steps, int) or steps < 2:
         raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
-    mp = ctx.mp
     pspec = next(p for p in rec.params if p.name == param_name)
-    lo_v = pspec.validate(lo, mp)
-    hi_v = pspec.validate(hi, mp)
+    lo_v, hi_v = (pspec.validate(v, ctx.mp) for v in (lo, hi))
     if not lo_v < hi_v:
         raise DomainError(f"degenerate sweep range [{lo_v}, {hi_v}]")
-    points = []
-    for k in range(steps):
-        params = dict(fixed or {})
-        params[param_name] = lo_v + (hi_v - lo_v) * k / (steps - 1)
-        points.append(_validated(rec, params, ctx))
-    return _verify_points(rec, points, ctx, max_level)
+    grid = [lo_v + (hi_v - lo_v) * k / (steps - 1) for k in range(steps - 1)] + [hi_v]
+    points = [_validated(rec, {**(fixed or {}), param_name: v}, ctx) for v in grid]
+    return _verify_points(rec, points, ctx)
 
 
 def _decimal(value, digits: int) -> str:

@@ -6,15 +6,15 @@ The trapezoid step starts at h = 1 and halves per level, reusing previous
 evaluations.  A panel stops at the first level whose change from the level
 before is within the target or, from level 3 on, whose error extrapolated
 from its last two changes (see _extrapolated) is within both the target and
-10^-(digits+1) of its largest value; else at the level cap.  No panel
-estimate falls below the engine's noise floor, 10^-(digits+10) times
-max(1, |value|) (see _noise_floor).  Intervals are split at declared
-interior singular points so that singularities sit at panel ends, where
-the double-exponential decay of the weights absorbs them.
+10^-(digits+1) of its largest value; else at MAX_LEVEL, never before
+MIN_LEVEL (the engine's own bounds).  No panel estimate falls below the
+noise floor 10^-(digits+10) max(1, |value|) (see _noise_floor).  Intervals
+are split at declared interior singular points so that singularities sit at
+panel ends, where the double-exponential decay of the weights absorbs them.
 
 One panel driver serves both maps.  A two-entry transform table gives each
 map's nodes, the panel's length scale and one node's abscissas and weights.
-Node tables are cached per (map, engine precision, level, cutoff), and each
+Node tables are cached per (map, engine precision, level), and each
 level's points on a panel, with node-only values memoised on them (K,
 1 - x), per panel too, for the most recently used POINT_CAP points.
 
@@ -78,9 +78,10 @@ from typing import Callable, NamedTuple
 from mpmath.libmp import fnone, fone, mpf_add, mpf_mul, mpf_neg, mpf_sub
 
 from .errors import DomainError, IntegrandFailureError, NonConvergenceError
-from .precision import PrecisionContext, _count
+from .precision import PrecisionContext
 
 MAX_LEVEL = 12
+MIN_LEVEL = 2
 GUARD = 20  # decimal digits the engine carries beyond the working precision
 INF = math.inf  # spell the upper endpoint of semi-infinite intervals
 # twice every catalog row's panels at 300 digits; a point, x an mpf, takes
@@ -247,7 +248,7 @@ def _es_points(node, lo, _hi, _scale):
 
 
 # kind -> (node, scale, points): node(mp, half_pi, t) is (node, weight), and a
-# table ends once weight < its cutoff (and t > 3); scale(lo, hi) is the panel's
+# table ends once weight < the cutoff (and t > 3); scale(lo, hi) is the panel's
 # length scale; points(node, lo, hi, scale) are the (weight mantissa, weight
 # exponent, x, xc) of a node and of its mirror, rounded as mpmath's operators
 # round.  A level's sum of weight * f(x, xc) is multiplied by h * scale.
@@ -257,19 +258,26 @@ _TRANSFORMS = {
 }
 
 
-def _level_nodes(mp, kind: str, level: int, cutoff):
+def _negligible(mp):
+    """10^-(digits+10) in the engine context mp (digits + GUARD digits): terms
+    below this share of a panel drop, and node tables end at its square."""
+    return mp.mpf(10) ** (GUARD - 10 - mp.dps)
+
+
+def _level_nodes(mp, kind: str, level: int):
     """Nodes for t = k h >= 0 at one refinement level of one transform (cached).
 
     Level 0 takes every k >= 0; deeper levels take only odd k, the nodes
     the previous levels lack.  Returns (nodes, tail): nodes from index tail
     on have t > 3.
     """
-    key = (kind, mp.dps, level, cutoff)
+    key = (kind, mp.dps, level)
     with _cache_lock:
         table = _node_cache.get(key)
     if table is not None:
         return table
     node_at = _TRANSFORMS[kind][0]
+    cutoff = _negligible(mp) ** 2
     h = mp.mpf(2) ** (-level)
     half_pi = mp.pi / 2
     nodes = []
@@ -293,18 +301,18 @@ def _level_nodes(mp, kind: str, level: int, cutoff):
     return table
 
 
-def _level_points(mp, kind: str, level: int, cutoff, lo, hi, scale):
+def _level_points(mp, kind: str, level: int, lo, hi, scale):
     """(points, tail, count) of one level on (lo, hi), built once and cached:
     points[i] is node i's (weight mantissa, weight exponent, x, xc), then
     its mirror's, in one flat tuple.  A level is published whole;
     past POINT_CAP points, the least recently used levels are evicted."""
-    key = (kind, mp.prec, level, cutoff._mpf_, lo._mpf_, hi._mpf_)
+    key = (kind, mp.prec, level, lo._mpf_, hi._mpf_)
     with _cache_lock:
         entry = _point_cache.pop(key, None)
         if entry is not None:
             _point_cache[key] = entry  # now the most recently used
             return entry
-    nodes, tail = _level_nodes(mp, kind, level, cutoff)
+    nodes, tail = _level_nodes(mp, kind, level)
     points = _TRANSFORMS[kind][2]
     flat = [sum(points(node, lo, hi, scale), ()) for node in nodes]
     built = (flat, tail, sum(map(len, flat)) // 4)
@@ -357,8 +365,8 @@ def _extrapolated(mp, changes, total, negligible, target):
     return None
 
 
-def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level):
-    """Refine one panel level by level.
+def _panel(f, mp, kind, lo, hi, target, max_level, min_level):
+    """Refine one panel level by level, stopping at a level in [min_level, max_level].
 
     Returns (values, error estimates, level, calls, vector): one value and
     one estimate per component of f, the level reached, the integrand calls
@@ -368,6 +376,7 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
     at least _noise_floor of the values.
     """
     scale = _TRANSFORMS[kind][1](lo, hi)
+    negligible = _negligible(mp)
     wp = fraction_bits(mp)
     # a term w f is negligible once scale |w f| is
     limit = int(mp.ldexp(negligible / scale, wp))
@@ -376,7 +385,7 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
     calls = 0
     vector = False
     for level in range(max_level + 1):
-        nodes, tail, _ = _level_points(mp, kind, level, cutoff, lo, hi, scale)
+        nodes, tail, _ = _level_points(mp, kind, level, lo, hi, scale)
         for i, node in enumerate(nodes):
             small = i >= tail
             point = iter(node)
@@ -423,21 +432,19 @@ def _panel(f, mp, kind, lo, hi, cutoff, negligible, target, max_level, min_level
     return total, err and [max(e, floor) for e in err], level, calls, vector
 
 
-def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX_LEVEL,
-              min_level: int = 2) -> QuadResult:
+def integrate(spec: IntegralSpec, ctx: PrecisionContext) -> QuadResult:
     """Integrate spec to ctx.quad_target absolute error in every component.
 
     Unlike every other public function, integrate does not round its result
     to ctx.digits (see QuadResult).  Each panel, given an equal share of
-    quad_target, stops at the first level at or past min_level whose
+    quad_target, stops at the first level at or past MIN_LEVEL whose
     largest change from the level before is within its share or, from
     level 3 on, whose extrapolated error E is within both its share and
     10^-(digits+1) of its largest value; E is then its estimate (see
-    _extrapolated).  Raises NonConvergenceError if any panel hits the
-    level cap with an error estimate above both target and its noise
-    floor, IntegrandFailureError if the integrand raises or returns a
-    non-finite value, and DomainError if max_level or min_level is not a
-    nonnegative int or min_level exceeds max_level.
+    _extrapolated).  Raises NonConvergenceError if any panel reaches
+    MAX_LEVEL with an error estimate above both target and its noise
+    floor, and IntegrandFailureError if the integrand raises or returns a
+    non-finite value.
 
     Convergence is judged from the nodes alone, so an integrand whose mass
     lies far beyond the exp-sinh node range, or in a sliver of a long
@@ -447,13 +454,7 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
     c = 1e20 and 30 digits, it and the axial t form at b = 0.5 both err
     by 1.5 quad_target, with an estimate 26 times smaller.
     """
-    max_level = _count(max_level, "max_level")
-    min_level = _count(min_level, "min_level")
-    if min_level > max_level:
-        raise DomainError(f"min_level {min_level} exceeds max_level {max_level}")
     mp = ctx.boosted(GUARD).mp
-    negligible = mp.mpf(10) ** (-(ctx.digits + 10))
-    cutoff = negligible ** 2
 
     lo = _resolve(spec.interval[0], mp)
     hi = _resolve(spec.interval[1], mp)
@@ -474,9 +475,8 @@ def integrate(spec: IntegralSpec, ctx: PrecisionContext, *, max_level: int = MAX
     deepest = evaluations = 0
     for a, b in zip(edges, edges[1:]):
         kind = "exp-sinh" if mp.isinf(b) else "tanh-sinh"
-        v, e, lev, calls, vector = _panel(f, mp, kind, a, b, cutoff, negligible, target,
-                                          max_level, min_level)
-        if e is None or max(e) > max(target, _noise_floor(negligible, v)):
+        v, e, lev, calls, vector = _panel(f, mp, kind, a, b, target, MAX_LEVEL, MIN_LEVEL)
+        if e is None or max(e) > max(target, _noise_floor(_negligible(mp), v)):
             raise NonConvergenceError(
                 f"{spec.integrand_id}: panel ({a}, {b}) stopped at level {lev} "
                 f"with estimate {mp.nstr(max(e), 5) if e is not None else 'n/a'} above target")

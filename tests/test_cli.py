@@ -3,6 +3,7 @@ import json
 import pytest
 
 import multiell.cli as cli
+import multiell.quadrature as quadrature
 from multiell.identities import VerificationReport, verify
 
 
@@ -96,14 +97,29 @@ def test_non_finite_parameters_exit_3(capsys, argv):
     assert "must be finite" in capsys.readouterr().err
 
 
-def test_nonconvergence_exits_3(capsys):
-    assert run(["verify", "I8", "--digits", "30", "--level-cap", "2"]) == 3
-    assert "error:" in capsys.readouterr().err
+def test_nonconvergence_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", 2)
+    assert run(["verify", "I8", "--digits", "30"]) == 3
+    assert "stopped at level 2 with estimate" in capsys.readouterr().err
 
 
-def test_negative_level_cap_exits_3(capsys):
-    assert run(["verify", "I8", "--digits", "30", "--level-cap", "-1"]) == 3
-    assert "max_level" in capsys.readouterr().err
+# argparse exits 2 on a usage error, the code that means a check failed
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "I8", "--digits", "abc"], "argument --digits: invalid int value: 'abc'"),
+    (["verify"], "the following arguments are required: identity"),
+    (["verify", "I8", "--level-cap", "2"], "unrecognized arguments: --level-cap 2"),
+], ids=["bad-digits", "no-id", "level-cap"])
+def test_usage_errors_exit_3(capsys, argv, message):
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+
+
+def test_help_lists_no_level_cap(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(["verify", "--help"])
+    assert exit_.value.code == 0
+    assert "--level-cap" not in capsys.readouterr().out
 
 
 def test_failed_verification_exits_2(monkeypatch, capsys):
@@ -148,11 +164,15 @@ def test_config_file_sets_tol(tmp_path, monkeypatch, capsysbinary):
     assert ctx.pass_tol == ctx.mp.mpf("1e-12")
 
 
-def test_config_rejects_unknown_keys(tmp_path, monkeypatch):
+def test_config_rejects_unknown_keys(tmp_path, monkeypatch, capsys):
+    # a config file that still sets level_cap fails loudly rather than being ignored
     cfg = tmp_path / "multiell.cfg"
-    cfg.write_text("precision = 40\n")
     monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
-    assert run(["verify", "I8"]) == 3
+    for line in ("precision = 40", "level_cap = 5"):
+        cfg.write_text(f"# settings\n{line}\n")
+        assert run(["verify", "I8"]) == 3
+        key = line.split()[0]
+        assert f"error: {cfg}:2: unknown config key '{key}'" in capsys.readouterr().err
 
 
 def test_selftest_quick(capsys):
@@ -161,7 +181,7 @@ def test_selftest_quick(capsys):
     assert out.count("[PASS]") == 9
 
 
-@pytest.mark.parametrize("line", ["digits = abc", "level_cap = x", "tol = abc"])
+@pytest.mark.parametrize("line", ["digits = abc", "tol = abc"])
 def test_config_rejects_malformed_values(tmp_path, monkeypatch, capsys, line):
     cfg = tmp_path / "multiell.cfg"
     cfg.write_text(f"# settings\n{line}\n")

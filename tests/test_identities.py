@@ -9,7 +9,6 @@ from multiell import (DomainError, OutOfDomainError, PrecisionContext,
                       kernels, legendre_sum, linear_bridge, list_identities,
                       sweep, verify)
 from multiell.identities import _validated, _verify_points, get_identity
-from multiell.quadrature import MAX_LEVEL
 
 
 def test_catalog_shape():
@@ -51,8 +50,8 @@ def test_complex_lhs_needs_a_vanishing_imaginary_part(ctx30):
     rec = get_identity("I8")
     rhs = rec.rhs(ctx30, {})
     for lhs, passed in ((mp.mpc(rhs, "1e-30"), False), (rhs, True)):
-        row = dataclasses.replace(rec, lhs=lambda ctx, points, max_level: [(lhs, mp.mpf("1e-45"))])
-        report, = _verify_points(row, [{}], ctx30, MAX_LEVEL)
+        row = dataclasses.replace(rec, lhs=lambda ctx, points: [(lhs, mp.mpf("1e-45"))])
+        report, = _verify_points(row, [{}], ctx30)
         assert report.passed is passed
 
 
@@ -222,6 +221,23 @@ def test_batched_sweep_matches_single_verifies(ctx):
         assert r.rhs_value == single.rhs_value
 
 
+# sweeps whose last grid point, lo + (hi - lo) k/(steps - 1), rounded above
+# a closed domain end
+SWEEPS_TO_AN_END = [(30, "I11", "a", "0", "0.95", 4), (30, "I1", "a", "0.3", "1", 4),
+                    (30, "I13", "a", "0", "0.95", 4), (30, "I9", "c", "1e-10", "1e10", 8),
+                    (50, "I11", "a", "0", "0.95", 20)]
+
+
+@pytest.mark.parametrize("digits, rid, name, lo, hi, steps", SWEEPS_TO_AN_END,
+                         ids=[f"{d}-{r}-{lo}-{hi}-{n}" for d, r, _, lo, hi, n in SWEEPS_TO_AN_END])
+def test_sweep_ends_at_the_domain_end(digits, rid, name, lo, hi, steps):
+    ctx = PrecisionContext(digits)
+    reports = sweep(rid, name, lo, hi, steps, ctx)
+    assert len(reports) == steps and all(r.passed for r in reports)
+    assert reports[0].params[name] == ctx.mp.mpf(lo)
+    assert reports[-1].params[name] == ctx.mp.mpf(hi)
+
+
 def test_sweep_validation(ctx):
     with pytest.raises(DomainError):
         sweep("I1", "a", 0, 0, 2, ctx)  # degenerate range
@@ -322,11 +338,12 @@ def test_cross_route_agreement(ctx, a_str):
 
 
 def _closed_ends(spec):
-    """spec's choices, or its finite closed interval endpoints, as verify takes them."""
+    """spec's choices, or its finite closed interval endpoints, as verify takes them
+    (a finite hi is always closed)."""
     if spec.choices is not None:
         return list(spec.choices)
-    return [str(end) for end, is_open in ((spec.lo, spec.lo_open), (spec.hi, spec.hi_open))
-            if end is not None and not is_open]
+    ends = ([] if spec.lo_open else [spec.lo]) + [spec.hi]
+    return [str(end) for end in ends if end is not None]
 
 
 # every combination of each row's finite closed endpoints, read from its
@@ -373,11 +390,10 @@ def test_abs_err_is_the_unrounded_left_hand_sides_error(rid, params):
     rec = get_identity(rid)
     seen = []
 
-    def lhs(ctx, points, max_level):
-        seen.extend(rec.lhs(ctx, points, max_level))
+    def lhs(ctx, points):
+        seen.extend(rec.lhs(ctx, points))
         return seen
-    report, = _verify_points(dataclasses.replace(rec, lhs=lhs), [_validated(rec, params, ctx)],
-                             ctx, MAX_LEVEL)
+    report, = _verify_points(dataclasses.replace(rec, lhs=lhs), [_validated(rec, params, ctx)], ctx)
     [(value, _)] = seen
     truth = rec.rhs(ref, {k: ref.mp.mpf(v) for k, v in params.items()})
     error = abs(ref.mp.convert(value) - truth)

@@ -82,14 +82,16 @@ ROW_DEPTHS = [("I2", 2), ("I3", 2), ("I4", 5), ("I5", 2), ("I10", 2)]
 
 
 @pytest.mark.parametrize("rid, i8_min_level", ROW_DEPTHS, ids=[r for r, _ in ROW_DEPTHS])
-def test_rows_after_i8_read_its_k_column(k_calls, rid, i8_min_level):
+def test_rows_after_i8_read_its_k_column(k_calls, monkeypatch, rid, i8_min_level):
     # the weighted points read the K(2 sqrt(x(1-x))) column that I8 fills
     ctx = PrecisionContext(50)
     spec = row_spec(rid, ctx)
     cold = integrate(spec, ctx)
     assert k_calls
     empty_points()
-    integrate(I8, ctx, min_level=i8_min_level)
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "MIN_LEVEL", i8_min_level)
+        integrate(I8, ctx)
     k_calls.clear()
     warm = integrate(spec, ctx)
     assert not k_calls
@@ -180,13 +182,12 @@ def _nodes(mp, levels, *panels):
     nodes reach 10^-2(digits+10) from a finite end, and an exp-sinh panel
     reaches about the inverse of that.
     """
-    cutoff = mp.mpf(10) ** (-2 * (mp.dps - GUARD + 10))
     for lo, hi in panels:
         lo, hi = mp.convert(lo), mp.convert(hi)
         kind = "exp-sinh" if mp.isinf(hi) else "tanh-sinh"
         _, scale_of, points = _TRANSFORMS[kind]
         for level in range(levels):
-            for node in _level_nodes(mp, kind, level, cutoff)[0]:
+            for node in _level_nodes(mp, kind, level)[0]:
                 for _, _, x, xc in points(node, lo, hi, scale_of(lo, hi)):
                     yield x, xc
 

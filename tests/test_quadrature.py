@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from mpmath.libmp import mpf_abs, mpf_cmp, mpf_sub
 
 from multiell import (DomainError, INF, IntegralSpec, IntegrandFailureError,
-                      NonConvergenceError, PrecisionContext, integrate, rhs_constant, verify)
+                      NonConvergenceError, PrecisionContext, integrate, rhs_constant, sweep,
+                      verify)
 from multiell import quadrature
 from multiell import identities
 from multiell.identities import _validated, get_identity
@@ -142,9 +143,8 @@ def test_node_gaps_are_exact_and_name_the_nearer_end(digits, lo, hi):
     kind = "exp-sinh" if mp.isinf(hi) else "tanh-sinh"
     _, scale_of, points = quadrature._TRANSFORMS[kind]
     rad = scale_of(lo, hi)
-    cutoff = mp.mpf(10) ** (-2 * (digits + 10))
     for level in range(4):
-        for node in quadrature._level_nodes(mp, kind, level, cutoff)[0]:
+        for node in quadrature._level_nodes(mp, kind, level)[0]:
             for _, _, x, xc in points(node, lo, hi, rad):
                 exact = mpf_sub(xc.end, x._mpf_)  # prec 0: unrounded
                 if kind == "tanh-sinh":
@@ -186,10 +186,12 @@ def _components(value):
     return value if isinstance(value, tuple) else (value,)
 
 
-def test_level_doubling_stays_within_estimate(ctx):
+def test_level_doubling_stays_within_estimate(ctx, monkeypatch):
     for spec in _catalog_specs(ctx):
         r1 = integrate(spec, ctx)
-        r2 = integrate(spec, ctx, min_level=r1.levels + 1)
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "MIN_LEVEL", r1.levels + 1)
+            r2 = integrate(spec, ctx)
         for v2, v1, e1 in zip(*map(_components, (r2.value, r1.value, r1.err_estimate))):
             assert abs(v2 - v1) <= e1, spec.integrand_id
 
@@ -231,9 +233,10 @@ def test_error_estimate_honesty(ctx):
         assert r.err_estimate >= 0
 
 
-def test_nonconvergence_at_low_level_cap(ctx):
+def test_nonconvergence_at_low_level_cap(ctx, monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", 2)
     with pytest.raises(NonConvergenceError):
-        integrate(plain_spec(), ctx, max_level=2)
+        integrate(plain_spec(), ctx)
 
 
 @pytest.mark.parametrize("digits", [30, 100])
@@ -250,8 +253,7 @@ def test_an_estimate_never_falls_below_the_noise_floor(digits, kind, value):
     f = lambda x, xc: mp.mpf(value) / ((1 + x) ** 2 if kind == "exp-sinh" else 1)
     for min_level in (2, 6):
         values, estimates, _, _, _ = quadrature._panel(
-            f, mp, kind, mp.zero, hi, negligible ** 2, negligible,
-            mp.convert(ctx.quad_target), MAX_LEVEL, min_level)
+            f, mp, kind, mp.zero, hi, mp.convert(ctx.quad_target), MAX_LEVEL, min_level)
         assert estimates[0] >= negligible * max(1, abs(values[0]))
 
 
@@ -398,19 +400,15 @@ def test_spec_validation(ctx):
         integrate(spec, ctx)
 
 
-@pytest.mark.parametrize("max_level", [-1, True, 2.5, "3"])
-def test_max_level_must_be_a_nonnegative_int(ctx, max_level):
-    with pytest.raises(DomainError, match="max_level"):
-        integrate(plain_spec(), ctx, max_level=max_level)
-    with pytest.raises(DomainError, match="max_level"):
-        verify("I8", {}, ctx, max_level=max_level)
-
-
-@pytest.mark.parametrize("min_level, max_level", [
-    (-1, MAX_LEVEL), (True, MAX_LEVEL), (2.5, MAX_LEVEL), ("3", MAX_LEVEL), (20, MAX_LEVEL), (3, 2)])
-def test_min_level_must_be_a_nonnegative_int_at_most_max_level(ctx, min_level, max_level):
-    with pytest.raises(DomainError, match="min_level"):
-        integrate(plain_spec(), ctx, min_level=min_level, max_level=max_level)
+@pytest.mark.parametrize("keyword", ["max_level", "min_level"])
+def test_level_bounds_are_the_engines_own(ctx30, keyword):
+    # the engine's MIN_LEVEL and MAX_LEVEL are no caller's arguments
+    calls = [lambda **kw: integrate(plain_spec(), ctx30, **kw),
+             lambda **kw: verify("I8", {}, ctx30, **kw),
+             lambda **kw: sweep("I1", "a", 0, 1, 2, ctx30, **kw)]
+    for call in calls:
+        with pytest.raises(TypeError, match=keyword):
+            call(**{keyword: quadrature.MAX_LEVEL})
 
 
 def test_inf_in_second_component_is_an_integrand_failure(ctx):
@@ -474,23 +472,21 @@ def test_fixed_point_sum_against_mpf_sum(digits, panel, components, level):
     ctx = PrecisionContext(digits)
     emp = ctx.boosted(GUARD).mp
     lo, hi = emp.zero, emp.convert(hi)
-    negligible = emp.mpf(10) ** -(digits + 10)
-    cutoff = negligible ** 2
     f = _oracle_integrand(emp, base, components)
     calls = []
 
     def recording(x, xc):
         calls.append((x, xc))
         return _exact_fixed(f(x, xc), emp)
-    values, _, _, n, vector = quadrature._panel(recording, emp, kind, lo, hi, cutoff, negligible,
-                                                emp.zero, level, level)
+    values, _, _, n, vector = quadrature._panel(recording, emp, kind, lo, hi, emp.zero,
+                                                level, level)
     assert vector and n == len(calls)
 
     _, scale_of, points = quadrature._TRANSFORMS[kind]
     scale = scale_of(lo, hi)
     weights = {}
     for lev in range(level + 1):
-        for node in quadrature._level_nodes(emp, kind, lev, cutoff)[0]:
+        for node in quadrature._level_nodes(emp, kind, lev)[0]:
             for wm, we, x, xc in points(node, lo, hi, scale):
                 weights[x._mpf_, xc._mpf_] = wm, we
     mp = PrecisionContext(digits + GUARD + 40).mp
@@ -572,12 +568,12 @@ def test_cold_and_warm_points_give_bit_identical_rows(empty_cache, monkeypatch, 
     rows = [(get_identity(rid), [_validated(get_identity(rid), params, ctx)])
             for rid, params in ROW_POINTS]
     for rec, points in rows:
-        rec.lhs(ctx, points, MAX_LEVEL)
+        rec.lhs(ctx, points)
     cold = list(results)
     assert quadrature._point_cache
     results.clear()
     for rec, points in rows:
-        rec.lhs(ctx, points, MAX_LEVEL)
+        rec.lhs(ctx, points)
     assert len(results) == len(cold) == len(ROW_POINTS)
     assert results == cold
 
